@@ -75,25 +75,50 @@ def common_relations(c: str, o1: Ordered, o2: Ordered) -> set[Pair]:
     return out
 
 
+def _pair_count(masks: list[int]) -> int:
+    """Per-term relation sum over ancestor masks of the shared terms.
+
+    With R the (ancestor, descendant) pairs over the shared terms, every
+    term counts its pairs as either endpoint: 2*|R| - |{(c, c) in R}|, as
+    a pair (c, c), which a cycle through c produces, is one relation of c.
+    """
+    return sum(2 * mask.bit_count() - (mask >> i & 1) for i, mask in enumerate(masks))
+
+
 def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     """Precision, recall and F-measure of a taxonomy against the gold graph.
 
     The gold order is queried through transitive hypernym closure; a shared
     relation contributes once per endpoint term, following the per-term
-    sums of the defining formulas.
+    sums of the defining formulas (:func:`common_relations`).
+
+    Both orders are taken whole rather than pair by pair: one reachability
+    closure of the taxonomy (:meth:`Taxonomy.ancestor_masks`, one pass over
+    its nodes and edges with |S|-bit masks for the shared terms S) and one
+    case-folded ancestor-lemma set per shared term on the gold side.  The
+    per-term sums then reduce to pair counts (:func:`_pair_count`), so the
+    cost is O((V + E) * |S| / 64 + sum of gold ancestor-set sizes) instead
+    of a graph search for every pair of shared terms.
     """
     if not o_t.nodes:
         raise ValueError("cannot evaluate an empty taxonomy")
     shared = sorted(_shared_terms(o_t, gold))
     if not shared:
         return EvalReport(0.0, 0.0, 0.0, 0, 0, 0, no_shared_terms=True)
-    common = extracted = gold_total = 0
-    for c in shared:
-        cr_t = common_relations(c, o_t, gold)
-        cr_g = common_relations(c, gold, o_t)
-        common += len(cr_t & cr_g)
-        extracted += len(cr_t)
-        gold_total += len(cr_g)
+    t_anc = o_t.ancestor_masks(shared)
+    # Gold lookups are case-folded, so "Car" and "car" share one gold lemma.
+    folded: dict[str, int] = {}
+    for i, term in enumerate(shared):
+        folded[term.casefold()] = folded.get(term.casefold(), 0) | 1 << i
+    g_anc = []
+    for term in shared:
+        mask = 0
+        for lemma in gold.ancestor_lemmas(term):
+            mask |= folded.get(lemma, 0)
+        g_anc.append(mask)
+    common = _pair_count([t & g for t, g in zip(t_anc, g_anc)])
+    extracted = _pair_count(t_anc)
+    gold_total = _pair_count(g_anc)
     precision = common / extracted if extracted else 0.0
     recall = common / gold_total if gold_total else 0.0
     return EvalReport(
@@ -120,6 +145,24 @@ def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     return len(pa & pb) / len(pa), len(pa & inv) / len(pa)
 
 
+def _base_precision(a: RelationSet, gold: GoldTaxonomy) -> float:
+    """A's own precision, the denominator of every relative precision of A."""
+    if len(a) == 0:
+        raise ValueError("relative precision of an empty relation set is undefined")
+    p_a = evaluate(build_taxonomy(a), gold).precision
+    if p_a == 0:
+        raise ValueError("relative precision undefined: base model has zero precision")
+    return p_a
+
+
+def _relative_to(p_a: float, a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
+    shared = a.pair_set() & b.pair_set()
+    if not shared:
+        return 0.0
+    inter = a.restricted(shared)
+    return evaluate(build_taxonomy(inter), gold).precision / p_a
+
+
 def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
     """Precision of A's relations shared with B, relative to A's own precision.
 
@@ -127,16 +170,7 @@ def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> fl
     empty intersection yields 0; a zero-precision A makes the ratio
     undefined and raises ValueError.
     """
-    if len(a) == 0:
-        raise ValueError("relative precision of an empty relation set is undefined")
-    p_a = evaluate(build_taxonomy(a), gold).precision
-    if p_a == 0:
-        raise ValueError("relative precision undefined: base model has zero precision")
-    shared = a.pair_set() & b.pair_set()
-    if not shared:
-        return 0.0
-    inter = a.restricted(shared)
-    return evaluate(build_taxonomy(inter), gold).precision / p_a
+    return _relative_to(_base_precision(a, gold), a, b, gold)
 
 
 @dataclass(frozen=True)
@@ -165,15 +199,18 @@ def complementarity_matrix(
     inverse: dict[tuple[str, str], float | None] = {}
     relative: dict[tuple[str, str], float | None] = {}
     for ma in methods:
+        a = by_method[ma]
+        # One base precision per row, shared by the row's cells.
+        try:
+            p_a = _base_precision(a, gold)
+        except ValueError:
+            p_a = None
         for mb in methods:
             key = (ma, mb)
-            a, b = by_method[ma], by_method[mb]
+            b = by_method[mb]
             try:
                 direct[key], inverse[key] = complementarity(a, b)
             except ValueError:
                 direct[key] = inverse[key] = None
-            try:
-                relative[key] = relative_precision(a, b, gold)
-            except ValueError:
-                relative[key] = None
+            relative[key] = None if p_a is None else _relative_to(p_a, a, b, gold)
     return ComplementarityMatrix(methods, direct, inverse, relative)

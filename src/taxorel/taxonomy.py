@@ -9,8 +9,9 @@ metric sense is one weakly-connected component together with its roots
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .contexts import ContextMatrix
@@ -101,6 +102,35 @@ class Taxonomy:
             dist[cur] = d
             queue.extend((p, d + 1) for p in self._parents.get(cur, ()))
         return dist
+
+    def ancestor_masks(self, terms: Sequence[str]) -> list[int]:
+        """For each of ``terms``, the ``terms`` above it via >= 1 edge.
+
+        Each result is a bitmask in which bit i stands for ``terms[i]``; a
+        term's own bit is set only when a cycle runs through it.  One
+        closure serves every term: strongly connected components are
+        condensed, then ancestor masks are OR-ed component by component,
+        each after every component above it.  Terms missing from the graph
+        get 0.
+        """
+        comp = _strongly_connected(self._nodes, self._parents)
+        bit = {term: 1 << i for i, term in enumerate(terms)}
+        ncomp = max(comp.values(), default=-1) + 1
+        members = [0] * ncomp
+        above: list[set[int]] = [set() for _ in range(ncomp)]
+        for node, k in comp.items():
+            members[k] |= bit.get(node, 0)
+            above[k].update(comp[p] for p in self._parents.get(node, ()))
+        # Tarjan numbers a component only after every component it reaches,
+        # so each mask in ``above[k]`` is final before k; an edge inside k
+        # (a cycle) adds k's own members while reach[k] is still 0.
+        reach = [0] * ncomp
+        for k in range(ncomp):
+            mask = 0
+            for j in above[k]:
+                mask |= members[j] | reach[j]
+            reach[k] = mask
+        return [reach[comp[term]] if term in comp else 0 for term in terms]
 
     @property
     def is_dag(self) -> bool:
@@ -200,30 +230,22 @@ def break_cycles(t: Taxonomy) -> Taxonomy:
 def transitive_reduction(t: Taxonomy) -> Taxonomy:
     """Minimum edge set with the original reachability (unique for a DAG).
 
-    An edge u->v is redundant exactly when v is a descendant of another
-    child of u.  Descendant sets are kept as bitmasks built in reverse
-    topological order.  Raises ValueError on cyclic input.
+    An edge p->v is redundant exactly when p is an ancestor of another
+    parent of v; ancestor sets come from :meth:`Taxonomy.ancestor_masks`.
+    Raises ValueError on cyclic input.
     """
-    order = t._topological_order()
-    if len(order) != len(t.nodes):
+    nodes = sorted(t.nodes)
+    bit = {node: 1 << i for i, node in enumerate(nodes)}
+    anc = dict(zip(nodes, t.ancestor_masks(nodes)))
+    if any(anc[node] & bit[node] for node in nodes):
         raise ValueError("transitive reduction requires an acyclic taxonomy")
-    idx = {node: i for i, node in enumerate(order)}
-    desc = {node: 0 for node in order}
-    for node in reversed(order):
-        bits = 0
-        for child in t.children(node):
-            bits |= (1 << idx[child]) | desc[child]
-        desc[node] = bits
     kept: list[Edge] = []
-    for node in order:
-        children = t.children(node)
+    for node in nodes:
+        parents = t.parents(node)
         union = 0
-        if len(children) > 1:
-            for child in children:
-                union |= desc[child]
-        for child in children:
-            if not (1 << idx[child]) & union:
-                kept.append((node, child))
+        for p in parents:
+            union |= anc[p]
+        kept.extend((p, node) for p in parents if not bit[p] & union)
     return Taxonomy(kept, nodes=t.nodes, is_reduced=True)
 
 
@@ -348,27 +370,27 @@ def best_parent_filter(t: Taxonomy, docm: ContextMatrix) -> Taxonomy:
     P(a|x) weighted by 1/d where d counts the edges from p up to a (a direct
     parent of p has d=1).  P(a|x) = |D_a n D_x| / |D_x| over document sets;
     terms missing from the matrix contribute zero everywhere.  Score ties
-    keep the lexicographically smaller parent.
+    keep the lexicographically smaller parent.  Scores are compared exactly,
+    so a tie is found whatever order the ancestors are summed in.
     """
     doc_sets = {n: frozenset(docm.row(n)) for n in t.nodes}
-
-    def cooc(a: str, x: str) -> float:
-        dx = doc_sets[x]
-        if not dx:
-            return 0.0
-        return len(doc_sets[a] & dx) / len(dx)
 
     edges = t.edge_set()
     for x in sorted(t.nodes):
         parents = sorted(t.parents(x))
         if len(parents) < 2:
             continue
+        dx = doc_sets[x]
         best_parent = None
-        best_score = -1.0
+        best_score = Fraction(-1)
         for p in parents:
-            score = cooc(p, x)
+            # Score times |D_x|, which all candidates share: integer counts
+            # summed per distance, p itself weighing 1 like a distance-1
+            # ancestor, then one exact fraction per distance.
+            counts = {1: len(doc_sets[p] & dx)}
             for ancestor, d in t.ancestor_distances(p).items():
-                score += cooc(ancestor, x) / d
+                counts[d] = counts.get(d, 0) + len(doc_sets[ancestor] & dx)
+            score = sum(Fraction(k, d) for d, k in counts.items())
             if score > best_score:
                 best_parent, best_score = p, score
         for p in parents:

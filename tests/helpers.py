@@ -184,23 +184,24 @@ def oracle_evaluate(taxo: Taxonomy, gold: GoldTaxonomy):
             for hypo in synsets[desc].lemmas:
                 g_closure.add((hyper.casefold(), hypo.casefold()))
 
-    c_t = set(taxo.nodes)
+    # Gold membership and order are case-folded; taxonomy terms keep their
+    # case, so "Car" and "car" are two shared terms with one gold lemma.
     c_gs = {l.casefold() for syn in synsets.values() for l in syn.lemmas}
-    shared = c_t & c_gs
+    shared = {t for t in taxo.nodes if t.casefold() in c_gs}
 
-    def cr(c, order_pairs):
+    def cr(c, order_pairs, key):
         out = set()
         for other in shared:
-            if (other, c) in order_pairs:
+            if (key(other), key(c)) in order_pairs:
                 out.add((other, c))
-            if (c, other) in order_pairs:
+            if (key(c), key(other)) in order_pairs:
                 out.add((c, other))
         return out
 
     common = extracted = gold_count = 0
     for c in shared:
-        cr_t = cr(c, t_closure)
-        cr_g = cr(c, g_closure)
+        cr_t = cr(c, t_closure, str)
+        cr_g = cr(c, g_closure, str.casefold)
         common += len(cr_t & cr_g)
         extracted += len(cr_t)
         gold_count += len(cr_g)

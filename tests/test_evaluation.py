@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxorel.evaluation import (
     common_relations,
@@ -15,6 +17,34 @@ from taxorel.relations import RelationSet
 from taxorel.taxonomy import Taxonomy, build_taxonomy
 
 from helpers import car_taxonomy_and_gold, gold_from, oracle_evaluate
+
+
+# "x" and "y" never occur in a generated gold; "Car" and "car" fold to one
+# gold lemma, which the gold may also spell "CAR".
+TAXO_TERMS = ["a", "b", "c", "d", "Car", "car", "x", "y"]
+GOLD_LEMMAS = ["a", "b", "c", "d", "car", "CAR", "e"]
+
+
+@st.composite
+def taxonomies(draw):
+    nodes = draw(st.sets(st.sampled_from(TAXO_TERMS), min_size=1, max_size=4))
+    term = st.sampled_from(TAXO_TERMS)
+    edges = draw(st.lists(st.tuples(term, term), max_size=12))
+    return Taxonomy(edges, nodes=nodes)
+
+
+@st.composite
+def golds(draw):
+    """Synset graphs with cycles and lemmas in several synsets."""
+    n = draw(st.integers(1, 6))
+    return GoldTaxonomy(
+        Synset(
+            sid,
+            frozenset(draw(st.sets(st.sampled_from(GOLD_LEMMAS), min_size=1, max_size=3))),
+            frozenset(draw(st.sets(st.integers(0, n - 1), max_size=3))),
+        )
+        for sid in range(n)
+    )
 
 
 def relset(method, *pairs):
@@ -164,6 +194,41 @@ class TestEvaluate:
             assert f <= max(p, r) + 1e-12
 
 
+class TestEvaluateProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(taxonomies(), golds())
+    @example(  # cycle through the shared terms a and b
+        Taxonomy([("a", "b"), ("b", "a"), ("b", "c")]),
+        gold_from((1, ["a"], []), (2, ["b"], [1]), (3, ["c"], [2])),
+    )
+    @example(  # gold cycle; "a" sits in two synsets
+        Taxonomy([("a", "c"), ("b", "a"), ("c", "d")]),
+        gold_from((1, ["a"], [2]), (2, ["b"], [1]), (3, ["c", "a"], [2]), (4, ["d"], [3])),
+    )
+    @example(  # "Car" and "car" are two shared terms with one gold lemma
+        Taxonomy([("a", "Car"), ("car", "b"), ("Car", "car")]),
+        gold_from((1, ["a"], []), (2, ["CAR"], [1]), (3, ["b"], [2])),
+    )
+    @example(  # x and y are missing from the gold
+        Taxonomy([("x", "a"), ("a", "y"), ("y", "b")]),
+        gold_from((1, ["a"], []), (2, ["b"], [1])),
+    )
+    @example(  # no shared terms
+        Taxonomy([("x", "y")]),
+        gold_from((1, ["a"], [])),
+    )
+    def test_matches_closure_oracle(self, taxo, gold):
+        report = evaluate(taxo, gold)
+        p, r, f, common, extracted, gold_count = oracle_evaluate(taxo, gold)
+        assert (report.common_count, report.extracted_count, report.gold_count) == (
+            common,
+            extracted,
+            gold_count,
+        )
+        assert (report.precision, report.recall, report.fmeasure) == (p, r, f)
+        assert report.no_shared_terms == (not any(gold.contains_term(t) for t in taxo.nodes))
+
+
 class TestComplementarity:
     def test_self_overlap_is_one(self):
         a = relset("tf", ("a", "b"), ("c", "d"))
@@ -245,6 +310,35 @@ class TestRelativePrecision:
         assert matrix.direct[("tf", "df")] == 0.5
         assert matrix.direct[("patt", "tf")] is None  # empty base
         assert matrix.relative[("tf", "tf")] == 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.sets(st.permutations("abcd").map(lambda p: (p[0], p[1])), max_size=5),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example([{("b", "a"), ("c", "b")}, {("b", "a")}, {("a", "b")}, set()])
+    def test_matrix_cells_match_per_cell_calls(self, pair_sets):
+        # The example's third set has zero precision and its fourth is
+        # empty: both rows are None in the relative matrix.
+        gold = self.gold()
+        sets = [relset(f"m{i}", *pairs) for i, pairs in enumerate(pair_sets)]
+        matrix = complementarity_matrix(sets, gold)
+        for a in sets:
+            for b in sets:
+                key = (a.method, b.method)
+                try:
+                    ratios = complementarity(a, b)
+                except ValueError:
+                    ratios = (None, None)
+                try:
+                    rel = relative_precision(a, b, gold)
+                except ValueError:
+                    rel = None
+                assert (matrix.direct[key], matrix.inverse[key]) == ratios
+                assert matrix.relative[key] == rel
 
     def test_matrix_requires_distinct_methods(self):
         a = relset("tf", ("b", "a"))

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import taxorel
 from taxorel.relations import RelationSet
 from taxorel.taxonomy import (
     Taxonomy,
@@ -243,6 +248,32 @@ class TestBestParentFilter:
         t = Taxonomy([("pa", "x"), ("pb", "x")])
         m = doc_matrix({"x": ["d1"], "pa": ["d1"], "pb": ["d1"]})
         assert best_parent_filter(t, m).edge_set() == {("pa", "x")}
+
+    def test_exact_tie_is_independent_of_hash_seed(self):
+        # score(pa) = 6/10 and score(pb) = 0 + 1/10 + 2/10 + 3/10 tie
+        # exactly, but float sums of pb's ancestors depend on their order,
+        # which follows the string hash seed of the process.
+        script = (
+            "from taxorel.contexts import ContextMatrix\n"
+            "from taxorel.taxonomy import Taxonomy, best_parent_filter\n"
+            "docs = lambda k: {f'd{i}': 1 for i in range(k)}\n"
+            "t = Taxonomy([('pa', 'x'), ('pb', 'x'), ('a1', 'pb'), ('a2', 'pb'), ('a3', 'pb')])\n"
+            "m = ContextMatrix('document', {'x': docs(10), 'pa': docs(6), "
+            "'a1': docs(1), 'a2': docs(2), 'a3': docs(3)})\n"
+            "print(sorted(best_parent_filter(t, m).edge_set()))\n"
+        )
+        src = str(Path(taxorel.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        # pb's own parents all score 0 (pb has no documents): a1 is kept.
+        expected = [("a1", "pb"), ("pa", "x")]
+        assert outputs == [f"{expected}\n"] * 2
 
     def test_terms_missing_from_matrix_score_zero(self):
         t = Taxonomy([("pa", "x"), ("pb", "x")])

@@ -37,8 +37,7 @@ def main() -> None:
             ("t05", "t06"), ("t05", "t07"), ("t05", "t09"), ("t05", "t10"),
             ("t07", "t08"), ("t10", "t11"), ("t10", "t12"), ("t12", "t13"),
             ("t14", "t15"), ("t15", "t16"), ("t15", "t17"),
-        ],
-        is_reduced=True,
+        ]
     )
     metrics = compute_metrics(forest)
     for key, value in sorted(metrics.to_dict().items()):

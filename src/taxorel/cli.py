@@ -29,26 +29,27 @@ from .contexts import (
 from .corpus import (
     Corpus,
     CorpusFormatError,
+    CorpusStats,
     corpus_stats,
     load_corpus,
     load_pos_mapping,
     sentence_documents,
 )
-from .evaluation import EvalReport, complementarity_matrix, evaluate
+from .evaluation import ComplementarityMatrix, EvalReport, complementarity_matrix, evaluate
 from .extractors import (
     MEASURES,
     extract_df,
     extract_docsub,
     extract_dsim,
     extract_hclust,
-    extract_patterns,
     extract_slqs,
     extract_tf,
 )
-from .gold import GoldFormatError, load_gold
-from .patterns import default_patterns, load_patterns
-from .relations import RelationSet, load_relations, save_relations
+from .gold import GoldFormatError, GoldTaxonomy, load_gold
+from .patterns import default_patterns, extract_patterns, load_patterns
+from .relations import RelationSet, load_relations, relations_text, save_relations
 from .taxonomy import (
+    Taxonomy,
     best_parent_filter,
     break_cycles,
     build_taxonomy,
@@ -58,7 +59,26 @@ from .taxonomy import (
 )
 from .weighting import context_entropies, weight_lmi, weight_ppmi
 
-METHODS = ("patt", "dsim", "slqs", "tf", "df", "docsub", "hclust")
+# Method name -> (the inputs (see _Inputs) that are its extractor's leading
+# arguments, in order; the extractor call, given the config and those inputs).
+# The entries call the extractors through their module-global names, so that
+# rebinding a name, as a tracer does, reaches every call.
+_METHODS = {
+    "patt": (("corpus", "patterns", "vocab"), lambda c, *a: extract_patterns(*a)),
+    "dsim": (("ppmi", "vocab"), lambda c, *a: extract_dsim(*a, c.dsim_measure)),
+    "slqs": (("lmi", "entropies", "vocab"), lambda c, *a: extract_slqs(*a, c.slqs_contexts)),
+    "tf": (("documents", "vocab"), lambda c, *a: extract_tf(*a)),
+    "df": (("documents", "vocab"), lambda c, *a: extract_df(*a)),
+    # One lambda per call: run() sweeps by calling it once per lambda.
+    "docsub": (("documents", "vocab"), lambda c, *a: extract_docsub(*a, c.docsub_lambdas[0])),
+    "hclust": (
+        ("ppmi", "documents", "vocab"),
+        lambda c, ppmi, docs, vocab: extract_hclust(
+            ppmi, docs, vocab, min(c.hclust_clusters, len(vocab))
+        ),
+    ),
+}
+METHODS = tuple(_METHODS)
 DEFAULT_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
@@ -97,34 +117,44 @@ class RunConfig:
         return out
 
 
+def _split_list(text: str) -> tuple[str, ...]:
+    """The comma-separated items of ``text``, blank items dropped."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an INI file, applying any overrides on top."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
+    parser = configparser.ConfigParser(
+        converters={
+            "list": _split_list,
+            "floats": lambda text: tuple(map(float, _split_list(text))),
+        }
+    )
+    if not parser.read(path, encoding="utf-8"):
         raise ValueError(f"cannot read config file {path}")
 
-    def get(section, key, fallback=None):
-        return parser.get(section, key, fallback=fallback)
+    def get(getter, section, key, fallback):
+        try:
+            return getter(section, key, fallback=fallback)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
 
-    methods = get("methods", "methods", ",".join(METHODS))
-    lambdas = get("docsub", "lambdas", ",".join(str(l) for l in DEFAULT_LAMBDAS))
     config = RunConfig(
-        corpus_path=get("corpus", "path", ""),
-        language=get("corpus", "language", "EN").upper(),
-        gold_path=get("gold", "path", ""),
-        output_dir=get("output", "dir", "out"),
-        vocabulary_size=int(get("vocabulary", "n", "1000")),
-        window_size=int(get("contexts", "window_size", "5")),
-        methods=tuple(m.strip() for m in methods.split(",") if m.strip()),
-        pseudo_documents=parser.getboolean("corpus", "pseudo_documents", fallback=False),
-        best_parent=parser.getboolean("filter", "best_parent", fallback=False),
-        pos_mapping=get("corpus", "pos_mapping") or None,
-        patterns_path=get("patt", "patterns") or None,
-        dsim_measure=get("dsim", "measure", "clarkede").lower(),
-        slqs_contexts=int(get("slqs", "top_contexts", "50")),
-        docsub_lambdas=tuple(float(l) for l in lambdas.split(",") if l.strip()),
-        hclust_clusters=int(get("hclust", "clusters", "100")),
+        corpus_path=get(parser.get, "corpus", "path", ""),
+        language=get(parser.get, "corpus", "language", "EN").upper(),
+        gold_path=get(parser.get, "gold", "path", ""),
+        output_dir=get(parser.get, "output", "dir", "out"),
+        vocabulary_size=get(parser.getint, "vocabulary", "n", 1000),
+        window_size=get(parser.getint, "contexts", "window_size", 5),
+        methods=get(parser.getlist, "methods", "methods", METHODS),
+        pseudo_documents=get(parser.getboolean, "corpus", "pseudo_documents", False),
+        best_parent=get(parser.getboolean, "filter", "best_parent", False),
+        pos_mapping=get(parser.get, "corpus", "pos_mapping", None) or None,
+        patterns_path=get(parser.get, "patt", "patterns", None) or None,
+        dsim_measure=get(parser.get, "dsim", "measure", "clarkede").lower(),
+        slqs_contexts=get(parser.getint, "slqs", "top_contexts", 50),
+        docsub_lambdas=get(parser.getfloats, "docsub", "lambdas", DEFAULT_LAMBDAS),
+        hclust_clusters=get(parser.getint, "hclust", "clusters", 100),
     )
     if overrides:
         config = replace(config, **overrides)
@@ -150,9 +180,11 @@ def validate(config: RunConfig) -> list[str]:
         problems.append("window_size must be an odd integer >= 3")
     if not config.methods:
         problems.append("no methods configured")
-    for m in config.methods:
-        if m not in METHODS:
+    for i, m in enumerate(config.methods):
+        if m not in _METHODS:
             problems.append(f"unknown method {m!r}")
+        elif m in config.methods[:i]:
+            problems.append(f"duplicate method {m!r}")
     if config.dsim_measure not in MEASURES:
         problems.append(f"dsim measure must be one of {MEASURES}")
     if config.slqs_contexts < 1:
@@ -167,52 +199,115 @@ def validate(config: RunConfig) -> list[str]:
     return problems
 
 
-def _load_run_corpus(
-    path: str, language: str, pos_mapping: str | None, pseudo_documents: bool
-) -> Corpus:
-    mapping = load_pos_mapping(pos_mapping) if pos_mapping else None
-    corpus = load_corpus(path, language, mapping)
-    return sentence_documents(corpus) if pseudo_documents else corpus
+def _load_run_corpus(source) -> Corpus:
+    """The corpus named by a RunConfig, or by the parsed arguments of a corpus
+    verb, which carry the same four fields."""
+    mapping = load_pos_mapping(source.pos_mapping) if source.pos_mapping else None
+    corpus = load_corpus(source.corpus_path, source.language, mapping)
+    return sentence_documents(corpus) if source.pseudo_documents else corpus
+
+
+# How each input besides the corpus and the gold derives from the config and
+# the other inputs.
+_DERIVED = {
+    "window": lambda c, i: extract_window_contexts(i["corpus"], c.window_size),
+    "documents": lambda c, i: extract_document_contexts(i["corpus"]),
+    "vocab": lambda c, i: select_vocabulary(i["window"], i["gold"], c.vocabulary_size),
+    "ppmi": lambda c, i: weight_ppmi(i["window"]),
+    "lmi": lambda c, i: weight_lmi(i["window"]),
+    "entropies": lambda c, i: context_entropies(i["window"]),
+    "patterns": lambda c, i: (
+        load_patterns(c.patterns_path, c.language)
+        if c.patterns_path
+        else default_patterns(c.language)
+    ),
+}
+
+
+class _Inputs(dict):
+    """The inputs of the extractors for one config, each derived on first
+    use and then kept."""
+
+    def __init__(self, config: RunConfig, corpus: Corpus, gold: GoldTaxonomy) -> None:
+        super().__init__(corpus=corpus, gold=gold)
+        self.config = config
+
+    def __missing__(self, name: str):
+        self[name] = value = _DERIVED[name](self.config, self)
+        return value
+
+
+def _extract(method: str, config: RunConfig, inputs: _Inputs) -> RelationSet:
+    needs, build = _METHODS[method]
+    return build(config, *(inputs[name] for name in needs))
 
 
 def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
+def _stats_text(stats: CorpusStats) -> str:
+    return (
+        f"documents\t{stats.num_documents}\n"
+        f"sentences\t{stats.num_sentences}\n"
+        f"content_words\t{stats.num_content_words}\n"
+        f"vocabulary\t{stats.vocabulary_size}\n"
+    )
+
+
+def _reduced_metrics(tax: Taxonomy) -> dict:
+    """Hierarchy metrics of the cycle-free transitive reduction of ``tax``."""
+    if not tax.nodes:
+        return {"empty_relation_set": True}
+    return compute_metrics(transitive_reduction(break_cycles(tax))).to_dict()
+
+
 def _metrics_text(metrics_dict: dict) -> str:
     return "".join(f"{k}\t{v}\n" for k, v in sorted(metrics_dict.items()))
 
 
-def _csv_text(methods: tuple[str, ...], cells: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", *methods])
-    for ma in methods:
-        row = [ma]
-        for mb in methods:
-            value = cells[(ma, mb)]
-            row.append("" if value is None else f"{value:.4f}")
-        writer.writerow(row)
-    return buf.getvalue()
+def _matrix_files(matrix: ComplementarityMatrix) -> list[tuple[str, str]]:
+    """File name and CSV text of each of the three method-by-method matrices."""
+    files = []
+    for name, cells in (
+        ("complementarity_direct.csv", matrix.direct),
+        ("complementarity_inverse.csv", matrix.inverse),
+        ("relative_precision.csv", matrix.relative),
+    ):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["method", *matrix.methods])
+        for ma in matrix.methods:
+            values = (cells[(ma, mb)] for mb in matrix.methods)
+            writer.writerow([ma, *("" if v is None else f"{v:.4f}" for v in values)])
+        files.append((name, buf.getvalue()))
+    return files
 
 
-_EMPTY_REPORT = {
-    "precision": 0.0,
-    "recall": 0.0,
-    "fmeasure": 0.0,
-    "common_count": 0,
-    "extracted_count": 0,
-    "gold_count": 0,
-    "no_shared_terms": False,
-    "empty_relation_set": True,
-}
+def _evaluate(tax: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
+    """``evaluate``, or an all-zero report for an empty taxonomy."""
+    return evaluate(tax, gold) if tax.nodes else EvalReport(0.0, 0.0, 0.0, 0, 0, 0)
+
+
+def _remove_previous_outputs(outdir: Path) -> None:
+    """Delete an earlier run's manifest, then the outputs it lists, so that
+    none of them outlives this run.  Other files in ``outdir`` stay."""
+    manifest_path = outdir / "manifest.json"
+    if not manifest_path.exists():
+        return
+    outputs = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
+    manifest_path.unlink()
+    for name in outputs:
+        if Path(name).name == name:
+            (outdir / name).unlink(missing_ok=True)
 
 
 def run(config: RunConfig) -> Path:
     """Execute the full pipeline; return the manifest path.
 
-    Any stage failure removes the files already written and raises
-    StageError naming the stage.
+    The outputs of the run recorded in ``output_dir``'s manifest are removed
+    first, and the manifest is written last.  Any stage failure removes the
+    files already written and raises StageError naming the stage.
     """
     problems = validate(config)
     if problems:
@@ -226,97 +321,49 @@ def run(config: RunConfig) -> Path:
         path.write_text(text, encoding="utf-8")
         written.append(path)
 
-    stage = "ingest"
+    stage = "clean"
     try:
-        corpus = _load_run_corpus(
-            config.corpus_path,
-            config.language,
-            config.pos_mapping,
-            config.pseudo_documents,
-        )
-        stats = corpus_stats(corpus)
-        emit(
-            "corpus_stats.txt",
-            f"documents\t{stats.num_documents}\n"
-            f"sentences\t{stats.num_sentences}\n"
-            f"content_words\t{stats.num_content_words}\n"
-            f"vocabulary\t{stats.vocabulary_size}\n",
-        )
+        _remove_previous_outputs(outdir)
+
+        stage = "ingest"
+        corpus = _load_run_corpus(config)
+        emit("corpus_stats.txt", _stats_text(corpus_stats(corpus)))
 
         stage = "gold"
-        gold = load_gold(config.gold_path)
-
-        stage = "contexts"
-        window_m = extract_window_contexts(corpus, config.window_size)
-        doc_m = extract_document_contexts(corpus)
+        inputs = _Inputs(config, corpus, load_gold(config.gold_path))
 
         stage = "vocabulary"
-        vocab = select_vocabulary(window_m, gold, config.vocabulary_size)
-        emit("vocabulary.txt", "".join(f"{t}\n" for t in vocab.terms))
-
-        stage = "weighting"
-        ppmi = lmi = entropies = None
-        if {"dsim", "hclust"} & set(config.methods):
-            ppmi = weight_ppmi(window_m)
-        if "slqs" in config.methods:
-            lmi = weight_lmi(window_m)
-            entropies = context_entropies(window_m)
+        emit("vocabulary.txt", "".join(f"{t}\n" for t in inputs["vocab"].terms))
 
         relsets: dict[str, RelationSet] = {}
         sweep_summary = None
         for method in config.methods:
             stage = f"extract:{method}"
-            if method == "patt":
-                patterns = (
-                    load_patterns(config.patterns_path, config.language)
-                    if config.patterns_path
-                    else default_patterns(config.language)
-                )
-                relsets[method] = extract_patterns(corpus, patterns, vocab)
-            elif method == "dsim":
-                relsets[method] = extract_dsim(ppmi, vocab, config.dsim_measure)
-            elif method == "slqs":
-                relsets[method] = extract_slqs(lmi, entropies, vocab, config.slqs_contexts)
-            elif method == "tf":
-                relsets[method] = extract_tf(doc_m, vocab)
-            elif method == "df":
-                relsets[method] = extract_df(doc_m, vocab)
-            elif method == "hclust":
-                k = min(config.hclust_clusters, len(vocab))
-                relsets[method] = extract_hclust(ppmi, doc_m, vocab, k)
-            elif method == "docsub":
-                relsets[method], sweep_summary = _docsub_sweep(
-                    config, doc_m, vocab, gold, emit
-                )
+            if method == "docsub":
+                relsets[method], sweep_summary = _docsub_sweep(config, inputs, emit)
+            else:
+                relsets[method] = _extract(method, config, inputs)
 
-        for method in config.methods:
-            relset = relsets[method]
+        for method, relset in relsets.items():
             stage = f"relations:{method}"
-            emit(f"relations_{method}.tsv", _relations_text(relset))
+            emit(f"relations_{method}.tsv", relations_text(relset))
 
             stage = f"taxonomy:{method}"
             tax = build_taxonomy(relset)
             if config.best_parent and tax.nodes:
-                tax = best_parent_filter(tax, doc_m)
+                tax = best_parent_filter(tax, inputs["documents"])
                 emit(
                     f"filtered_{method}.tsv",
-                    _relations_text(taxonomy_relations(tax, method)),
+                    relations_text(taxonomy_relations(tax, method)),
                 )
 
             stage = f"evaluate:{method}"
-            if tax.nodes:
-                report = evaluate(tax, gold).to_dict()
-                report["empty_relation_set"] = False
-            else:
-                report = dict(_EMPTY_REPORT)
+            report = _evaluate(tax, inputs["gold"]).to_dict()
+            report["empty_relation_set"] = not tax.nodes
             emit(f"eval_{method}.json", _json_text(report))
 
             stage = f"metrics:{method}"
-            if tax.nodes:
-                reduced = transitive_reduction(break_cycles(tax))
-                metrics = compute_metrics(reduced).to_dict()
-            else:
-                metrics = {"empty_relation_set": True}
+            metrics = _reduced_metrics(tax)
             emit(f"metrics_{method}.json", _json_text(metrics))
             emit(f"metrics_{method}.txt", _metrics_text(metrics))
 
@@ -325,10 +372,9 @@ def run(config: RunConfig) -> Path:
 
         stage = "complementarity"
         if len(relsets) > 1:
-            matrix = complementarity_matrix(list(relsets.values()), gold)
-            emit("complementarity_direct.csv", _csv_text(matrix.methods, matrix.direct))
-            emit("complementarity_inverse.csv", _csv_text(matrix.methods, matrix.inverse))
-            emit("relative_precision.csv", _csv_text(matrix.methods, matrix.relative))
+            matrix = complementarity_matrix(list(relsets.values()), inputs["gold"])
+            for name, text in _matrix_files(matrix):
+                emit(name, text)
 
         stage = "manifest"
         config_dict = config.to_dict()
@@ -338,41 +384,25 @@ def run(config: RunConfig) -> Path:
         outputs = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written
         }
-        manifest_path = outdir / "manifest.json"
-        manifest_path.write_text(
-            _json_text(
-                {"config": config_dict, "config_digest": digest, "outputs": outputs}
-            ),
-            encoding="utf-8",
-        )
-        return manifest_path
-    except StageError:
-        raise
+        manifest = {"config": config_dict, "config_digest": digest, "outputs": outputs}
+        # Written under a sibling name and renamed, so that a manifest is
+        # either whole or absent.
+        staged = outdir / "manifest.json.tmp"
+        emit(staged.name, _json_text(manifest))
+        return staged.replace(outdir / "manifest.json")
     except Exception as exc:
         for path in written:
             path.unlink(missing_ok=True)
         raise StageError(stage, str(exc)) from exc
 
 
-def _relations_text(relset: RelationSet) -> str:
-    lines = []
-    for rel in relset:
-        score = "" if rel.score is None else repr(rel.score)
-        lines.append(f"{rel.hyponym}\t{rel.hypernym}\t{rel.method}\t{score}\n")
-    return "".join(lines)
-
-
-def _docsub_sweep(config, doc_m, vocab, gold, emit):
+def _docsub_sweep(config: RunConfig, inputs: _Inputs, emit):
     """Evaluate every configured lambda, keep the best-F one as canonical."""
     best = None
     summary = []
     for lam in config.docsub_lambdas:
-        relset = extract_docsub(doc_m, vocab, lam)
-        if relset:
-            tax = build_taxonomy(relset)
-            report = evaluate(tax, gold)
-        else:
-            report = EvalReport(0.0, 0.0, 0.0, 0, 0, 0)
+        relset = _extract("docsub", replace(config, docsub_lambdas=(lam,)), inputs)
+        report = _evaluate(build_taxonomy(relset), inputs["gold"])
         emit(f"eval_docsub_{lam:g}.json", _json_text(report.to_dict()))
         summary.append(
             {
@@ -393,7 +423,9 @@ def _docsub_sweep(config, doc_m, vocab, gold, emit):
 
 
 def _add_corpus_args(parser) -> None:
-    parser.add_argument("corpus", help="corpus file or directory (vertical format)")
+    parser.add_argument(
+        "corpus_path", metavar="corpus", help="corpus file or directory (vertical format)"
+    )
     parser.add_argument("--language", required=True, choices=("EN", "PT", "en", "pt"))
     parser.add_argument("--pos-mapping", help="finePOS<TAB>coarsePOS mapping file")
     parser.add_argument(
@@ -403,23 +435,13 @@ def _add_corpus_args(parser) -> None:
     )
 
 
-def _corpus_from_args(args) -> Corpus:
-    return _load_run_corpus(
-        args.corpus, args.language.upper(), args.pos_mapping, args.pseudo_documents
-    )
-
-
 def _cmd_stats(args) -> int:
-    stats = corpus_stats(_corpus_from_args(args))
-    print(f"documents\t{stats.num_documents}")
-    print(f"sentences\t{stats.num_sentences}")
-    print(f"content_words\t{stats.num_content_words}")
-    print(f"vocabulary\t{stats.vocabulary_size}")
+    sys.stdout.write(_stats_text(corpus_stats(_load_run_corpus(args))))
     return 0
 
 
 def _cmd_contexts(args) -> int:
-    corpus = _corpus_from_args(args)
+    corpus = _load_run_corpus(args)
     if args.model == "window":
         matrix = extract_window_contexts(corpus, args.window_size)
     else:
@@ -429,45 +451,32 @@ def _cmd_contexts(args) -> int:
     return 0
 
 
-def _extract_for_args(args, corpus, gold):
-    window_m = extract_window_contexts(corpus, args.window_size)
-    vocab = select_vocabulary(window_m, gold, args.n)
-    method = args.method
-    if method == "patt":
-        patterns = (
-            load_patterns(args.patterns, corpus.language)
-            if args.patterns
-            else default_patterns(corpus.language)
-        )
-        return extract_patterns(corpus, patterns, vocab)
-    if method == "dsim":
-        return extract_dsim(weight_ppmi(window_m), vocab, args.measure)
-    if method == "slqs":
-        return extract_slqs(
-            weight_lmi(window_m), context_entropies(window_m), vocab, args.top_contexts
-        )
-    doc_m = extract_document_contexts(corpus)
-    if method == "tf":
-        return extract_tf(doc_m, vocab)
-    if method == "df":
-        return extract_df(doc_m, vocab)
-    if method == "docsub":
-        return extract_docsub(doc_m, vocab, args.lam)
-    k = min(args.clusters, len(vocab))
-    return extract_hclust(weight_ppmi(window_m), doc_m, vocab, k)
-
-
 def _cmd_extract(args) -> int:
-    corpus = _corpus_from_args(args)
-    gold = load_gold(args.gold)
-    relset = _extract_for_args(args, corpus, gold)
+    config = RunConfig(
+        corpus_path=args.corpus_path,
+        language=args.language.upper(),
+        gold_path=args.gold,
+        output_dir="",
+        vocabulary_size=args.n,
+        window_size=args.window_size,
+        methods=(args.method,),
+        pseudo_documents=args.pseudo_documents,
+        pos_mapping=args.pos_mapping,
+        patterns_path=args.patterns,
+        dsim_measure=args.measure,
+        slqs_contexts=args.top_contexts,
+        docsub_lambdas=(args.lam,),
+        hclust_clusters=args.clusters,
+    )
+    inputs = _Inputs(config, _load_run_corpus(config), load_gold(config.gold_path))
+    relset = _extract(args.method, config, inputs)
     save_relations(relset, args.out)
     print(f"wrote {args.out} ({len(relset)} relations)")
     return 0
 
 
 def _cmd_filter_parent(args) -> int:
-    corpus = _corpus_from_args(args)
+    corpus = _load_run_corpus(args)
     relset = load_relations(args.relations)
     tax = best_parent_filter(build_taxonomy(relset), extract_document_contexts(corpus))
     save_relations(taxonomy_relations(tax, relset.method), args.out)
@@ -476,9 +485,7 @@ def _cmd_filter_parent(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    relset = load_relations(args.relations)
-    reduced = transitive_reduction(break_cycles(build_taxonomy(relset)))
-    metrics = compute_metrics(reduced).to_dict()
+    metrics = _reduced_metrics(build_taxonomy(load_relations(args.relations)))
     if args.out_json:
         Path(args.out_json).write_text(_json_text(metrics), encoding="utf-8")
     if args.out_text:
@@ -505,14 +512,8 @@ def _cmd_complement(args) -> int:
     matrix = complementarity_matrix(relsets, load_gold(args.gold))
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, cells in (
-        ("complementarity_direct.csv", matrix.direct),
-        ("complementarity_inverse.csv", matrix.inverse),
-        ("relative_precision.csv", matrix.relative),
-    ):
-        (outdir / name).write_text(
-            _csv_text(matrix.methods, cells), encoding="utf-8"
-        )
+    for name, text in _matrix_files(matrix):
+        (outdir / name).write_text(text, encoding="utf-8")
     print(f"wrote 3 matrices under {outdir}")
     return 0
 
@@ -521,9 +522,9 @@ def _cmd_run(args) -> int:
     overrides = {}
     if args.output_dir:
         overrides["output_dir"] = args.output_dir
-    if args.methods:
-        overrides["methods"] = tuple(m.strip() for m in args.methods.split(","))
-    if args.n:
+    if args.methods is not None:
+        overrides["methods"] = _split_list(args.methods)
+    if args.n is not None:
         overrides["vocabulary_size"] = args.n
     if args.best_parent:
         overrides["best_parent"] = True

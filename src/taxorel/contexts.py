@@ -105,9 +105,6 @@ class ContextMatrix:
     def distinct_contexts(self, term: str) -> int:
         return len(self.row(term))
 
-    def total(self) -> int:
-        return sum(sum(row.values()) for row in self._rows.values())
-
     def scaled(self, factor: int) -> "ContextMatrix":
         """Copy of the matrix with every count multiplied by ``factor``."""
         if factor < 1:

@@ -18,7 +18,6 @@ from scipy.sparse import csr_matrix
 from scipy.spatial.distance import squareform
 
 from .contexts import ContextMatrix, TermSet, context_label
-from .patterns import extract_patterns  # noqa: F401  (re-export: the pattern model)
 from .relations import RelationSet
 from .weighting import (
     DEFAULT_TOP_CONTEXTS,

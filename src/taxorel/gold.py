@@ -68,9 +68,6 @@ class GoldTaxonomy:
     def term_set(self) -> frozenset[str]:
         return frozenset(self._lemma_index)
 
-    def synsets_of(self, lemma: str) -> frozenset[int]:
-        return frozenset(self._lemma_index.get(lemma.casefold(), ()))
-
     def _ancestors(self, sid: int) -> frozenset[int]:
         """Synset ids reachable via one or more hypernym edges.
 

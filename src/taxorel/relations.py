@@ -71,12 +71,18 @@ class RelationSet:
         return out
 
 
+def relations_text(relset: RelationSet) -> str:
+    """Sorted ``hyponym<TAB>hypernym<TAB>method<TAB>score`` lines."""
+    return "".join(
+        f"{rel.hyponym}\t{rel.hypernym}\t{rel.method}\t"
+        f"{'' if rel.score is None else repr(rel.score)}\n"
+        for rel in relset
+    )
+
+
 def save_relations(relset: RelationSet, path: str | Path) -> None:
-    """Write sorted ``hyponym<TAB>hypernym<TAB>method<TAB>score`` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rel in relset:
-            score = "" if rel.score is None else repr(rel.score)
-            fh.write(f"{rel.hyponym}\t{rel.hypernym}\t{rel.method}\t{score}\n")
+    """Write :func:`relations_text` of ``relset`` to ``path``."""
+    Path(path).write_text(relations_text(relset), encoding="utf-8")
 
 
 def load_relations(path: str | Path, method: str | None = None) -> RelationSet:

@@ -27,12 +27,7 @@ class Taxonomy:
     the edge set return new instances.
     """
 
-    def __init__(
-        self,
-        edges: Iterable[Edge] = (),
-        nodes: Iterable[str] = (),
-        is_reduced: bool = False,
-    ) -> None:
+    def __init__(self, edges: Iterable[Edge] = (), nodes: Iterable[str] = ()) -> None:
         self._children: dict[str, set[str]] = {}
         self._parents: dict[str, set[str]] = {}
         self._nodes: set[str] = set(nodes)
@@ -43,7 +38,6 @@ class Taxonomy:
             self._nodes.add(hypo)
             self._children.setdefault(hyper, set()).add(hypo)
             self._parents.setdefault(hypo, set()).add(hyper)
-        self.is_reduced = is_reduced
         self._dag: bool | None = None
 
     @property
@@ -246,7 +240,7 @@ def transitive_reduction(t: Taxonomy) -> Taxonomy:
         for p in parents:
             union |= anc[p]
         kept.extend((p, node) for p in parents if not bit[p] & union)
-    return Taxonomy(kept, nodes=t.nodes, is_reduced=True)
+    return Taxonomy(kept, nodes=t.nodes)
 
 
 @dataclass(frozen=True)

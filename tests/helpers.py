@@ -84,7 +84,7 @@ def two_tree_forest() -> Taxonomy:
         ("t15", "t16"),
         ("t15", "t17"),
     ]
-    return Taxonomy(edges, is_reduced=True)
+    return Taxonomy(edges)
 
 
 def diamond_dag() -> Taxonomy:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from taxorel.cli import StageError, load_config, main, run, validate
+from taxorel.cli import METHODS, StageError, load_config, main, run, validate
 
 GOLD = (
     "1\tanimal\t\n"
@@ -91,6 +91,17 @@ class TestValidate:
         config = load_config(write_config(tmp_path))
         config.methods = ("tf", "lsa")
         assert any("lsa" in p for p in validate(config))
+
+    def test_duplicate_method_rejected(self, tmp_path):
+        config = load_config(write_config(tmp_path, methods="tf, df, tf"))
+        assert validate(config) == ["duplicate method 'tf'"]
+
+    def test_bad_value_names_file_section_and_key(self, tmp_path):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("n = 10", "n = ten"), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: [vocabulary] n: invalid literal")
 
 
 class TestRun:
@@ -189,6 +200,38 @@ class TestRun:
             run(load_config(config))
         assert err.value.stage == "vocabulary"
         assert not list(outdir.iterdir())
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path):
+        config_path = write_config(tmp_path)
+        outdir = tmp_path / "out"
+        run(load_config(config_path))
+        (tmp_path / "gold.tsv").write_text("1\tquasar\t\n", encoding="utf-8")
+        with pytest.raises(StageError):
+            run(load_config(config_path))
+        assert not list(outdir.iterdir())
+
+    def test_narrowed_sweep_leaves_no_unlisted_reports(self, tmp_path):
+        config_path = write_config(tmp_path, methods="docsub")
+        run(load_config(config_path))
+        manifest_path = run(load_config(config_path, {"docsub_lambdas": (0.5,)}))
+        listed = json.loads(manifest_path.read_text())["outputs"]
+        assert "eval_docsub_0.5.json" in listed
+        assert sorted(p.name for p in manifest_path.parent.iterdir()) == sorted(
+            [*listed, "manifest.json"]
+        )
+
+    def test_rerun_keeps_files_it_did_not_write(self, tmp_path):
+        config_path = write_config(tmp_path)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("mine", encoding="utf-8")
+        run(load_config(config_path))
+        run(load_config(config_path))
+        (tmp_path / "gold.tsv").write_text("1\tquasar\t\n", encoding="utf-8")
+        with pytest.raises(StageError):
+            run(load_config(config_path))
+        assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
+        assert (outdir / "notes.txt").read_text() == "mine"
 
     def test_validation_failure_names_stage(self, tmp_path):
         config = load_config(write_config(tmp_path))
@@ -292,6 +335,33 @@ class TestCommandLine:
         assert code == 0
         header = (tmp_path / "comp" / "complementarity_direct.csv").read_text()
         assert header.startswith("method,tf,df")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_extract_verb_writes_the_relations_of_run(self, tmp_path, method):
+        config_path = write_config(tmp_path, methods=method)
+        manifest_path = run(load_config(config_path, {"docsub_lambdas": (0.5,)}))
+        out_file = tmp_path / "verb.tsv"
+        code = main(
+            [
+                "extract", str(tmp_path / "corpus"), "--language", "EN",
+                "--gold", str(tmp_path / "gold.tsv"), "--method", method,
+                "--n", "10", "--lam", "0.5", "--clusters", "2", "--out", str(out_file),
+            ]
+        )
+        assert code == 0
+        expected = manifest_path.parent / f"relations_{method}.tsv"
+        assert out_file.read_bytes() == expected.read_bytes()
+
+    def test_run_verb_rejects_zero_n(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--n", "0"]) == 1
+        assert "vocabulary size" in capsys.readouterr().err
+
+    def test_run_verb_methods_override_accepts_trailing_comma(self, tmp_path):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--methods", "tf,"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["methods"] == ["tf"]
 
     def test_run_verb_and_stage_error_exit_code(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -61,8 +61,8 @@ def main() -> None:
         window = extract_window_contexts(corpus, window_size=5)
         for term in window.terms():
             row = ", ".join(
-                f"{key.label} x{count}"
-                for key, count in sorted(window.row(term).items())
+                f"{label} x{count}"
+                for label, count in sorted(window.row(term).items())
             )
             print(f"  {term}: {row}")
         print("  ('energetic-j-l' reads: adjective 'energetic' to the left)")

@@ -10,7 +10,6 @@ complementarity analysis.
 from .contexts import (
     ContextMatrix,
     TermSet,
-    WindowContext,
     extract_document_contexts,
     extract_window_contexts,
     load_matrix,
@@ -40,7 +39,6 @@ from .evaluation import (
 )
 from .extractors import (
     cluster_terms,
-    document_frequencies,
     extract_df,
     extract_docsub,
     extract_dsim,
@@ -49,7 +47,6 @@ from .extractors import (
     extract_tf,
     measure_clarke_de,
     measure_weeds_prec,
-    term_frequencies,
 )
 from .gold import GoldFormatError, GoldTaxonomy, Synset, load_gold
 from .patterns import (

@@ -125,13 +125,17 @@ def _split_list(text: str) -> tuple[str, ...]:
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an INI file, applying any overrides on top."""
     parser = configparser.ConfigParser(
+        interpolation=None,
         converters={
             "list": _split_list,
             "floats": lambda text: tuple(map(float, _split_list(text))),
-        }
+        },
     )
-    if not parser.read(path, encoding="utf-8"):
-        raise ValueError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ValueError(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
     def get(getter, section, key, fallback):
         try:
@@ -289,6 +293,11 @@ def _evaluate(tax: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     return evaluate(tax, gold) if tax.nodes else EvalReport(0.0, 0.0, 0.0, 0, 0, 0)
 
 
+def _eval_json(report: EvalReport, tax: Taxonomy) -> str:
+    """The ``eval_<method>.json`` text of the evaluation of ``tax``."""
+    return _json_text({**report.to_dict(), "empty_relation_set": not tax.nodes})
+
+
 def _remove_previous_outputs(outdir: Path) -> None:
     """Delete an earlier run's manifest, then the outputs it lists, so that
     none of them outlives this run.  Other files in ``outdir`` stay."""
@@ -358,9 +367,7 @@ def run(config: RunConfig) -> Path:
                 )
 
             stage = f"evaluate:{method}"
-            report = _evaluate(tax, inputs["gold"]).to_dict()
-            report["empty_relation_set"] = not tax.nodes
-            emit(f"eval_{method}.json", _json_text(report))
+            emit(f"eval_{method}.json", _eval_json(_evaluate(tax, inputs["gold"]), tax))
 
             stage = f"metrics:{method}"
             metrics = _reduced_metrics(tax)
@@ -496,10 +503,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    relset = load_relations(args.relations)
-    report = evaluate(build_taxonomy(relset), load_gold(args.gold))
+    tax = build_taxonomy(load_relations(args.relations))
+    report = _evaluate(tax, load_gold(args.gold))
     if args.out:
-        Path(args.out).write_text(_json_text(report.to_dict()), encoding="utf-8")
+        Path(args.out).write_text(_eval_json(report, tax), encoding="utf-8")
     print(
         f"precision={report.precision:.4f} recall={report.recall:.4f} "
         f"fmeasure={report.fmeasure:.4f}"

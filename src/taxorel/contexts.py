@@ -2,72 +2,112 @@
 
 Two context models are supported.  In the *window* model every noun or
 proper-noun token collects the content words within a fixed window around
-it, keyed by lemma, coarse POS and side (e.g. ``energetic-j-l`` for an
-adjective on the left).  In the *document* model a term's contexts are the
-ids of the documents it occurs in, with its per-document frequency.
+it, labelled by lemma, coarse-POS letter and side of the target (e.g.
+``energetic-j-l`` for an adjective on the left).  In the *document* model a
+term's contexts are the ids of the documents it occurs in, with its
+per-document frequency.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+from scipy.sparse import csr_matrix, vstack
 
 from .corpus import Corpus
 
 POS_LETTER = {"NOUN": "n", "PROPN": "p", "VERB": "v", "ADJ": "j", "OTHER": "o"}
-_LETTER_POS = {v: k for k, v in POS_LETTER.items()}
 
 TARGET_TAGS = frozenset({"NOUN", "PROPN"})
 
 
-@dataclass(frozen=True, order=True)
-class WindowContext:
-    """A window-model context key: lemma, coarse POS and side of the target."""
+class TermContextMatrix:
+    """Sparse term-by-context matrix: the sorted term labels, the sorted
+    context labels (plain strings) and one CSR whose row ``i`` and column
+    ``j`` are ``term_labels[i]`` and ``context_labels[j]``.
 
-    lemma: str
-    pos: str
-    side: str  # "l" or "r"
+    ``rows`` maps each term to its context values; terms without any are
+    not stored.  Instances are treated as immutable once built.
+    """
 
-    def __post_init__(self) -> None:
-        if self.side not in ("l", "r"):
-            raise ValueError(f"side must be 'l' or 'r', got {self.side!r}")
-        if self.pos not in POS_LETTER:
-            raise ValueError(f"unknown coarse POS tag: {self.pos!r}")
+    def __init__(self, rows: Mapping[str, Mapping[str, float]], dtype) -> None:
+        terms = sorted(t for t, row in rows.items() if row)
+        contexts = sorted({c for t in terms for c in rows[t]})
+        column = {c: j for j, c in enumerate(contexts)}
+        csr = csr_matrix(
+            (
+                np.array([v for t in terms for v in rows[t].values()], dtype=dtype),
+                np.array([column[c] for t in terms for c in rows[t]], dtype=np.int64),
+                np.cumsum([0] + [len(rows[t]) for t in terms]),
+            ),
+            shape=(len(terms), len(contexts)),
+        )
+        csr.sort_indices()
+        self._adopt(csr, terms, contexts)
 
-    @property
-    def label(self) -> str:
-        return f"{self.lemma}-{POS_LETTER[self.pos]}-{self.side}"
+    def _adopt(self, csr: csr_matrix, term_labels: list[str], context_labels: list[str]):
+        self.csr = csr
+        self.term_labels = term_labels
+        self.context_labels = context_labels
+        self._index = {t: i for i, t in enumerate(term_labels)}
 
     @classmethod
-    def parse(cls, label: str) -> "WindowContext":
-        lemma, letter, side = label.rsplit("-", 2)
-        if letter not in _LETTER_POS:
-            raise ValueError(f"bad POS letter in context label {label!r}")
-        return cls(lemma=lemma, pos=_LETTER_POS[letter], side=side)
+    def _from_csr(cls, csr, term_labels, context_labels, **attributes):
+        """An instance over an already checked CSR with no empty row."""
+        matrix = cls.__new__(cls)
+        vars(matrix).update(attributes)
+        matrix._adopt(csr, term_labels, context_labels)
+        return matrix
+
+    def terms(self) -> list[str]:
+        return list(self.term_labels)
+
+    def row(self, term: str) -> dict[str, float]:
+        """Context values of a term by context label, in label order (empty
+        for a term not stored); a fresh dict."""
+        i = self._index.get(term)
+        if i is None:
+            return {}
+        lo, hi = self.csr.indptr[i], self.csr.indptr[i + 1]
+        labels = self.context_labels
+        return {
+            labels[j]: v
+            for j, v in zip(self.csr.indices[lo:hi].tolist(), self.csr.data[lo:hi].tolist())
+        }
+
+    def rows_of(self, terms: Iterable[str]) -> csr_matrix:
+        """The rows of ``terms``, in that order, as a CSR over all contexts;
+        a term not stored gets an empty row."""
+        empty = csr_matrix((1, self.csr.shape[1]), dtype=self.csr.dtype)
+        # Index -1 selects the empty row appended last.
+        index = [self._index.get(t, -1) for t in terms]
+        return vstack([self.csr, empty], format="csr")[index]
+
+    def __contains__(self, term: str) -> bool:
+        return term in self._index
+
+    def __len__(self) -> int:
+        return len(self.term_labels)
+
+    def distinct_contexts(self, term: str) -> int:
+        i = self._index.get(term)
+        return 0 if i is None else int(self.csr.indptr[i + 1] - self.csr.indptr[i])
 
 
-# Document-model keys are plain document-id strings.
-ContextKey = WindowContext | str
-
-
-def context_label(key: ContextKey) -> str:
-    """Canonical string form of a context key, used for sorting and files."""
-    return key.label if isinstance(key, WindowContext) else key
-
-
-class ContextMatrix:
-    """Sparse term-by-context count matrix for one of the two models.
+class ContextMatrix(TermContextMatrix):
+    """Term-by-context count matrix for one of the two models.
 
     Rows are noun/proper-noun lemmas; entries are strictly positive counts.
-    Instances are treated as immutable once built.
     """
 
     def __init__(
         self,
         model: str,
-        rows: Mapping[str, Mapping[ContextKey, int]],
+        rows: Mapping[str, Mapping[str, int]],
         window_size: int | None = None,
     ) -> None:
         if model not in ("window", "document"):
@@ -79,38 +119,21 @@ class ContextMatrix:
             raise ValueError("document model takes no window_size")
         self.model = model
         self.window_size = window_size
-        self._rows: dict[str, Counter] = {}
-        for term, row in rows.items():
-            counter = Counter()
-            for key, count in row.items():
-                if count <= 0:
-                    raise ValueError(f"count for ({term!r}, {key!r}) must be positive")
-                counter[key] = count
-            if counter:
-                self._rows[term] = counter
-
-    def terms(self) -> list[str]:
-        return sorted(self._rows)
-
-    def row(self, term: str) -> Counter:
-        """Context counts for a term (empty for unseen terms); do not mutate."""
-        return self._rows.get(term, Counter())
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def distinct_contexts(self, term: str) -> int:
-        return len(self.row(term))
+        super().__init__(rows, np.int64)
+        if (self.csr.data <= 0).any():
+            raise ValueError("counts must be positive")
 
     def scaled(self, factor: int) -> "ContextMatrix":
         """Copy of the matrix with every count multiplied by ``factor``."""
         if factor < 1:
             raise ValueError("scale factor must be a positive integer")
-        rows = {t: {k: c * factor for k, c in row.items()} for t, row in self._rows.items()}
-        return ContextMatrix(self.model, rows, window_size=self.window_size)
+        return ContextMatrix._from_csr(
+            self.csr * factor,
+            self.term_labels,
+            self.context_labels,
+            model=self.model,
+            window_size=self.window_size,
+        )
 
 
 def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatrix:
@@ -127,20 +150,18 @@ def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatr
     rows: dict[str, Counter] = {}
     for doc in corpus.documents:
         for sentence in doc.sentences:
-            n = len(sentence)
+            # Each token's context label without its side; None for a token
+            # that is no content word.
+            labels = [
+                f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.is_content else None
+                for t in sentence
+            ]
             for i, token in enumerate(sentence):
                 if token.pos not in TARGET_TAGS:
                     continue
-                target = token.lemma.casefold()
-                row = rows.setdefault(target, Counter())
-                for j in range(max(0, i - half), i):
-                    ctx = sentence[j]
-                    if ctx.is_content:
-                        row[WindowContext(ctx.lemma.casefold(), ctx.pos, "l")] += 1
-                for j in range(i + 1, min(n, i + half + 1)):
-                    ctx = sentence[j]
-                    if ctx.is_content:
-                        row[WindowContext(ctx.lemma.casefold(), ctx.pos, "r")] += 1
+                row = rows.setdefault(token.lemma.casefold(), Counter())
+                row.update(c + "l" for c in labels[max(0, i - half) : i] if c)
+                row.update(c + "r" for c in labels[i + 1 : i + half + 1] if c)
     return ContextMatrix("window", rows, window_size=window_size)
 
 
@@ -202,14 +223,10 @@ def select_vocabulary(matrix: ContextMatrix, gold, n: int) -> TermSet:
 
 def save_matrix(matrix: ContextMatrix, path: str | Path) -> None:
     """Persist a matrix as sorted ``term<TAB>context<TAB>count`` lines."""
-    lines = []
-    for term in matrix.terms():
-        for key, count in matrix.row(term).items():
-            lines.append((term, context_label(key), count))
-    lines.sort()
     with open(path, "w", encoding="utf-8") as fh:
-        for term, label, count in lines:
-            fh.write(f"{term}\t{label}\t{count}\n")
+        for term in matrix.terms():
+            for label, count in matrix.row(term).items():
+                fh.write(f"{term}\t{label}\t{count}\n")
 
 
 def load_matrix(
@@ -218,10 +235,13 @@ def load_matrix(
     """Read a matrix written by :func:`save_matrix`.
 
     The model (and window size, for the window model) is not stored in the
-    file and must be supplied by the caller.
+    file and must be supplied by the caller.  A window context label must
+    read ``lemma-letter-side``, with a letter of :data:`POS_LETTER` and a
+    side of ``l`` or ``r``.
     """
-    rows: dict[str, dict[ContextKey, int]] = {}
+    rows: dict[str, dict[str, int]] = {}
     path = Path(path)
+    window_label = re.compile(f".*-[{''.join(POS_LETTER.values())}]-[lr]")
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -231,6 +251,9 @@ def load_matrix(
             if len(fields) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
             term, label, count = fields
-            key: ContextKey = WindowContext.parse(label) if model == "window" else label
-            rows.setdefault(term, {})[key] = int(count)
+            if model == "window" and not window_label.fullmatch(label):
+                raise ValueError(f"{path}:{lineno}: bad window context label {label!r}")
+            if not count.isdecimal() or int(count) < 1:
+                raise ValueError(f"{path}:{lineno}: count must be a positive integer, got {count!r}")
+            rows.setdefault(term, {})[label] = int(count)
     return ContextMatrix(model, rows, window_size=window_size)

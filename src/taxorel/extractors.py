@@ -10,14 +10,12 @@ every extractor deterministic regardless of input ordering.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import combinations
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
-from scipy.sparse import csr_matrix
 from scipy.spatial.distance import squareform
 
-from .contexts import ContextMatrix, TermSet, context_label
+from .contexts import ContextMatrix, TermSet
 from .relations import RelationSet
 from .weighting import (
     DEFAULT_TOP_CONTEXTS,
@@ -48,7 +46,15 @@ def measure_clarke_de(u: Mapping, v: Mapping) -> float:
     return shared / total
 
 
-_MEASURE_FN = {"clarkede": measure_clarke_de, "weedsprec": measure_weeds_prec}
+def _relations(method: str, terms: list[str], mask: np.ndarray, scores=None) -> RelationSet:
+    """The pairs (terms[i] is-a terms[j]) where ``mask[i, j]``, scored
+    ``scores[i, j]`` when scores are given."""
+    relset = RelationSet(method)
+    hypo, hyper = np.nonzero(mask)
+    values = scores[hypo, hyper].tolist() if scores is not None else [None] * len(hypo)
+    for i, j, score in zip(hypo.tolist(), hyper.tolist(), values):
+        relset.add(terms[i], terms[j], score)
+    return relset
 
 
 def extract_dsim(
@@ -57,25 +63,31 @@ def extract_dsim(
     """Directional-similarity extractor over PPMI-weighted window contexts.
 
     For each pair with overlapping supports the inclusion is computed both
-    ways; the more included term is emitted as the hyponym.  Pairs without
-    shared contexts, and exact ties, yield nothing.
+    ways (see :func:`measure_clarke_de` and :func:`measure_weeds_prec`); the
+    more included term is emitted as the hyponym.  Pairs without shared
+    contexts, and exact ties, yield nothing.
     """
-    if measure not in _MEASURE_FN:
+    if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
-    fn = _MEASURE_FN[measure]
-    relset = RelationSet("dsim")
-    for u, v in combinations(sorted(vocab), 2):
-        u_vec = ppmi.row(u)
-        v_vec = ppmi.row(v)
-        if not u_vec or not v_vec or not (u_vec.keys() & v_vec.keys()):
-            continue
-        m_uv = fn(u_vec, v_vec)
-        m_vu = fn(v_vec, u_vec)
-        if m_uv > m_vu:
-            relset.add(u, v, m_uv)
-        elif m_vu > m_uv:
-            relset.add(v, u, m_vu)
-    return relset
+    terms = sorted(vocab)
+    w = ppmi.rows_of(terms)
+    if measure == "weedsprec":
+        shared = (w @ w.sign().T).toarray()
+    else:
+        # One feature at a time, so memory stays at one vocab x vocab array.
+        shared = np.zeros((len(terms), len(terms)))
+        cols = w.tocsc()
+        for f in np.flatnonzero(np.diff(cols.indptr) > 1).tolist():
+            lo, hi = cols.indptr[f], cols.indptr[f + 1]
+            rows, values = cols.indices[lo:hi], cols.data[lo:hi]
+            shared[np.ix_(rows, rows)] += np.minimum.outer(values, values)
+    # Row totals one weight after another in label order: the sparse product
+    # sums that way, .sum(axis=1) (np.add.reduceat) does not.
+    totals = w @ np.ones(w.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inclusion = shared / totals[:, None]
+    # A pair without shared contexts scores 0 both ways, a tie.
+    return _relations("dsim", terms, inclusion > inclusion.T, inclusion)
 
 
 def extract_slqs(
@@ -87,44 +99,24 @@ def extract_slqs(
     """Entropy-generality extractor: the higher-generality term of a pair is
     its hypernym.  Terms with undefined generality are skipped."""
     generality = word_generalities(lmi, entropies, vocab, top_n)
-    relset = RelationSet("slqs")
-    for u, v in combinations(sorted(generality), 2):
-        gu, gv = generality[u], generality[v]
-        if gv > gu:
-            relset.add(u, v, gv - gu)
-        elif gu > gv:
-            relset.add(v, u, gu - gv)
-    return relset
-
-
-def term_frequencies(docm: ContextMatrix, vocab: TermSet) -> dict[str, int]:
-    """Corpus frequency of each term: the sum of its per-document counts."""
-    return {t: sum(docm.row(t).values()) for t in vocab}
-
-
-def document_frequencies(docm: ContextMatrix, vocab: TermSet) -> dict[str, int]:
-    """Number of documents each term occurs in."""
-    return {t: len(docm.row(t)) for t in vocab}
-
-
-def _rank_relations(method: str, ranks: Mapping[str, int]) -> RelationSet:
-    relset = RelationSet(method)
-    for u, v in combinations(sorted(ranks), 2):
-        if ranks[v] > ranks[u]:
-            relset.add(u, v)
-        elif ranks[u] > ranks[v]:
-            relset.add(v, u)
-    return relset
+    terms = sorted(generality)
+    g = np.array([generality[t] for t in terms])
+    return _relations("slqs", terms, g > g[:, None], g - g[:, None])
 
 
 def extract_tf(docm: ContextMatrix, vocab: TermSet) -> RelationSet:
-    """The more frequent term of a pair is taken as the hypernym."""
-    return _rank_relations("tf", term_frequencies(docm, vocab))
+    """The more frequent term of a pair (the larger sum of its per-document
+    counts) is taken as the hypernym."""
+    terms = sorted(vocab)
+    frequency = docm.rows_of(terms).sum(axis=1).A1
+    return _relations("tf", terms, frequency > frequency[:, None])
 
 
 def extract_df(docm: ContextMatrix, vocab: TermSet) -> RelationSet:
     """The term occurring in more documents is taken as the hypernym."""
-    return _rank_relations("df", document_frequencies(docm, vocab))
+    terms = sorted(vocab)
+    frequency = np.diff(docm.rows_of(terms).indptr)
+    return _relations("df", terms, frequency > frequency[:, None])
 
 
 def extract_docsub(docm: ContextMatrix, vocab: TermSet, lam: float) -> RelationSet:
@@ -132,26 +124,20 @@ def extract_docsub(docm: ContextMatrix, vocab: TermSet, lam: float) -> RelationS
     a subset of x's.
 
     With P(x|y) = |D_x n D_y| / |D_y|, the relation (y is-a x) is emitted
-    when P(x|y) >= lam and P(x|y) > P(y|x).
+    when P(x|y) >= lam and P(x|y) > P(y|x).  The shared documents are
+    counted for every pair at once, and P(x|y) > P(y|x) is decided on
+    integers as |D_x| > |D_y|, which is the same test when they share a
+    document.
     """
     if not 0 < lam <= 1:
         raise ValueError(f"lambda must be in (0, 1], got {lam}")
-    doc_sets = {t: frozenset(docm.row(t)) for t in vocab}
-    relset = RelationSet("docsub")
-    for u, v in combinations(sorted(vocab), 2):
-        du, dv = doc_sets[u], doc_sets[v]
-        if not du or not dv:
-            continue
-        shared = len(du & dv)
-        if shared == 0:
-            continue
-        p_u_given_v = shared / len(dv)
-        p_v_given_u = shared / len(du)
-        if p_u_given_v >= lam and p_u_given_v > p_v_given_u:
-            relset.add(v, u, p_u_given_v)
-        elif p_v_given_u >= lam and p_v_given_u > p_u_given_v:
-            relset.add(u, v, p_v_given_u)
-    return relset
+    terms = sorted(vocab)
+    docs = docm.rows_of(terms).sign()
+    sizes = np.diff(docs.indptr)
+    # given[x, y] = P(x|y); a term without documents shares none.
+    given = (docs @ docs.T).toarray() / np.maximum(sizes, 1)
+    subsumes = (given >= lam) & (sizes[:, None] > sizes)
+    return _relations("docsub", terms, subsumes.T, given.T)
 
 
 def cluster_terms(ppmi: WeightedMatrix, vocab: TermSet, k: int) -> list[list[str]]:
@@ -173,15 +159,7 @@ def cluster_terms(ppmi: WeightedMatrix, vocab: TermSet, k: int) -> list[list[str
     if k == 1:
         return [terms]
 
-    features = sorted({f for t in terms for f in ppmi.row(t)}, key=context_label)
-    findex = {f: i for i, f in enumerate(features)}
-    data, rows, cols = [], [], []
-    for i, t in enumerate(terms):
-        for f, w in ppmi.row(t).items():
-            rows.append(i)
-            cols.append(findex[f])
-            data.append(w)
-    x = csr_matrix((data, (rows, cols)), shape=(n, max(len(features), 1)))
+    x = ppmi.rows_of(terms)
     sims = (x @ x.T).toarray()
     norms = np.sqrt(np.diag(sims))
     denom = np.outer(norms, norms)
@@ -206,12 +184,8 @@ def extract_hclust(
     With k=1 this degenerates to the plain document-frequency extractor;
     with k=|vocab| every cluster is a singleton and the output is empty.
     """
-    df = document_frequencies(docm, vocab)
-    relset = RelationSet("hclust")
-    for cluster in cluster_terms(ppmi, vocab, k):
-        for u, v in combinations(cluster, 2):
-            if df[v] > df[u]:
-                relset.add(u, v)
-            elif df[u] > df[v]:
-                relset.add(v, u)
-    return relset
+    terms = sorted(vocab)
+    df = np.diff(docm.rows_of(terms).indptr)
+    cluster = {t: i for i, members in enumerate(cluster_terms(ppmi, vocab, k)) for t in members}
+    c = np.array([cluster[t] for t in terms])
+    return _relations("hclust", terms, (c == c[:, None]) & (df > df[:, None]))

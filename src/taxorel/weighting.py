@@ -9,117 +9,104 @@ general words score higher.
 
 from __future__ import annotations
 
-import math
 import statistics
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from .contexts import ContextKey, ContextMatrix, context_label
+import numpy as np
+
+from .contexts import ContextMatrix, TermContextMatrix
 
 DEFAULT_TOP_CONTEXTS = 50
 
 
-class WeightedMatrix:
+class WeightedMatrix(TermContextMatrix):
     """Term-by-context matrix of real weights; only positive entries stored."""
 
-    def __init__(self, scheme: str, rows: Mapping[str, Mapping[ContextKey, float]]) -> None:
+    def __init__(self, scheme: str, rows: Mapping[str, Mapping[str, float]]) -> None:
         if scheme not in ("ppmi", "lmi"):
             raise ValueError(f"scheme must be 'ppmi' or 'lmi', got {scheme!r}")
         self.scheme = scheme
-        self._rows: dict[str, dict[ContextKey, float]] = {
-            term: dict(row) for term, row in rows.items() if row
-        }
-
-    def terms(self) -> list[str]:
-        return sorted(self._rows)
-
-    def row(self, term: str) -> dict[ContextKey, float]:
-        """Positive weights for a term (empty when none); do not mutate."""
-        return self._rows.get(term, {})
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
+        super().__init__(rows, np.float64)
 
 
-def _marginals(m: ContextMatrix):
-    row_totals: dict[str, int] = {}
-    col_totals: Counter = Counter()
-    for term in m.terms():
-        row = m.row(term)
-        row_totals[term] = sum(row.values())
-        for key, count in row.items():
-            col_totals[key] += count
-    grand = sum(row_totals.values())
+def _pmi(m: ContextMatrix) -> np.ndarray:
+    """PMI of each stored count of ``m``, in CSR order, with maximum-likelihood
+    probabilities from the row, column and grand totals."""
+    # Floats, which are exact up to 2**53 and cannot wrap around as int64 can.
+    x = m.csr
+    grand = float(x.sum())
     if grand <= 0:
         raise ValueError("matrix has no counts")
-    return row_totals, col_totals, grand
+    row_totals = np.repeat(np.asarray(x.sum(axis=1), dtype=np.float64).ravel(), np.diff(x.indptr))
+    col_totals = np.asarray(x.sum(axis=0), dtype=np.float64).ravel()[x.indices]
+    return np.log(x.data * grand / (row_totals * col_totals))
 
 
-def _weighted(m: ContextMatrix, local: bool) -> WeightedMatrix:
-    row_totals, col_totals, grand = _marginals(m)
-    rows: dict[str, dict[ContextKey, float]] = {}
-    for term in m.terms():
-        out: dict[ContextKey, float] = {}
-        for key, count in m.row(term).items():
-            # PMI with maximum-likelihood probabilities from matrix totals.
-            pmi = math.log(count * grand / (row_totals[term] * col_totals[key]))
-            if pmi > 0:
-                out[key] = count * pmi if local else pmi
-        if out:
-            rows[term] = out
-    return WeightedMatrix("lmi" if local else "ppmi", rows)
+def _positive(
+    scheme: str, m: ContextMatrix, pmi: np.ndarray, weights: np.ndarray
+) -> WeightedMatrix:
+    """The ``weights`` of the cells of ``m`` whose PMI is positive."""
+    x = m.csr.astype(np.float64)
+    x.data = np.where(pmi > 0, weights, 0.0)
+    x.eliminate_zeros()
+    kept = np.diff(x.indptr) > 0
+    terms = [t for t, k in zip(m.term_labels, kept.tolist()) if k]
+    return WeightedMatrix._from_csr(x[kept], terms, m.context_labels, scheme=scheme)
 
 
 def weight_ppmi(m: ContextMatrix) -> WeightedMatrix:
     """Positive PMI weights: log p(t,c)/(p(t)p(c)), negatives clamped to zero."""
-    return _weighted(m, local=False)
+    pmi = _pmi(m)
+    return _positive("ppmi", m, pmi, pmi)
 
 
 def weight_lmi(m: ContextMatrix) -> WeightedMatrix:
     """Local mutual information: count(t,c) * PMI(t,c), clamped at zero."""
-    return _weighted(m, local=True)
+    pmi = _pmi(m)
+    return _positive("lmi", m, pmi, m.csr.data * pmi)
 
 
 @dataclass(frozen=True)
 class EntropyTable:
-    """Raw and min-max normalized Shannon entropy per context."""
+    """Raw and min-max normalized Shannon entropy per context label."""
 
-    raw: dict[ContextKey, float]
-    normalized: dict[ContextKey, float]
+    raw: dict[str, float]
+    normalized: dict[str, float]
 
 
 def context_entropies(m: ContextMatrix) -> EntropyTable:
     """Shannon entropy of each context's term distribution, then min-max scaled.
 
-    H(c) = -sum_t p(t|c) log2 p(t|c).  Normalization maps the minimum
-    entropy to 0 and the maximum to 1; if all contexts have equal entropy
-    everything maps to 0.
+    H(c) = -sum_t p(t|c) log2 p(t|c), summed one term after another over the
+    context's counts in ascending order, so that the result does not depend
+    on the order of the terms.  Normalization maps the minimum entropy to 0
+    and the maximum to 1; if all contexts have equal entropy everything maps
+    to 0.
     """
-    col_counts: dict[ContextKey, list[int]] = {}
-    for term in m.terms():
-        for key, count in m.row(term).items():
-            col_counts.setdefault(key, []).append(count)
-    if not col_counts:
+    x = m.csr.tocsc()
+    if not x.nnz:
         raise ValueError("matrix has no contexts")
-    raw: dict[ContextKey, float] = {}
-    for key, counts in col_counts.items():
-        total = sum(counts)
-        h = 0.0
-        for c in counts:
-            p = c / total
-            h -= p * math.log2(p)
-        raw[key] = h
-    lo, hi = min(raw.values()), max(raw.values())
-    if hi > lo:
-        normalized = {k: (v - lo) / (hi - lo) for k, v in raw.items()}
-    else:
-        normalized = {k: 0.0 for k in raw}
-    return EntropyTable(raw=raw, normalized=normalized)
+    lengths = np.diff(x.indptr)
+    column = np.repeat(np.arange(len(lengths)), lengths)
+    counts = x.data[np.lexsort((x.data, column))]
+    p = counts / np.repeat(np.asarray(x.sum(axis=0)).ravel(), lengths)
+    plogp = p * np.log2(p)
+    # Step k subtracts the term of the k-th smallest count of every column
+    # that has one.
+    raw = np.zeros(len(lengths))
+    active = np.arange(len(lengths))
+    for k in range(lengths.max()):
+        active = active[lengths[active] > k]
+        raw[active] -= plogp[x.indptr[active] + k]
+    lo, hi = raw.min(), raw.max()
+    normalized = (raw - lo) / (hi - lo) if hi > lo else np.zeros_like(raw)
+    labels = m.context_labels
+    return EntropyTable(
+        raw=dict(zip(labels, raw.tolist())),
+        normalized=dict(zip(labels, normalized.tolist())),
+    )
 
 
 def word_generality(
@@ -140,7 +127,7 @@ def word_generality(
     row = lmi.row(term)
     if not row:
         raise ValueError(f"generality undefined: {term!r} has no weighted contexts")
-    ranked = sorted(row.items(), key=lambda kv: (-kv[1], context_label(kv[0])))
+    ranked = sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))
     return statistics.median(entropies.normalized[key] for key, _ in ranked[:top_n])
 
 
@@ -158,10 +145,9 @@ def word_generalities(
 
 def save_context_entropies(table: EntropyTable, path: str | Path) -> None:
     """Write sorted ``context<TAB>rawH<TAB>normH`` lines."""
-    items = sorted((context_label(k), k) for k in table.raw)
     with open(path, "w", encoding="utf-8") as fh:
-        for label, key in items:
-            fh.write(f"{label}\t{table.raw[key]!r}\t{table.normalized[key]!r}\n")
+        for label in sorted(table.raw):
+            fh.write(f"{label}\t{table.raw[label]!r}\t{table.normalized[label]!r}\n")
 
 
 def save_generalities(generalities: Mapping[str, float], path: str | Path) -> None:

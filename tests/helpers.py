@@ -7,7 +7,10 @@ pairwise agglomerative merging) so tests compare two independent routes.
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
+from collections import Counter
 from itertools import combinations
 
 from taxorel.contexts import ContextMatrix
@@ -240,6 +243,124 @@ def oracle_average_linkage(vectors: dict[str, dict], k: int) -> set[frozenset]:
         clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
         clusters.append(merged)
     return {frozenset(c) for c in clusters}
+
+
+# --- weighting and extractor oracles over dict rows ------------------------
+#
+# ``rows`` maps each term to its {context label: count}.  Sums run one value
+# after another in sorted label order.
+
+
+def _ordered_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def oracle_weights(rows: dict[str, dict[str, int]], local: bool) -> dict[str, dict[str, float]]:
+    """Per-cell PPMI, or LMI with ``local``, from the row, column and grand
+    totals; cells with non-positive PMI and then empty rows are dropped."""
+    row_totals = {t: sum(r.values()) for t, r in rows.items()}
+    col_totals: Counter = Counter()
+    for r in rows.values():
+        col_totals.update(r)
+    grand = sum(row_totals.values())
+    out = {}
+    for term, r in rows.items():
+        weights = {}
+        for c, n in sorted(r.items()):
+            pmi = math.log(n * grand / (row_totals[term] * col_totals[c]))
+            if pmi > 0:
+                weights[c] = n * pmi if local else pmi
+        if weights:
+            out[term] = weights
+    return out
+
+
+def oracle_entropies(rows: dict[str, dict[str, int]]) -> tuple[dict, dict]:
+    """Raw entropy of each context, -sum p log2 p over its counts in
+    ascending order, and its min-max normalization (all 0 when equal)."""
+    columns: dict[str, list[int]] = {}
+    for r in rows.values():
+        for c, n in r.items():
+            columns.setdefault(c, []).append(n)
+    raw = {}
+    for c, counts in columns.items():
+        total = sum(counts)
+        h = 0.0
+        for n in sorted(counts):
+            p = n / total
+            h -= p * math.log2(p)
+        raw[c] = h
+    lo, hi = min(raw.values()), max(raw.values())
+    return raw, {c: (v - lo) / (hi - lo) if hi > lo else 0.0 for c, v in raw.items()}
+
+
+def _ranked_pairs(ranks: dict[str, float], together=lambda u, v: True) -> set:
+    """(u, v) for every pair where v ranks strictly higher."""
+    return {
+        (u, v) if ranks[v] > ranks[u] else (v, u)
+        for u, v in combinations(sorted(ranks), 2)
+        if ranks[u] != ranks[v] and together(u, v)
+    }
+
+
+def oracle_dsim_pairs(weights: dict[str, dict[str, float]], vocab, measure: str) -> set:
+    """Per-pair directional inclusion; the more included term is the hyponym."""
+
+    def inclusion(u, v):
+        shared = [
+            min(u[f], v[f]) if measure == "clarkede" else u[f] for f in sorted(u) if f in v
+        ]
+        return _ordered_sum(shared) / _ordered_sum(u[f] for f in sorted(u))
+
+    pairs = set()
+    for a, b in combinations(sorted(vocab), 2):
+        u, v = weights.get(a, {}), weights.get(b, {})
+        if u.keys() & v.keys():
+            m_ab, m_ba = inclusion(u, v), inclusion(v, u)
+            if m_ab != m_ba:
+                pairs.add((a, b) if m_ab > m_ba else (b, a))
+    return pairs
+
+
+def oracle_slqs_pairs(lmi: dict[str, dict[str, float]], normalized: dict, vocab, top_n: int) -> set:
+    """Median normalized entropy of each term's top LMI contexts (ties on
+    the label); the more general term is the hypernym."""
+    generality = {}
+    for t in vocab:
+        if lmi.get(t):
+            ranked = sorted(lmi[t].items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+            generality[t] = statistics.median(normalized[c] for c, _ in ranked)
+    return _ranked_pairs(generality)
+
+
+def oracle_frequency_pairs(rows: dict[str, dict[str, int]], vocab, documents: bool) -> set:
+    """tf (summed counts) or, with ``documents``, df (number of documents)."""
+    return _ranked_pairs(
+        {t: len(rows.get(t, {})) if documents else sum(rows.get(t, {}).values()) for t in vocab}
+    )
+
+
+def oracle_docsub_pairs(rows: dict[str, dict[str, int]], vocab, lam: float) -> set:
+    """(y, x) when P(x|y) = |D_x n D_y| / |D_y| >= lam and P(x|y) > P(y|x)."""
+    pairs = set()
+    for x in vocab:
+        for y in vocab:
+            dx, dy = set(rows.get(x, {})), set(rows.get(y, {}))
+            if x != y and dx & dy:
+                p_x_given_y = len(dx & dy) / len(dy)
+                if p_x_given_y >= lam and p_x_given_y > len(dx & dy) / len(dx):
+                    pairs.add((y, x))
+    return pairs
+
+
+def oracle_hclust_pairs(rows: dict[str, dict[str, int]], vocab, clusters) -> set:
+    """df pairs whose two terms share a cluster."""
+    cluster_of = {t: i for i, members in enumerate(clusters) for t in members}
+    df = {t: len(rows.get(t, {})) for t in vocab}
+    return _ranked_pairs(df, lambda u, v: cluster_of[u] == cluster_of[v])
 
 
 # --- random generators -----------------------------------------------------

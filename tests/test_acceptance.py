@@ -68,7 +68,7 @@ def test_criterion_01_window_context_golden():
         )
         corpus = Corpus("EN", (Document("d1", (sentence,)),))
         matrix = extract_window_contexts(corpus, 5)
-        row = {key.label: count for key, count in matrix.row("dog").items()}
+        row = {label: count for label, count in matrix.row("dog").items()}
         assert row == {"energetic-j-l": 1, "barked-v-r": 1}
         assert matrix.terms() == ["dog"]
         assert time.perf_counter() - start < 1.0

@@ -103,6 +103,17 @@ class TestValidate:
             load_config(path)
         assert str(err.value).startswith(f"{path}: [vocabulary] n: invalid literal")
 
+    def test_percent_sign_is_a_literal_value(self, tmp_path):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text() + "\n[patt]\npatterns = /data/a%b\n", encoding="utf-8")
+        assert load_config(path).patterns_path == "/data/a%b"
+
+    def test_file_without_section_header_is_an_error_line(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("path = corpus\n", encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
 
 class TestRun:
     def test_single_method_produces_relations_metrics_report(self, tmp_path):
@@ -351,6 +362,17 @@ class TestCommandLine:
         assert code == 0
         expected = manifest_path.parent / f"relations_{method}.tsv"
         assert out_file.read_bytes() == expected.read_bytes()
+
+    def test_evaluate_verb_writes_the_eval_file_of_run(self, tmp_path):
+        manifest_path = run(load_config(write_config(tmp_path, methods="tf")))
+        out_file = tmp_path / "verb.json"
+        relations = manifest_path.parent / "relations_tf.tsv"
+        code = main(
+            ["evaluate", str(relations), "--gold", str(tmp_path / "gold.tsv"), "--out", str(out_file)]
+        )
+        assert code == 0
+        assert out_file.read_bytes() == (manifest_path.parent / "eval_tf.json").read_bytes()
+        assert json.loads(out_file.read_text())["empty_relation_set"] is False
 
     def test_run_verb_rejects_zero_n(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -1,11 +1,11 @@
 import random
+import re
 
 import pytest
 
 from taxorel.contexts import (
     ContextMatrix,
     TermSet,
-    WindowContext,
     extract_document_contexts,
     extract_window_contexts,
     load_matrix,
@@ -18,7 +18,7 @@ from helpers import corpus, doc, gold_from, random_corpus, tok
 
 
 def labels(row):
-    return {k.label if isinstance(k, WindowContext) else k: v for k, v in row.items()}
+    return dict(row)
 
 
 class TestWindowContexts:
@@ -91,9 +91,10 @@ class TestWindowContexts:
             )
             m = extract_window_contexts(pure, 5)
             for v in m.terms():
-                for key, count in m.row(v).items():
-                    mirror = WindowContext(v, "NOUN", "l" if key.side == "r" else "r")
-                    assert m.row(key.lemma).get(mirror, 0) == count
+                for label, count in m.row(v).items():
+                    lemma, _, side = label.rsplit("-", 2)
+                    mirror = f"{v}-n-{'l' if side == 'r' else 'r'}"
+                    assert m.row(lemma).get(mirror, 0) == count
 
 
 class TestDocumentContexts:
@@ -205,6 +206,22 @@ class TestMatrixPersistence:
         save_matrix(m, tmp_path / "m.tsv")
         lines = (tmp_path / "m.tsv").read_text().splitlines()
         assert lines == sorted(lines)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "dog\tbig-x-l\t1",  # no such POS letter
+            "dog\tbig\t1",  # no dashes
+            "dog\tbig-j-up\t1",  # no such side
+            "dog\tbig-j-l\tmany",  # not an integer
+            "dog\tbig-j-l\t0",  # not positive
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"dog\tbarked-v-r\t2\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            load_matrix(path, "window", 5)
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):

@@ -255,5 +255,8 @@ def load_matrix(
                 raise ValueError(f"{path}:{lineno}: bad window context label {label!r}")
             if not count.isdecimal() or int(count) < 1:
                 raise ValueError(f"{path}:{lineno}: count must be a positive integer, got {count!r}")
-            rows.setdefault(term, {})[label] = int(count)
+            row = rows.setdefault(term, {})
+            if label in row:
+                raise ValueError(f"{path}:{lineno}: duplicate term and context {term!r} {label!r}")
+            row[label] = int(count)
     return ContextMatrix(model, rows, window_size=window_size)

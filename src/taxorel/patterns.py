@@ -4,7 +4,10 @@ Templates are token sequences over POS-tagged sentences with two slots:
 ``HYPER`` matches one noun phrase (the hypernym) and ``HYPO+`` a list of
 noun phrases separated by commas and/or conjunctions (the hyponyms).
 Literal tokens match the token surface case-insensitively; a trailing
-``?`` marks an optional literal.
+``?`` marks an optional literal.  A sentence is matched only against the
+templates whose non-optional literals all occur in it, compared
+case-insensitively; a template lacking one can never match, so this
+prefilter does not change the pairs found.
 
 Noun phrases are approximated as noun runs with adjectives on the
 language's modifier side (before the noun in English, after it in
@@ -42,6 +45,8 @@ class TemplateElement:
 class PatternTemplate:
     source: str
     elements: tuple[TemplateElement, ...]
+    # Casefolded literals without ``?``: a sentence lacking one cannot match.
+    required: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,8 @@ def parse_template(line: str) -> PatternTemplate:
         raise ValueError(
             f"template must contain exactly one HYPER and one HYPO+ slot: {line!r}"
         )
-    return PatternTemplate(source=line, elements=tuple(elements))
+    required = frozenset(e.text for e in elements if e.kind == "lit" and not e.optional)
+    return PatternTemplate(source=line, elements=tuple(elements), required=required)
 
 
 def _build(language: str, lines) -> PatternSet:
@@ -206,9 +212,13 @@ def _match_template(
 
 def match_sentence(tokens: Sentence, pset: PatternSet) -> list[tuple[str, str]]:
     """All (hyponym, hypernym) lemma pairs matched anywhere in the sentence."""
+    surfaces = {t.surface.casefold() for t in tokens}
+    live = [template for template in pset.templates if template.required <= surfaces]
+    if not live:
+        return []
     pairs: list[tuple[str, str]] = []
     for start in range(len(tokens)):
-        for template in pset.templates:
+        for template in live:
             found = _match_template(template, tokens, start, pset)
             if found is None:
                 continue

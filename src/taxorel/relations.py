@@ -86,9 +86,13 @@ def save_relations(relset: RelationSet, path: str | Path) -> None:
 
 
 def load_relations(path: str | Path, method: str | None = None) -> RelationSet:
-    """Read a relations TSV; the method tag must be uniform across lines."""
+    """Read a relations TSV; the method tag must be uniform across lines.
+
+    ``method``, when given, replaces the file's tag.  Bad lines name ``file:line``.
+    """
     path = Path(path)
     relset: RelationSet | None = None
+    first_tag = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -99,10 +103,13 @@ def load_relations(path: str | Path, method: str | None = None) -> RelationSet:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
             hypo, hyper, tag, score = fields
             if relset is None:
-                relset = RelationSet(method or tag)
-            elif tag != relset.method:
+                relset, first_tag = RelationSet(method or tag), tag
+            elif tag != first_tag:
                 raise ValueError(f"{path}:{lineno}: mixed method tags in one file")
-            relset.add(hypo, hyper, float(score) if score else None)
+            try:
+                relset.add(hypo, hyper, float(score) if score else None)
+            except ValueError as exc:  # a self-relation or a non-numeric score
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if relset is None:
         if method is None:
             raise ValueError(f"{path}: empty relations file and no method given")

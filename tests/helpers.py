@@ -16,6 +16,7 @@ from itertools import combinations
 from taxorel.contexts import ContextMatrix
 from taxorel.corpus import Corpus, Document, TaggedToken
 from taxorel.gold import GoldTaxonomy, Synset
+from taxorel.patterns import PatternSet, _match_template
 from taxorel.taxonomy import Taxonomy
 
 _POS = {"N": "NOUN", "P": "PROPN", "V": "VERB", "J": "ADJ", "O": "OTHER"}
@@ -361,6 +362,18 @@ def oracle_hclust_pairs(rows: dict[str, dict[str, int]], vocab, clusters) -> set
     cluster_of = {t: i for i, members in enumerate(clusters) for t in members}
     df = {t: len(rows.get(t, {})) for t in vocab}
     return _ranked_pairs(df, lambda u, v: cluster_of[u] == cluster_of[v])
+
+
+def oracle_match_sentence(tokens, pset: PatternSet) -> list[tuple[str, str]]:
+    """Every template tried at every start position, with no literal prefilter."""
+    pairs = []
+    for start in range(len(tokens)):
+        for template in pset.templates:
+            found = _match_template(template, tokens, start, pset)
+            if found is not None:
+                hyper, hypos = found
+                pairs.extend((hypo, hyper) for hypo in hypos if hypo != hyper)
+    return pairs
 
 
 # --- random generators -----------------------------------------------------

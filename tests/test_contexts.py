@@ -215,6 +215,7 @@ class TestMatrixPersistence:
             "dog\tbig-j-up\t1",  # no such side
             "dog\tbig-j-l\tmany",  # not an integer
             "dog\tbig-j-l\t0",  # not positive
+            "dog\tbarked-v-r\t5",  # same term and context as line 1
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from taxorel import patterns
 from taxorel.contexts import TermSet
 from taxorel.patterns import (
     default_patterns,
@@ -9,7 +12,7 @@ from taxorel.patterns import (
     parse_template,
 )
 
-from helpers import corpus, doc, sent, tok
+from helpers import corpus, doc, oracle_match_sentence, sent, tok
 
 
 EN = default_patterns("EN")
@@ -213,6 +216,10 @@ class TestTemplateParsing:
         kinds = [(e.kind, e.text, e.optional) for e in template.elements]
         assert kinds[1] == ("lit", ",", True)
 
+    def test_required_literals_are_the_casefolded_non_optional_ones(self):
+        assert parse_template("HYPER ,? Such AS HYPO+").required == {"such", "as"}
+        assert parse_template("HYPO+ ,? or? HYPER").required == frozenset()
+
     def test_load_custom_file(self, tmp_path):
         path = tmp_path / "patterns.txt"
         path.write_text("# comment\nHYPER like HYPO+\n", encoding="utf-8")
@@ -232,3 +239,109 @@ class TestTemplateParsing:
     def test_unknown_language(self):
         with pytest.raises(ValueError):
             default_patterns("DE")
+
+
+class TestLiteralPrefilter:
+    def test_sentences_without_template_literals_never_reach_the_matcher(self, monkeypatch):
+        calls = []
+        real = patterns._match_template
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(patterns, "_match_template", counting)
+        vocab = TermSet(["animal", "cat", "dog"])
+        plain = corpus(doc("a.txt", "the:O big:J dog:N chased:V a:O cat:N", "dog:N and:O cat:N"))
+        assert len(extract_patterns(plain, EN, vocab)) == 0
+        assert calls == []
+        # Control: a sentence holding a template's literals does reach it.
+        extract_patterns(corpus(doc("b.txt", "animal:N such:J as:O dog:N")), EN, vocab)
+        assert calls
+
+
+# Surfaces and tags for the property test: every EN and PT template literal
+# (some in mixed case), commas, conjunctions, articles, adjectives and nouns.
+WORDS = {
+    "such": "ADJ", "Such": "ADJ", "as": "OTHER", "AS": "OTHER", "or": "OTHER",
+    "other": "ADJ", "Other": "ADJ", "and": "OTHER", "including": "VERB",
+    "especially": "OTHER", "tais": "OTHER", "como": "OTHER", "COMO": "OTHER",
+    "e": "OTHER", "ou": "OTHER", "outros": "OTHER", "Outros": "ADJ",
+    "incluindo": "VERB", "especialmente": "OTHER", ",": "OTHER", ":": "OTHER",
+    "like": "OTHER", "Like": "OTHER", "the": "OTHER", "a": "OTHER", "os": "OTHER",
+    "uma": "OTHER", "big": "ADJ", "pequeno": "ADJ", "is": "VERB",
+    "animals": "NOUN", "Dogs": "NOUN", "cats": "NOUN", "cão": "NOUN",
+    "gatos": "NOUN", "Bach": "PROPN",
+}
+# Drawn sentences alternate a connector with a noun phrase, so that template
+# matches, partial matches and literals out of order all come up often.
+CONNECTORS = [
+    "", ",", "is", "and", "e", "or", "like", "Like", ":", "such", "as", "such as",
+    "Such AS", ", such as", "or other", ", and other", "other", "including",
+    ", especially", "tais como", "COMO", ", e outros", "ou Outros", "outros",
+    "incluindo", "especialmente", "big",
+]
+NOUN_PHRASES = [
+    "animals", "cats", "Bach", "cão", "the big Dogs", "a cats", "os gatos pequeno",
+    "uma cão", "Other animals",
+]
+# Lemmas other than the casefolded surface, so that matching literals on
+# lemmas instead of surfaces would show.
+LEMMAS = {
+    "including": "include", "incluindo": "incluir", "outros": "outro", "Outros": "outro",
+    "Other": "other", "animals": "animal", "Dogs": "dog", "cats": "cat", "gatos": "gato",
+}
+
+
+def lemma(surface: str) -> str:
+    return LEMMAS.get(surface, surface.casefold())
+
+
+def words(text: str):
+    return tuple(tok(w, lemma(w), WORDS[w]) for w in text.split())
+
+
+# Template sets as users would load them from files; see ``user_sets``.
+USER_TEMPLATES = {
+    "upper": ("EN", "HYPER LIKE HYPO+\nHYPO+ ,? AND Other HYPER\n"),
+    "optional": ("PT", "HYPER ,? HYPO+\nHYPO+ :? outros? HYPER\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def user_sets(tmp_path_factory):
+    sets = {"EN": EN, "PT": PT}
+    for name, (language, text) in USER_TEMPLATES.items():
+        path = tmp_path_factory.mktemp("templates") / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        sets[name] = load_patterns(path, language)
+    return sets
+
+
+class TestPrefilterAgainstOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(["EN", "PT", *USER_TEMPLATES]),
+        tokens=st.lists(
+            st.tuples(st.sampled_from(CONNECTORS), st.sampled_from(NOUN_PHRASES)),
+            min_size=1,
+            max_size=5,
+        ).map(lambda pieces: words(" ".join(" ".join(piece) for piece in pieces))),
+        vocab=st.sets(st.sampled_from(sorted(map(lemma, WORDS)))),
+    )
+    # Literals present but out of order; only some of a template's literals.
+    @example(name="EN", tokens=words("Dogs as such animals or cats other"), vocab={"animal", "cat"})
+    @example(name="PT", tokens=words("animals tais gatos e cão"), vocab={"animal", "gato", "cão"})
+    # A template file with an uppercase literal; one with only optional literals.
+    @example(name="upper", tokens=words("animals Like Dogs"), vocab={"animal", "dog"})
+    @example(name="optional", tokens=words("animals , cats"), vocab={"animal", "cat"})
+    def test_matches_the_full_scan(self, user_sets, name, tokens, vocab):
+        pset = user_sets[name]
+        expected = oracle_match_sentence(tokens, pset)
+        assert match_sentence(tokens, pset) == expected
+        relset = extract_patterns(
+            corpus(doc("a.txt", tokens, tokens), language=pset.language), pset, TermSet(vocab)
+        )
+        assert relset.pair_set() == {
+            (hypo, hyper) for hypo, hyper in expected if hypo in vocab and hyper in vocab
+        }

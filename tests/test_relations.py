@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from taxorel.relations import Relation, RelationSet, load_relations, save_relations
@@ -85,3 +87,25 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_relations(path)
         assert len(load_relations(path, method="tf")) == 0
+
+    def test_method_argument_renames_a_uniform_file(self, tmp_path):
+        path = tmp_path / "rels.tsv"
+        path.write_text("a\tb\ttf\t\nc\td\ttf\t\n", encoding="utf-8")
+        relset = load_relations(path, method="df")
+        assert relset.method == "df"
+        assert relset.pair_set() == {("a", "b"), ("c", "d")}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "a\tb\tpatt\tx",  # score is not a number
+            "dog\tdog\tpatt\t",  # self-relation
+            "a\tb\tpatt",  # three fields
+            "a\tb\ttf\t",  # method tag differs from line 1
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "rels.tsv"
+        path.write_text(f"x\ty\tpatt\t0.5\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            load_relations(path)

@@ -30,10 +30,7 @@ GOLD = GoldTaxonomy(
 
 
 def relset(method, *pairs):
-    rs = RelationSet(method)
-    for hypo, hyper in pairs:
-        rs.add(hypo, hyper)
-    return rs
+    return RelationSet(method, pairs)
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .contexts import (
@@ -110,11 +110,7 @@ class RunConfig:
     hclust_clusters: int = 100
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return asdict(self)
 
 
 def _split_list(text: str) -> tuple[str, ...]:
@@ -315,8 +311,10 @@ def run(config: RunConfig) -> Path:
     """Execute the full pipeline; return the manifest path.
 
     The outputs of the run recorded in ``output_dir``'s manifest are removed
-    first, and the manifest is written last.  Any stage failure removes the
-    files already written and raises StageError naming the stage.
+    first, and the manifest is written last.  Each file is written under a
+    sibling ``.tmp`` name and then renamed, so that it is either whole or
+    absent.  Any stage failure removes the files already written and raises
+    StageError naming the stage.
     """
     problems = validate(config)
     if problems:
@@ -326,8 +324,12 @@ def run(config: RunConfig) -> Path:
     written: list[Path] = []
 
     def emit(name: str, text: str) -> None:
-        path = outdir / name
-        path.write_text(text, encoding="utf-8")
+        path, staged = outdir / name, outdir / f"{name}.tmp"
+        try:
+            staged.write_text(text, encoding="utf-8")
+            staged.replace(path)
+        finally:
+            staged.unlink(missing_ok=True)
         written.append(path)
 
     stage = "clean"
@@ -392,11 +394,8 @@ def run(config: RunConfig) -> Path:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written
         }
         manifest = {"config": config_dict, "config_digest": digest, "outputs": outputs}
-        # Written under a sibling name and renamed, so that a manifest is
-        # either whole or absent.
-        staged = outdir / "manifest.json.tmp"
-        emit(staged.name, _json_text(manifest))
-        return staged.replace(outdir / "manifest.json")
+        emit("manifest.json", _json_text(manifest))
+        return outdir / "manifest.json"
     except Exception as exc:
         for path in written:
             path.unlink(missing_ok=True)

@@ -11,7 +11,9 @@ relations it claims; recall divides by the gold side instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .gold import GoldTaxonomy
 from .relations import Pair, RelationSet
@@ -31,15 +33,7 @@ class EvalReport:
     no_shared_terms: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "fmeasure": self.fmeasure,
-            "common_count": self.common_count,
-            "extracted_count": self.extracted_count,
-            "gold_count": self.gold_count,
-            "no_shared_terms": self.no_shared_terms,
-        }
+        return asdict(self)
 
 
 def fmeasure(precision: float, recall: float) -> float:
@@ -75,14 +69,14 @@ def common_relations(c: str, o1: Ordered, o2: Ordered) -> set[Pair]:
     return out
 
 
-def _pair_count(masks: list[int]) -> int:
-    """Per-term relation sum over ancestor masks of the shared terms.
+def _pair_count(rel: np.ndarray) -> int:
+    """Per-term relation sum over an (ancestor, descendant) matrix R of the
+    shared terms.
 
-    With R the (ancestor, descendant) pairs over the shared terms, every
-    term counts its pairs as either endpoint: 2*|R| - |{(c, c) in R}|, as
-    a pair (c, c), which a cycle through c produces, is one relation of c.
+    Every term counts its pairs as either endpoint: 2*|R| - |{(c, c) in R}|,
+    as a pair (c, c), which a cycle through c produces, is one relation of c.
     """
-    return sum(2 * mask.bit_count() - (mask >> i & 1) for i, mask in enumerate(masks))
+    return int(2 * np.count_nonzero(rel) - np.count_nonzero(rel.diagonal()))
 
 
 def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
@@ -92,33 +86,33 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     relation contributes once per endpoint term, following the per-term
     sums of the defining formulas (:func:`common_relations`).
 
-    Both orders are taken whole rather than pair by pair: one reachability
-    closure of the taxonomy (:meth:`Taxonomy.ancestor_masks`, one pass over
-    its nodes and edges with |S|-bit masks for the shared terms S) and one
-    case-folded ancestor-lemma set per shared term on the gold side.  The
-    per-term sums then reduce to pair counts (:func:`_pair_count`), so the
-    cost is O((V + E) * |S| / 64 + sum of gold ancestor-set sizes) instead
-    of a graph search for every pair of shared terms.
+    Both orders are taken whole rather than pair by pair, as boolean
+    (ancestor, descendant) matrices over the shared terms S: the taxonomy's
+    one reachability closure (:attr:`Taxonomy.closure`, by Warshall's
+    algorithm) cut down to S, and one case-folded ancestor-lemma set per
+    shared term on the gold side.  The per-term sums then reduce to pair
+    counts (:func:`_pair_count`), so the cost is O(V^3 / 8) byte operations
+    at worst plus the sum of the gold ancestor-set sizes, instead of a
+    graph search for every pair of shared terms.
     """
-    if not o_t.nodes:
+    if not o_t.terms:
         raise ValueError("cannot evaluate an empty taxonomy")
-    shared = sorted(_shared_terms(o_t, gold))
+    shared = [i for i, term in enumerate(o_t.terms) if gold.contains_term(term)]
     if not shared:
         return EvalReport(0.0, 0.0, 0.0, 0, 0, 0, no_shared_terms=True)
-    t_anc = o_t.ancestor_masks(shared)
+    terms = [o_t.terms[i] for i in shared]
+    t_rel = o_t.closure[np.ix_(shared, shared)]
     # Gold lookups are case-folded, so "Car" and "car" share one gold lemma.
-    folded: dict[str, int] = {}
-    for i, term in enumerate(shared):
-        folded[term.casefold()] = folded.get(term.casefold(), 0) | 1 << i
-    g_anc = []
-    for term in shared:
-        mask = 0
-        for lemma in gold.ancestor_lemmas(term):
-            mask |= folded.get(lemma, 0)
-        g_anc.append(mask)
-    common = _pair_count([t & g for t, g in zip(t_anc, g_anc)])
-    extracted = _pair_count(t_anc)
-    gold_total = _pair_count(g_anc)
+    folded: dict[str, list[int]] = {}
+    for a, term in enumerate(terms):
+        folded.setdefault(term.casefold(), []).append(a)
+    g_rel = np.zeros_like(t_rel)
+    for d, term in enumerate(terms):
+        above = [a for lemma in gold.ancestor_lemmas(term) for a in folded.get(lemma, ())]
+        g_rel[above, d] = True
+    common = _pair_count(t_rel & g_rel)
+    extracted = _pair_count(t_rel)
+    gold_total = _pair_count(g_rel)
     precision = common / extracted if extracted else 0.0
     recall = common / gold_total if gold_total else 0.0
     return EvalReport(
@@ -131,6 +125,24 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     )
 
 
+def _shared_pairs(a: RelationSet, b: RelationSet, swap: bool = False) -> np.ndarray:
+    """Positions in ``a`` of the pairs that ``b`` holds too (with ``swap``,
+    holds with hyponym and hypernym swapped), in ascending order.
+
+    Both sets' pairs become keys i * N + j over the sorted union of their
+    term tables (N terms), and the two key arrays are intersected whole
+    (``np.isin``, which picks a lookup table over the N * N keys when that
+    is small enough).
+    """
+    index = {term: i for i, term in enumerate(sorted({*a.terms, *b.terms}))}
+    in_a = np.array([index[term] for term in a.terms], dtype=np.int64)
+    in_b = np.array([index[term] for term in b.terms], dtype=np.int64)
+    b_hypo, b_hyper = (b.hyper, b.hypo) if swap else (b.hypo, b.hyper)
+    keys_a = in_a[a.hypo] * len(index) + in_a[a.hyper]
+    keys_b = in_b[b_hypo] * len(index) + in_b[b_hyper]
+    return np.flatnonzero(np.isin(keys_a, keys_b, assume_unique=True))
+
+
 def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     """Direct and inverse overlap ratios of a with b.
 
@@ -139,10 +151,7 @@ def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     """
     if len(a) == 0:
         raise ValueError("complementarity of an empty relation set is undefined")
-    pa = a.pair_set()
-    pb = b.pair_set()
-    inv = {(hyper, hypo) for hypo, hyper in pb}
-    return len(pa & pb) / len(pa), len(pa & inv) / len(pa)
+    return len(_shared_pairs(a, b)) / len(a), len(_shared_pairs(a, b, swap=True)) / len(a)
 
 
 def _base_precision(a: RelationSet, gold: GoldTaxonomy) -> float:
@@ -156,10 +165,12 @@ def _base_precision(a: RelationSet, gold: GoldTaxonomy) -> float:
 
 
 def _relative_to(p_a: float, a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
-    shared = a.pair_set() & b.pair_set()
-    if not shared:
+    shared = _shared_pairs(a, b)
+    if not len(shared):
         return 0.0
-    inter = a.restricted(shared)
+    mask = np.zeros((len(a.terms), len(a.terms)), dtype=bool)
+    mask[a.hypo[shared], a.hyper[shared]] = True
+    inter = RelationSet.from_mask(a.method, a.terms, mask)
     return evaluate(build_taxonomy(inter), gold).precision / p_a
 
 
@@ -194,20 +205,17 @@ def complementarity_matrix(
     methods = tuple(rs.method for rs in relsets)
     if len(set(methods)) != len(methods):
         raise ValueError("relation sets must have distinct method tags")
-    by_method = dict(zip(methods, relsets))
     direct: dict[tuple[str, str], float | None] = {}
     inverse: dict[tuple[str, str], float | None] = {}
     relative: dict[tuple[str, str], float | None] = {}
-    for ma in methods:
-        a = by_method[ma]
+    for a in relsets:
         # One base precision per row, shared by the row's cells.
         try:
             p_a = _base_precision(a, gold)
         except ValueError:
             p_a = None
-        for mb in methods:
-            key = (ma, mb)
-            b = by_method[mb]
+        for b in relsets:
+            key = (a.method, b.method)
             try:
                 direct[key], inverse[key] = complementarity(a, b)
             except ValueError:

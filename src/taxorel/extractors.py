@@ -46,17 +46,6 @@ def measure_clarke_de(u: Mapping, v: Mapping) -> float:
     return shared / total
 
 
-def _relations(method: str, terms: list[str], mask: np.ndarray, scores=None) -> RelationSet:
-    """The pairs (terms[i] is-a terms[j]) where ``mask[i, j]``, scored
-    ``scores[i, j]`` when scores are given."""
-    relset = RelationSet(method)
-    hypo, hyper = np.nonzero(mask)
-    values = scores[hypo, hyper].tolist() if scores is not None else [None] * len(hypo)
-    for i, j, score in zip(hypo.tolist(), hyper.tolist(), values):
-        relset.add(terms[i], terms[j], score)
-    return relset
-
-
 def extract_dsim(
     ppmi: WeightedMatrix, vocab: TermSet, measure: str = "clarkede"
 ) -> RelationSet:
@@ -87,7 +76,7 @@ def extract_dsim(
     with np.errstate(divide="ignore", invalid="ignore"):
         inclusion = shared / totals[:, None]
     # A pair without shared contexts scores 0 both ways, a tie.
-    return _relations("dsim", terms, inclusion > inclusion.T, inclusion)
+    return RelationSet.from_mask("dsim", terms, inclusion > inclusion.T, inclusion)
 
 
 def extract_slqs(
@@ -101,7 +90,7 @@ def extract_slqs(
     generality = word_generalities(lmi, entropies, vocab, top_n)
     terms = sorted(generality)
     g = np.array([generality[t] for t in terms])
-    return _relations("slqs", terms, g > g[:, None], g - g[:, None])
+    return RelationSet.from_mask("slqs", terms, g > g[:, None], g - g[:, None])
 
 
 def extract_tf(docm: ContextMatrix, vocab: TermSet) -> RelationSet:
@@ -109,14 +98,14 @@ def extract_tf(docm: ContextMatrix, vocab: TermSet) -> RelationSet:
     counts) is taken as the hypernym."""
     terms = sorted(vocab)
     frequency = docm.rows_of(terms).sum(axis=1).A1
-    return _relations("tf", terms, frequency > frequency[:, None])
+    return RelationSet.from_mask("tf", terms, frequency > frequency[:, None])
 
 
 def extract_df(docm: ContextMatrix, vocab: TermSet) -> RelationSet:
     """The term occurring in more documents is taken as the hypernym."""
     terms = sorted(vocab)
     frequency = np.diff(docm.rows_of(terms).indptr)
-    return _relations("df", terms, frequency > frequency[:, None])
+    return RelationSet.from_mask("df", terms, frequency > frequency[:, None])
 
 
 def extract_docsub(docm: ContextMatrix, vocab: TermSet, lam: float) -> RelationSet:
@@ -137,7 +126,7 @@ def extract_docsub(docm: ContextMatrix, vocab: TermSet, lam: float) -> RelationS
     # given[x, y] = P(x|y); a term without documents shares none.
     given = (docs @ docs.T).toarray() / np.maximum(sizes, 1)
     subsumes = (given >= lam) & (sizes[:, None] > sizes)
-    return _relations("docsub", terms, subsumes.T, given.T)
+    return RelationSet.from_mask("docsub", terms, subsumes.T, given.T)
 
 
 def cluster_terms(ppmi: WeightedMatrix, vocab: TermSet, k: int) -> list[list[str]]:
@@ -188,4 +177,4 @@ def extract_hclust(
     df = np.diff(docm.rows_of(terms).indptr)
     cluster = {t: i for i, members in enumerate(cluster_terms(ppmi, vocab, k)) for t in members}
     c = np.array([cluster[t] for t in terms])
-    return _relations("hclust", terms, (c == c[:, None]) & (df > df[:, None]))
+    return RelationSet.from_mask("hclust", terms, (c == c[:, None]) & (df > df[:, None]))

@@ -236,10 +236,11 @@ def extract_patterns(corpus: Corpus, patterns: PatternSet, vocab: TermSet) -> Re
             f"corpus language {corpus.language} does not match "
             f"pattern language {patterns.language}"
         )
-    relset = RelationSet("patt")
-    for doc in corpus.documents:
-        for sentence in doc.sentences:
-            for hypo, hyper in match_sentence(sentence, patterns):
-                if hypo in vocab and hyper in vocab:
-                    relset.add(hypo, hyper)
-    return relset
+    pairs = [
+        (hypo, hyper)
+        for doc in corpus.documents
+        for sentence in doc.sentences
+        for hypo, hyper in match_sentence(sentence, patterns)
+        if hypo in vocab and hyper in vocab
+    ]
+    return RelationSet("patt", pairs)

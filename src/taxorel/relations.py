@@ -8,7 +8,10 @@ optional method-specific score.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 Pair = tuple[str, str]  # (hyponym, hypernym)
 
@@ -22,61 +25,97 @@ class Relation:
 
 
 class RelationSet:
-    """Deduplicated set of (hyponym, hypernym) pairs from one method."""
+    """Immutable set of (hyponym, hypernym) pairs from one method.
 
-    def __init__(self, method: str) -> None:
+    ``terms`` is the sorted tuple of the terms the pairs use; ``hypo`` and
+    ``hyper`` are int32 index arrays into it, sorted by (hyponym, hypernym),
+    and ``scores`` holds each pair's score (a float, or None) in the same
+    order.
+    """
+
+    def __init__(self, method: str, pairs=(), scores=None) -> None:
+        """The set of ``pairs``, each scored by the item of ``scores`` at
+        its position (None throughout when ``scores`` is None).  Repeats keep
+        the first score; a self-relation raises ValueError."""
+        pairs = list(pairs)
+        scores = [None] * len(pairs) if scores is None else list(scores)
+        first: dict[Pair, float | None] = {}
+        for pair, score in zip(pairs, scores, strict=True):
+            if pair[0] == pair[1]:
+                raise ValueError(f"self-relation not allowed: {pair[0]!r}")
+            first.setdefault(pair, score)
+        ordered = sorted(first)
+        terms = sorted({term for pair in ordered for term in pair})
+        index = {term: i for i, term in enumerate(terms)}
+        self._set(
+            method,
+            terms,
+            [index[hypo] for hypo, _ in ordered],
+            [index[hyper] for _, hyper in ordered],
+            [first[pair] for pair in ordered],
+        )
+
+    @classmethod
+    def from_mask(cls, method: str, terms, mask: np.ndarray, scores=None) -> "RelationSet":
+        """The pairs (terms[i] is-a terms[j]) where ``mask[i, j]``, scored
+        ``scores[i, j]`` when scores are given; ``terms`` must be sorted."""
+        hypo, hyper = np.nonzero(mask)
+        used = mask.any(axis=0) | mask.any(axis=1)
+        position = np.cumsum(used) - 1
+        out = cls.__new__(cls)
+        out._set(
+            method,
+            [term for term, keep in zip(terms, used.tolist()) if keep],
+            position[hypo],
+            position[hyper],
+            [None] * len(hypo) if scores is None else scores[hypo, hyper].tolist(),
+        )
+        return out
+
+    def _set(self, method: str, terms, hypo, hyper, scores: list) -> None:
         self.method = method
-        self._pairs: dict[Pair, float | None] = {}
-
-    def add(self, hyponym: str, hypernym: str, score: float | None = None) -> None:
-        """Insert a pair; repeats keep the first score seen."""
-        if hyponym == hypernym:
-            raise ValueError(f"self-relation not allowed: {hyponym!r}")
-        self._pairs.setdefault((hyponym, hypernym), score)
+        self.terms: tuple[str, ...] = tuple(terms)
+        self.hypo = np.asarray(hypo, dtype=np.int32)
+        self.hyper = np.asarray(hyper, dtype=np.int32)
+        self.hypo.flags.writeable = self.hyper.flags.writeable = False
+        self.scores: tuple[float | None, ...] = tuple(scores)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self.scores)
+
+    @cached_property
+    def _scored(self) -> dict[Pair, float | None]:
+        """Score by pair, in order; built on first use."""
+        terms = self.terms
+        pairs = ((terms[i], terms[j]) for i, j in zip(self.hypo.tolist(), self.hyper.tolist()))
+        return dict(zip(pairs, self.scores))
 
     def __contains__(self, pair: Pair) -> bool:
-        return pair in self._pairs
+        return pair in self._scored
 
     def __iter__(self):
-        for hypo, hyper in sorted(self._pairs):
-            yield Relation(hypo, hyper, self.method, self._pairs[(hypo, hyper)])
+        for (hypo, hyper), score in self._scored.items():
+            yield Relation(hypo, hyper, self.method, score)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RelationSet) and self._pairs.keys() == other._pairs.keys()
+        return isinstance(other, RelationSet) and self._scored.keys() == other._scored.keys()
 
     def __repr__(self) -> str:
         return f"RelationSet({self.method!r}, {len(self)} relations)"
 
     def pair_set(self) -> set[Pair]:
-        return set(self._pairs)
+        return set(self._scored)
 
     def score(self, hyponym: str, hypernym: str) -> float | None:
-        return self._pairs[(hyponym, hypernym)]
-
-    def inverted(self) -> "RelationSet":
-        """The same pairs with hyponym and hypernym swapped."""
-        out = RelationSet(self.method)
-        for (hypo, hyper), score in self._pairs.items():
-            out.add(hyper, hypo, score)
-        return out
-
-    def restricted(self, pairs: set[Pair], method: str | None = None) -> "RelationSet":
-        """Subset of this set containing only the given pairs."""
-        out = RelationSet(method or self.method)
-        for pair in self._pairs.keys() & pairs:
-            out.add(pair[0], pair[1], self._pairs[pair])
-        return out
+        return self._scored[(hyponym, hypernym)]
 
 
 def relations_text(relset: RelationSet) -> str:
     """Sorted ``hyponym<TAB>hypernym<TAB>method<TAB>score`` lines."""
+    terms, method = relset.terms, relset.method
     return "".join(
-        f"{rel.hyponym}\t{rel.hypernym}\t{rel.method}\t"
-        f"{'' if rel.score is None else repr(rel.score)}\n"
-        for rel in relset
+        f"{terms[i]}\t{terms[j]}\t{method}\t{'' if score is None else repr(score)}\n"
+        for i, j, score in zip(relset.hypo.tolist(), relset.hyper.tolist(), relset.scores)
     )
 
 
@@ -88,10 +127,12 @@ def save_relations(relset: RelationSet, path: str | Path) -> None:
 def load_relations(path: str | Path, method: str | None = None) -> RelationSet:
     """Read a relations TSV; the method tag must be uniform across lines.
 
-    ``method``, when given, replaces the file's tag.  Bad lines name ``file:line``.
+    ``method``, when given, replaces the file's tag.  Bad lines (an empty
+    term, a self-relation, a repeated pair, a non-numeric score) name
+    ``file:line``.
     """
     path = Path(path)
-    relset: RelationSet | None = None
+    pairs: dict[Pair, float | None] = {}
     first_tag = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -102,16 +143,20 @@ def load_relations(path: str | Path, method: str | None = None) -> RelationSet:
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
             hypo, hyper, tag, score = fields
-            if relset is None:
-                relset, first_tag = RelationSet(method or tag), tag
+            if first_tag is None:
+                first_tag = tag
             elif tag != first_tag:
                 raise ValueError(f"{path}:{lineno}: mixed method tags in one file")
             try:
-                relset.add(hypo, hyper, float(score) if score else None)
-            except ValueError as exc:  # a self-relation or a non-numeric score
+                if not hypo or not hyper:
+                    raise ValueError("empty hyponym or hypernym")
+                if hypo == hyper:
+                    raise ValueError(f"self-relation not allowed: {hypo!r}")
+                if (hypo, hyper) in pairs:
+                    raise ValueError(f"duplicate relation {hypo!r} {hyper!r}")
+                pairs[(hypo, hyper)] = float(score) if score else None
+            except ValueError as exc:  # the checks above, or a non-numeric score
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if relset is None:
-        if method is None:
-            raise ValueError(f"{path}: empty relations file and no method given")
-        relset = RelationSet(method)
-    return relset
+    if first_tag is None and method is None:
+        raise ValueError(f"{path}: empty relations file and no method given")
+    return RelationSet(method or first_tag, pairs, pairs.values())

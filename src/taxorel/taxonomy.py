@@ -4,15 +4,23 @@ hierarchy metrics and the single-parent filter.
 Edges point from a hypernym to one of its hyponyms.  A taxonomy in the
 metric sense is one weakly-connected component together with its roots
 (nodes without a parent); leaves are nodes without hyponyms.
+
+A taxonomy is a sorted term table and a boolean adjacency matrix over it.
+Every question of what reaches what (descendants, cycles, edges implied by
+a path, weak components) is answered from one transitive closure of the
+graph, taken by Warshall's algorithm (1962) on bit-packed rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .contexts import ContextMatrix
 from .relations import RelationSet
@@ -20,184 +28,124 @@ from .relations import RelationSet
 Edge = tuple[str, str]  # (hypernym, hyponym)
 
 
+def _closure(adj: np.ndarray) -> np.ndarray:
+    """Boolean matrix whose [u, v] is set iff a path of >= 1 edge of ``adj``
+    leads from u to v; [u, u] is set exactly when a cycle runs through u.
+
+    Warshall (1962) on rows packed eight bits to a byte: for each k in turn,
+    every row that reaches k takes in the row of k.
+    """
+    n = len(adj)
+    rows = np.packbits(adj, axis=1)
+    for k in range(n):
+        rows[rows[:, k >> 3] & (0x80 >> (k & 7)) != 0] |= rows[k]
+    return np.unpackbits(rows, axis=1, count=n).view(bool)
+
+
 class Taxonomy:
     """Immutable directed graph of terms under "is hypernym of" edges.
 
-    Self-loop edges are discarded at construction.  Operations that change
-    the edge set return new instances.
+    ``terms`` is the sorted tuple of nodes and ``adj`` the read-only boolean
+    matrix over them, with ``adj[u, v]`` set for an edge from hypernym u to
+    hyponym v.  Self-loop edges are discarded at construction.  Operations
+    that change the edge set return new instances.
     """
 
     def __init__(self, edges: Iterable[Edge] = (), nodes: Iterable[str] = ()) -> None:
-        self._children: dict[str, set[str]] = {}
-        self._parents: dict[str, set[str]] = {}
-        self._nodes: set[str] = set(nodes)
-        for hyper, hypo in edges:
-            if hyper == hypo:
-                continue
-            self._nodes.add(hyper)
-            self._nodes.add(hypo)
-            self._children.setdefault(hyper, set()).add(hypo)
-            self._parents.setdefault(hypo, set()).add(hyper)
-        self._dag: bool | None = None
+        edges = [(u, v) for u, v in edges if u != v]
+        terms = sorted(set(nodes).union(*edges))
+        index = {term: i for i, term in enumerate(terms)}
+        adj = np.zeros((len(terms), len(terms)), dtype=bool)
+        adj[[index[u] for u, _ in edges], [index[v] for _, v in edges]] = True
+        self._set(terms, adj)
+
+    @classmethod
+    def _of(cls, terms, adj: np.ndarray) -> "Taxonomy":
+        out = cls.__new__(cls)
+        out._set(terms, adj)
+        return out
+
+    def _set(self, terms, adj: np.ndarray) -> None:
+        self.terms: tuple[str, ...] = tuple(terms)
+        self.adj = adj
+        adj.flags.writeable = False
 
     @property
     def nodes(self) -> frozenset[str]:
-        return frozenset(self._nodes)
+        return frozenset(self.terms)
 
     def edge_set(self) -> set[Edge]:
-        return {(u, v) for u, vs in self._children.items() for v in vs}
+        return set(self.edges())
 
     def edges(self) -> list[Edge]:
-        return sorted(self.edge_set())
+        hyper, hypo = np.nonzero(self.adj)
+        return [(self.terms[u], self.terms[v]) for u, v in zip(hyper.tolist(), hypo.tolist())]
 
     @property
     def num_edges(self) -> int:
-        return sum(len(vs) for vs in self._children.values())
+        return int(np.count_nonzero(self.adj))
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.terms)
 
-    def children(self, term: str) -> frozenset[str]:
-        return frozenset(self._children.get(term, ()))
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {term: i for i, term in enumerate(self.terms)}
 
     def parents(self, term: str) -> frozenset[str]:
-        return frozenset(self._parents.get(term, ()))
+        if term not in self._index:
+            return frozenset()
+        return frozenset(self.terms[p] for p in np.flatnonzero(self.adj[:, self._index[term]]))
 
     def contains_term(self, term: str) -> bool:
-        return term in self._nodes
+        return term in self._index
 
     def term_set(self) -> frozenset[str]:
-        return frozenset(self._nodes)
+        return self.nodes
+
+    @cached_property
+    def closure(self) -> np.ndarray:
+        """Reachability over ``terms``: [u, v] is set iff v is below u via
+        >= 1 edge, and [u, u] iff a cycle runs through u.  Taken once."""
+        return _closure(self.adj)
 
     def reaches(self, ancestor: str, descendant: str) -> bool:
         """True iff ``descendant`` is below ``ancestor`` via >= 1 edge."""
-        if ancestor not in self._nodes or descendant not in self._nodes:
-            return False
-        seen: set[str] = set()
-        queue = deque(self._children.get(ancestor, ()))
-        while queue:
-            cur = queue.popleft()
-            if cur == descendant:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            queue.extend(self._children.get(cur, ()))
-        return False
+        i, j = self._index.get(ancestor), self._index.get(descendant)
+        return i is not None and j is not None and bool(self.closure[i, j])
+
+    @property
+    def is_dag(self) -> bool:
+        return not self.closure.diagonal().any()
 
     def ancestor_distances(self, term: str) -> dict[str, int]:
         """Shortest upward distance to every ancestor of ``term``."""
         dist: dict[str, int] = {}
-        queue = deque((p, 1) for p in self._parents.get(term, ()))
+        queue = deque((p, 1) for p in self.parents(term))
         while queue:
             cur, d = queue.popleft()
             if cur in dist:
                 continue
             dist[cur] = d
-            queue.extend((p, d + 1) for p in self._parents.get(cur, ()))
+            queue.extend((p, d + 1) for p in self.parents(cur))
         return dist
-
-    def ancestor_masks(self, terms: Sequence[str]) -> list[int]:
-        """For each of ``terms``, the ``terms`` above it via >= 1 edge.
-
-        Each result is a bitmask in which bit i stands for ``terms[i]``; a
-        term's own bit is set only when a cycle runs through it.  One
-        closure serves every term: strongly connected components are
-        condensed, then ancestor masks are OR-ed component by component,
-        each after every component above it.  Terms missing from the graph
-        get 0.
-        """
-        comp = _strongly_connected(self._nodes, self._parents)
-        bit = {term: 1 << i for i, term in enumerate(terms)}
-        ncomp = max(comp.values(), default=-1) + 1
-        members = [0] * ncomp
-        above: list[set[int]] = [set() for _ in range(ncomp)]
-        for node, k in comp.items():
-            members[k] |= bit.get(node, 0)
-            above[k].update(comp[p] for p in self._parents.get(node, ()))
-        # Tarjan numbers a component only after every component it reaches,
-        # so each mask in ``above[k]`` is final before k; an edge inside k
-        # (a cycle) adds k's own members while reach[k] is still 0.
-        reach = [0] * ncomp
-        for k in range(ncomp):
-            mask = 0
-            for j in above[k]:
-                mask |= members[j] | reach[j]
-            reach[k] = mask
-        return [reach[comp[term]] if term in comp else 0 for term in terms]
-
-    @property
-    def is_dag(self) -> bool:
-        if self._dag is None:
-            self._dag = len(self._topological_order()) == len(self._nodes)
-        return self._dag
-
-    def _topological_order(self) -> list[str]:
-        """Kahn's algorithm; shorter than |nodes| iff the graph has a cycle."""
-        indeg = {n: len(self._parents.get(n, ())) for n in self._nodes}
-        queue = deque(sorted(n for n, d in indeg.items() if d == 0))
-        order: list[str] = []
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for child in self._children.get(node, ()):
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    queue.append(child)
-        return order
 
 
 def build_taxonomy(relset: RelationSet) -> Taxonomy:
-    """One edge hypernym->hyponym per relation, deduplicated."""
-    return Taxonomy((hyper, hypo) for hypo, hyper in relset.pair_set())
+    """One edge hypernym->hyponym per relation, over the relation set's terms."""
+    adj = np.zeros((len(relset.terms), len(relset.terms)), dtype=bool)
+    adj[relset.hyper, relset.hypo] = True
+    return Taxonomy._of(relset.terms, adj)
 
 
-def _strongly_connected(nodes: set[str], children: dict[str, set[str]]) -> dict[str, int]:
-    """Iterative Tarjan; returns a component id per node."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    comp: dict[str, int] = {}
-    counter = 0
-    ncomp = 0
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(children.get(root, ()))))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(children.get(child, ())))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp[member] = ncomp
-                    if member == node:
-                        break
-                ncomp += 1
-    return comp
+def _reaches(adj: np.ndarray, source: int, target: int) -> bool:
+    """True iff a path of >= 1 edge of ``adj`` leads from source to target."""
+    seen = adj[source].copy()
+    frontier = seen
+    while not seen[target] and frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen[target])
 
 
 def break_cycles(t: Taxonomy) -> Taxonomy:
@@ -206,41 +154,31 @@ def break_cycles(t: Taxonomy) -> Taxonomy:
     While a cycle exists, the edge on some cycle whose (hyponym, hypernym)
     pair is lexicographically largest is removed; only edges that belong to
     a cycle are ever dropped, and the rule is deterministic and idempotent.
+    Removing an edge never puts another edge on a cycle, so one pass over
+    the edges on a cycle of ``t`` in descending (hyponym, hypernym) order,
+    dropping each that still closes one, removes the same edges.
     """
-    edges = t.edge_set()
-    nodes = set(t.nodes)
-    while True:
-        children: dict[str, set[str]] = {}
-        for u, v in edges:
-            children.setdefault(u, set()).add(v)
-        comp = _strongly_connected(nodes, children)
-        cyclic = [(u, v) for u, v in edges if comp[u] == comp[v]]
-        if not cyclic:
-            break
-        edges.remove(max(cyclic, key=lambda e: (e[1], e[0])))
-    return Taxonomy(edges, nodes=t.nodes)
+    adj = t.adj.copy()
+    # Edge u->v lies on a cycle iff v reaches u.
+    hyper, hypo = np.nonzero(t.adj & t.closure.T)
+    for k in np.lexsort((hyper, hypo))[::-1].tolist():
+        if _reaches(adj, hypo[k], hyper[k]):
+            adj[hyper[k], hypo[k]] = False
+    return Taxonomy._of(t.terms, adj)
 
 
 def transitive_reduction(t: Taxonomy) -> Taxonomy:
     """Minimum edge set with the original reachability (unique for a DAG).
 
-    An edge p->v is redundant exactly when p is an ancestor of another
-    parent of v; ancestor sets come from :meth:`Taxonomy.ancestor_masks`.
-    Raises ValueError on cyclic input.
+    An edge u->v is redundant exactly when a longer path also leads from u
+    to v, that is, when v is below some child of u: the edges kept are
+    ``A & ~(A·R > 0)`` for adjacency A and closure R.  Raises ValueError on
+    cyclic input.
     """
-    nodes = sorted(t.nodes)
-    bit = {node: 1 << i for i, node in enumerate(nodes)}
-    anc = dict(zip(nodes, t.ancestor_masks(nodes)))
-    if any(anc[node] & bit[node] for node in nodes):
+    if not t.is_dag:
         raise ValueError("transitive reduction requires an acyclic taxonomy")
-    kept: list[Edge] = []
-    for node in nodes:
-        parents = t.parents(node)
-        union = 0
-        for p in parents:
-            union |= anc[p]
-        kept.extend((p, node) for p in parents if not bit[p] & union)
-    return Taxonomy(kept, nodes=t.nodes)
+    implied = t.adj.astype(np.float32) @ t.closure.astype(np.float32) > 0
+    return Taxonomy._of(t.terms, t.adj & ~implied)
 
 
 @dataclass(frozen=True)
@@ -268,40 +206,7 @@ class HierarchyMetrics:
     avg_width: float
 
     def to_dict(self) -> dict:
-        return {
-            "total_terms": self.total_terms,
-            "total_roots": self.total_roots,
-            "number_rels": self.number_rels,
-            "max_depth": self.max_depth,
-            "min_depth": self.min_depth,
-            "avg_depth": self.avg_depth,
-            "avg_depth_per_leaf": self.avg_depth_per_leaf,
-            "depth_cohesion": self.depth_cohesion,
-            "depth_cohesion_per_leaf": self.depth_cohesion_per_leaf,
-            "max_width": self.max_width,
-            "min_width": self.min_width,
-            "avg_width": self.avg_width,
-        }
-
-
-def _components(t: Taxonomy) -> list[set[str]]:
-    seen: set[str] = set()
-    comps: list[set[str]] = []
-    for start in sorted(t.nodes):
-        if start in seen:
-            continue
-        comp: set[str] = set()
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            if node in comp:
-                continue
-            comp.add(node)
-            queue.extend(t.children(node))
-            queue.extend(t.parents(node))
-        seen |= comp
-        comps.append(comp)
-    return comps
+        return asdict(self)
 
 
 def compute_metrics(t: Taxonomy) -> HierarchyMetrics:
@@ -310,37 +215,39 @@ def compute_metrics(t: Taxonomy) -> HierarchyMetrics:
     Raises ValueError on an empty or cyclic taxonomy (leaf depths are
     longest paths, which need acyclicity).
     """
-    if not t.nodes:
+    if not t.terms:
         raise ValueError("cannot compute metrics of an empty taxonomy")
-    order = t._topological_order()
-    if len(order) != len(t.nodes):
+    if not t.is_dag:
         raise ValueError("metrics require an acyclic taxonomy")
+    adj = t.adj
+    roots, leaves = ~adj.any(axis=0), ~adj.any(axis=1)
+    # A walk down from every root, one edge per step: the last step that
+    # reaches a node is the length of its longest path from a root.
+    depth = np.zeros(len(t.terms), dtype=np.int64)
+    frontier, level = roots, 0
+    while frontier.any():
+        depth[frontier] = level
+        frontier, level = adj[frontier].any(axis=0), level + 1
 
-    depth = {node: 0 for node in order}
-    for node in order:
-        for child in t.children(node):
-            depth[child] = max(depth[child], depth[node] + 1)
-
-    roots = sorted(n for n in t.nodes if not t.parents(n))
-    leaves = sorted(n for n in t.nodes if not t.children(n))
-    leaf_depths = [depth[leaf] for leaf in leaves]
-    total_roots = len(roots)
+    leaf_depths = depth[leaves].tolist()
+    total_roots = int(np.count_nonzero(roots))
     depth_sum = sum(leaf_depths)
     max_depth = max(leaf_depths)
     min_depth = min(leaf_depths)
     avg_depth = depth_sum / total_roots
-    avg_depth_per_leaf = depth_sum / len(leaves)
+    avg_depth_per_leaf = depth_sum / len(leaf_depths)
 
-    widths = {n: len(t.children(n)) for n in t.nodes if t.children(n)}
-    tax_widths = []
-    for comp in _components(t):
-        comp_parents = [n for n in comp if n in widths]
-        if comp_parents:
-            tax_widths.append(
-                sum(widths[n] for n in comp_parents) / len(comp_parents)
-            )
+    widths = adj.sum(axis=1)
+    inner = widths > 0
+    # Weak components, each named by its first term: in the closure of the
+    # undirected graph a term with an edge is linked to every term of its
+    # component, itself included.
+    component = _closure(adj | adj.T).argmax(axis=1)[inner]
+    totals = np.bincount(component, weights=widths[inner]).tolist()
+    counts = np.bincount(component).tolist()
+    tax_widths = [total / count for total, count in zip(totals, counts) if count]
     return HierarchyMetrics(
-        total_terms=len(t.nodes),
+        total_terms=len(t.terms),
         total_roots=total_roots,
         number_rels=t.num_edges,
         max_depth=max_depth,
@@ -351,8 +258,8 @@ def compute_metrics(t: Taxonomy) -> HierarchyMetrics:
         depth_cohesion_per_leaf=(
             max_depth / avg_depth_per_leaf if avg_depth_per_leaf else 0.0
         ),
-        max_width=max(widths.values(), default=0),
-        min_width=min(widths.values(), default=0),
+        max_width=int(widths.max()),
+        min_width=int(widths[inner].min()) if inner.any() else 0,
         avg_width=sum(tax_widths) / total_roots if tax_widths else 0.0,
     )
 
@@ -367,38 +274,34 @@ def best_parent_filter(t: Taxonomy, docm: ContextMatrix) -> Taxonomy:
     keep the lexicographically smaller parent.  Scores are compared exactly,
     so a tie is found whatever order the ancestors are summed in.
     """
-    doc_sets = {n: frozenset(docm.row(n)) for n in t.nodes}
+    doc_sets = {n: frozenset(docm.row(n)) for n in t.terms}
 
-    edges = t.edge_set()
-    for x in sorted(t.nodes):
-        parents = sorted(t.parents(x))
+    adj = t.adj.copy()
+    for x, name in enumerate(t.terms):
+        parents = np.flatnonzero(t.adj[:, x]).tolist()
         if len(parents) < 2:
             continue
-        dx = doc_sets[x]
+        dx = doc_sets[name]
         best_parent = None
         best_score = Fraction(-1)
         for p in parents:
             # Score times |D_x|, which all candidates share: integer counts
             # summed per distance, p itself weighing 1 like a distance-1
             # ancestor, then one exact fraction per distance.
-            counts = {1: len(doc_sets[p] & dx)}
-            for ancestor, d in t.ancestor_distances(p).items():
+            counts = {1: len(doc_sets[t.terms[p]] & dx)}
+            for ancestor, d in t.ancestor_distances(t.terms[p]).items():
                 counts[d] = counts.get(d, 0) + len(doc_sets[ancestor] & dx)
             score = sum(Fraction(k, d) for d, k in counts.items())
             if score > best_score:
                 best_parent, best_score = p, score
-        for p in parents:
-            if p != best_parent:
-                edges.discard((p, x))
-    return Taxonomy(edges, nodes=t.nodes)
+        adj[parents, x] = False
+        adj[best_parent, x] = True
+    return Taxonomy._of(t.terms, adj)
 
 
 def taxonomy_relations(t: Taxonomy, method: str) -> RelationSet:
     """The taxonomy's direct edges as a relation set."""
-    relset = RelationSet(method)
-    for hyper, hypo in t.edges():
-        relset.add(hypo, hyper)
-    return relset
+    return RelationSet.from_mask(method, t.terms, t.adj.T)
 
 
 def save_taxonomy(t: Taxonomy, path: str | Path) -> None:

@@ -17,6 +17,7 @@ from taxorel.contexts import ContextMatrix
 from taxorel.corpus import Corpus, Document, TaggedToken
 from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.patterns import PatternSet, _match_template
+from taxorel.relations import RelationSet
 from taxorel.taxonomy import Taxonomy
 
 _POS = {"N": "NOUN", "P": "PROPN", "V": "VERB", "J": "ADJ", "O": "OTHER"}
@@ -144,6 +145,11 @@ def oracle_reachable(edges: set[tuple[str, str]], src: str, dst: str) -> bool:
     return False
 
 
+def inverted(relset: RelationSet) -> RelationSet:
+    """The same pairs with hyponym and hypernym swapped."""
+    return RelationSet(relset.method, [(hyper, hypo) for hypo, hyper in relset.pair_set()])
+
+
 def oracle_reduction(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
     """Remove-and-test reduction: drop each edge still implied by a path."""
     result = set(edges)
@@ -152,6 +158,36 @@ def oracle_reduction(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
         if not oracle_reachable(result, edge[0], edge[1]):
             result.add(edge)
     return result
+
+
+def oracle_break_cycles(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
+    """While some edge (u, v) has v reaching u, drop the one with the
+    largest (v, u)."""
+    edges = set(edges)
+    while cyclic := [(u, v) for u, v in edges if oracle_reachable(edges, v, u)]:
+        edges.remove(max(cyclic, key=lambda e: (e[1], e[0])))
+    return edges
+
+
+def oracle_depths(nodes, edges) -> dict[str, int]:
+    """Longest path from a root to each node of a DAG, by recursion over
+    the parents."""
+    parents = {n: [p for p, c in edges if c == n] for n in nodes}
+
+    def depth(node):
+        return max((depth(p) + 1 for p in parents[node]), default=0)
+
+    return {n: depth(n) for n in nodes}
+
+
+def oracle_components(nodes, edges) -> list[set[str]]:
+    """Weakly connected components, sorted by their smallest node."""
+    both_ways = set(edges) | {(c, p) for p, c in edges}
+    comps: list[set[str]] = []
+    for node in sorted(nodes):
+        if not any(node in comp for comp in comps):
+            comps.append({node} | {n for n in nodes if oracle_reachable(both_ways, node, n)})
+    return comps
 
 
 def oracle_closure(nodes, edges) -> set[tuple[str, str]]:

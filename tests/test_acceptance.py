@@ -37,6 +37,7 @@ from helpers import (
     car_taxonomy_and_gold,
     diamond_dag,
     doc_matrix,
+    inverted,
     two_tree_forest,
     oracle_closure,
     oracle_evaluate,
@@ -252,16 +253,12 @@ def test_criterion_09_reduction_properties():
 
 def test_criterion_10_complementarity_arithmetic():
     with criterion(10, "complementarity ratios and the 4014/15797 cell"):
-        a = RelationSet("patt")
-        for i in range(15797):
-            a.add(f"x{i}", f"y{i}")
+        a = RelationSet("patt", [(f"x{i}", f"y{i}") for i in range(15797)])
         direct, inverse = complementarity(a, a)
         assert direct == 1.0 and inverse == 0.0
-        direct, inverse = complementarity(a, a.inverted())
+        direct, inverse = complementarity(a, inverted(a))
         assert direct == 0.0 and inverse == 1.0
-        b = RelationSet("dsim")
-        for i in range(4014):
-            b.add(f"x{i}", f"y{i}")
+        b = RelationSet("dsim", [(f"x{i}", f"y{i}") for i in range(4014)])
         direct, _ = complementarity(a, b)
         assert direct == pytest.approx(0.2541, abs=1e-4)
 

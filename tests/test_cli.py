@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +211,23 @@ class TestRun:
         with pytest.raises(StageError) as err:
             run(load_config(config))
         assert err.value.stage == "vocabulary"
+        assert not list(outdir.iterdir())
+
+    def test_write_cut_short_leaves_no_file_under_the_output_name(self, tmp_path, monkeypatch):
+        config_path = write_config(tmp_path)
+        outdir = tmp_path / "out"
+        write_text = Path.write_text
+
+        def cut_short(path, text, *args, **kwargs):
+            if path.name.startswith("eval_tf.json"):
+                write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(StageError) as err:
+            run(load_config(config_path))
+        assert err.value.stage == "evaluate:tf"
         assert not list(outdir.iterdir())
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path):

@@ -16,7 +16,7 @@ from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.relations import RelationSet
 from taxorel.taxonomy import Taxonomy, build_taxonomy
 
-from helpers import car_taxonomy_and_gold, gold_from, oracle_evaluate
+from helpers import car_taxonomy_and_gold, gold_from, inverted, oracle_evaluate
 
 
 # "x" and "y" never occur in a generated gold; "Car" and "car" fold to one
@@ -48,10 +48,7 @@ def golds(draw):
 
 
 def relset(method, *pairs):
-    rs = RelationSet(method)
-    for hypo, hyper in pairs:
-        rs.add(hypo, hyper)
-    return rs
+    return RelationSet(method, pairs)
 
 
 class TestCommonRelations:
@@ -171,10 +168,7 @@ class TestEvaluate:
     def test_invariant_under_duplicates_and_reordering(self):
         gold = gold_from((1, ["a"], []), (2, ["b"], [1]), (3, ["c"], [2]))
         r1 = relset("tf", ("b", "a"), ("c", "b"))
-        r2 = RelationSet("tf")
-        r2.add("c", "b")
-        r2.add("b", "a")
-        r2.add("b", "a")  # duplicate insertion is a no-op
+        r2 = RelationSet("tf", [("c", "b"), ("b", "a"), ("b", "a")])  # a repeat is a no-op
         assert evaluate(build_taxonomy(r1), gold) == evaluate(build_taxonomy(r2), gold)
 
     def test_self_evaluation_against_own_closure(self):
@@ -238,17 +232,13 @@ class TestComplementarity:
 
     def test_inverted_set(self):
         a = relset("tf", ("a", "b"), ("c", "d"))
-        direct, inverse = complementarity(a, a.inverted())
+        direct, inverse = complementarity(a, inverted(a))
         assert direct == 0.0
         assert inverse == 1.0
 
     def test_reported_ratio_reproduced(self):
-        a = RelationSet("patt")
-        b = RelationSet("dsim")
-        for i in range(15797):
-            a.add(f"h{i}", f"H{i}")
-            if i < 4014:
-                b.add(f"h{i}", f"H{i}")
+        a = RelationSet("patt", [(f"h{i}", f"H{i}") for i in range(15797)])
+        b = RelationSet("dsim", [(f"h{i}", f"H{i}") for i in range(4014)])
         direct, _ = complementarity(a, b)
         assert direct == pytest.approx(0.2541, abs=1e-4)
 
@@ -259,16 +249,54 @@ class TestComplementarity:
     def test_ratios_are_rational_counts(self):
         rng = random.Random(8)
         for _ in range(20):
-            a = RelationSet("a")
-            b = RelationSet("b")
+            a_pairs, b_pairs = [], []
             for _ in range(rng.randint(1, 12)):
                 x, y = rng.sample("abcdefgh", 2)
-                a.add(x, y) if rng.random() < 0.7 else b.add(x, y)
+                (a_pairs if rng.random() < 0.7 else b_pairs).append((x, y))
+            a, b = RelationSet("a", a_pairs), RelationSet("b", b_pairs)
             if len(a) == 0:
                 continue
             direct, inverse = complementarity(a, b)
             assert 0.0 <= direct <= 1.0 and 0.0 <= inverse <= 1.0
             assert (direct * len(a)) == pytest.approx(round(direct * len(a)))
+
+
+class TestComplementarityProperty:
+    gold = staticmethod(
+        lambda: gold_from(
+            (1, ["a"], []), (2, ["b", "f"], [1]), (3, ["c"], [2]), (4, ["d", "g"], [1])
+        )
+    )
+
+    # a draws on "abcde" and b on "cdefg": the two term tables differ, and
+    # a, b, f and g belong to one side only.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.sets(st.permutations("abcde").map(lambda p: (p[0], p[1])), max_size=8),
+        st.sets(st.permutations("cdefg").map(lambda p: (p[0], p[1])), max_size=8),
+    )
+    @example({("b", "a"), ("c", "b")}, set())
+    @example({("c", "d"), ("d", "e"), ("a", "c")}, {("d", "c"), ("c", "d"), ("f", "g")})
+    @example({("b", "a"), ("a", "b"), ("c", "b")}, {("b", "a"), ("c", "b")})  # cycle in a
+    @example(set(), {("c", "d")})
+    def test_matches_set_arithmetic_on_pairs(self, a_pairs, b_pairs):
+        a, b = RelationSet("a", a_pairs), RelationSet("b", b_pairs)
+        pa, pb = a.pair_set(), b.pair_set()
+        if not pa:
+            with pytest.raises(ValueError):
+                complementarity(a, b)
+            return
+        assert complementarity(a, b) == (
+            len(pa & pb) / len(pa),
+            len(pa & {(hyper, hypo) for hypo, hyper in pb}) / len(pa),
+        )
+        gold = self.gold()
+        p_a = evaluate(build_taxonomy(a), gold).precision
+        if p_a == 0:
+            return
+        shared = RelationSet("a", pa & pb)
+        expected = evaluate(build_taxonomy(shared), gold).precision / p_a if pa & pb else 0.0
+        assert relative_precision(a, b, gold) == expected
 
 
 class TestRelativePrecision:

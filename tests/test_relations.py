@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from taxorel.relations import Relation, RelationSet, load_relations, save_relations
@@ -7,58 +8,46 @@ from taxorel.relations import Relation, RelationSet, load_relations, save_relati
 
 class TestRelationSet:
     def test_add_and_membership(self):
-        rs = RelationSet("tf")
-        rs.add("dog", "animal", 0.5)
+        rs = RelationSet("tf", [("dog", "animal")], [0.5])
         assert ("dog", "animal") in rs
         assert ("animal", "dog") not in rs
         assert rs.score("dog", "animal") == 0.5
 
     def test_duplicates_keep_first_score(self):
-        rs = RelationSet("tf")
-        rs.add("dog", "animal", 0.5)
-        rs.add("dog", "animal", 0.9)
+        rs = RelationSet("tf", [("dog", "animal"), ("dog", "animal")], [0.5, 0.9])
         assert len(rs) == 1
         assert rs.score("dog", "animal") == 0.5
 
     def test_self_relation_rejected(self):
-        rs = RelationSet("tf")
         with pytest.raises(ValueError):
-            rs.add("dog", "dog")
+            RelationSet("tf", [("dog", "dog")])
 
     def test_iteration_is_sorted(self):
-        rs = RelationSet("tf")
-        rs.add("z", "a")
-        rs.add("b", "a")
+        rs = RelationSet("tf", [("z", "a"), ("b", "a")])
         assert [(r.hyponym, r.hypernym) for r in rs] == [("b", "a"), ("z", "a")]
         assert all(isinstance(r, Relation) and r.method == "tf" for r in rs)
 
-    def test_inverted(self):
-        rs = RelationSet("patt")
-        rs.add("dog", "animal")
-        assert rs.inverted().pair_set() == {("animal", "dog")}
-
-    def test_restricted(self):
-        rs = RelationSet("tf")
-        rs.add("dog", "animal", 1.0)
-        rs.add("cat", "animal", 2.0)
-        sub = rs.restricted({("dog", "animal")}, method="tf&df")
-        assert sub.pair_set() == {("dog", "animal")}
-        assert sub.method == "tf&df"
-        assert sub.score("dog", "animal") == 1.0
+    def test_mask_constructor_keeps_only_the_terms_of_its_pairs(self):
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[0, 2] = mask[3, 0] = True
+        scores = np.arange(16.0).reshape(4, 4)
+        rs = RelationSet.from_mask("tf", ["a", "b", "c", "d"], mask, scores)
+        assert rs.terms == ("a", "c", "d")
+        assert rs == RelationSet("tf", [("d", "a"), ("a", "c")])
+        assert [(r.hyponym, r.hypernym, r.score) for r in rs] == [
+            ("a", "c", 2.0),
+            ("d", "a", 12.0),
+        ]
 
     def test_opposite_orientations_are_distinct_pairs(self):
         # Pattern evidence can claim both directions of a pair.
-        rs = RelationSet("patt")
-        rs.add("a", "b")
-        rs.add("b", "a")
+        rs = RelationSet("patt", [("a", "b"), ("b", "a")])
         assert len(rs) == 2
 
 
 class TestPersistence:
     def test_round_trip_with_scores(self, tmp_path):
-        rs = RelationSet("dsim")
-        rs.add("dog", "animal", 0.75)
-        rs.add("cat", "animal", None)
+        rs = RelationSet("dsim", [("dog", "animal"), ("cat", "animal")], [0.75, None])
         path = tmp_path / "rels.tsv"
         save_relations(rs, path)
         again = load_relations(path)
@@ -68,9 +57,7 @@ class TestPersistence:
         assert again.score("cat", "animal") is None
 
     def test_file_is_sorted(self, tmp_path):
-        rs = RelationSet("tf")
-        rs.add("z", "a")
-        rs.add("b", "a")
+        rs = RelationSet("tf", [("z", "a"), ("b", "a")])
         save_relations(rs, tmp_path / "rels.tsv")
         lines = (tmp_path / "rels.tsv").read_text().splitlines()
         assert lines == sorted(lines)
@@ -102,6 +89,8 @@ class TestPersistence:
             "dog\tdog\tpatt\t",  # self-relation
             "a\tb\tpatt",  # three fields
             "a\tb\ttf\t",  # method tag differs from line 1
+            "x\ty\tpatt\t0.7",  # repeats the pair of line 1
+            "\tb\tpatt\t",  # empty hyponym
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line):

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import taxorel
 from taxorel.relations import RelationSet
@@ -23,10 +25,33 @@ from helpers import (
     diamond_dag,
     doc_matrix,
     two_tree_forest,
+    oracle_break_cycles,
     oracle_closure,
+    oracle_components,
+    oracle_depths,
+    oracle_reachable,
     oracle_reduction,
     random_dag,
 )
+
+NAMES = "abcdef"
+
+
+@st.composite
+def graphs(draw):
+    """Digraphs with cycles, self-loops (dropped) and isolated nodes."""
+    name = st.sampled_from(NAMES)
+    edges = draw(st.lists(st.tuples(name, name), max_size=14))
+    return Taxonomy(edges, nodes=draw(st.sets(name, max_size=3)))
+
+
+@st.composite
+def dags(draw):
+    """DAGs: edges only go forward in a drawn node order."""
+    order = draw(st.permutations(NAMES))[: draw(st.integers(1, len(NAMES)))]
+    pairs = [(u, v) for i, u in enumerate(order) for v in order[i + 1 :]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Taxonomy([pair for pair, k in zip(pairs, keep) if k], nodes=order)
 
 
 class TestBuildTaxonomy:
@@ -35,9 +60,7 @@ class TestBuildTaxonomy:
         assert len(t) == 0 and t.num_edges == 0
 
     def test_single_relation(self):
-        rels = RelationSet("tf")
-        rels.add("dog", "animal")
-        t = build_taxonomy(rels)
+        t = build_taxonomy(RelationSet("tf", [("dog", "animal")]))
         assert t.nodes == {"dog", "animal"}
         assert t.edges() == [("animal", "dog")]
 
@@ -98,6 +121,60 @@ class TestBreakCycles:
     def test_node_set_preserved(self):
         t = Taxonomy([("a", "b"), ("b", "a")])
         assert break_cycles(t).nodes == {"a", "b"}
+
+
+class TestClosureProperties:
+    """The one closure per graph against searches over the edge set."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(graphs())
+    @example(Taxonomy([("a", "b"), ("b", "a"), ("b", "c")]))  # a and b reach themselves
+    @example(Taxonomy([("a", "a")], nodes=["b"]))  # self-loop dropped, isolated node
+    @example(Taxonomy())
+    def test_reaches_and_is_dag_match_search(self, t):
+        edges = t.edge_set()
+        for u in [*t.nodes, "z"]:  # "z" is in no graph
+            for v in [*t.nodes, "z"]:
+                assert t.reaches(u, v) == oracle_reachable(edges, u, v)
+        assert t.is_dag == (not any(oracle_reachable(edges, u, u) for u in t.nodes))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(graphs())
+    @example(Taxonomy([("a", "b"), ("b", "c"), ("c", "a"), ("c", "b"), ("d", "a")]))
+    @example(Taxonomy([(u, v) for u in "abcd" for v in "abcd"]))  # complete digraph
+    @example(Taxonomy(nodes=["a"]))
+    def test_break_cycles_matches_dropping_the_largest_cycle_edge(self, t):
+        fixed = break_cycles(t)
+        assert fixed.edge_set() == oracle_break_cycles(t.edge_set())
+        assert fixed.nodes == t.nodes and fixed.is_dag
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dags())
+    @example(Taxonomy([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")], nodes=["f"]))
+    @example(Taxonomy(nodes=["a", "b"]))  # no edges: every term a root and a leaf
+    @example(Taxonomy([("a", "b"), ("c", "d"), ("e", "f")]))  # three components
+    def test_metrics_match_longest_paths_and_weak_components(self, t):
+        m = compute_metrics(t)
+        nodes, edges = t.nodes, t.edge_set()
+        depth = oracle_depths(nodes, edges)
+        roots = [n for n in nodes if not any(c == n for _, c in edges)]
+        leaf_depths = [depth[n] for n in nodes if not any(p == n for p, _ in edges)]
+        width = {n: sum(p == n for p, _ in edges) for n in nodes}
+        inner = [w for w in width.values() if w]
+        per_component = [
+            [width[n] for n in comp if width[n]] for comp in oracle_components(nodes, edges)
+        ]
+        tax_widths = [sum(ws) / len(ws) for ws in per_component if ws]
+        assert (m.total_terms, m.total_roots, m.number_rels) == (
+            len(nodes),
+            len(roots),
+            len(edges),
+        )
+        assert (m.max_depth, m.min_depth) == (max(leaf_depths), min(leaf_depths))
+        assert m.avg_depth == sum(leaf_depths) / len(roots)
+        assert m.avg_depth_per_leaf == sum(leaf_depths) / len(leaf_depths)
+        assert (m.max_width, m.min_width) == (max(inner, default=0), min(inner, default=0))
+        assert m.avg_width == (sum(tax_widths) / len(roots) if tax_widths else 0.0)
 
 
 class TestTransitiveReduction:

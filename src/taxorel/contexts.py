@@ -11,8 +11,8 @@ per-document frequency.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Iterable, Mapping
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +136,43 @@ class ContextMatrix(TermContextMatrix):
         )
 
 
+def _tokens(corpus: Corpus):
+    """The sorted target terms (case-folded noun lemmas), each token's term
+    index or -1, the distinct token objects, each token's index among them,
+    and each token's sentence and document number; arrays run over the
+    tokens in corpus order."""
+    docs = corpus.documents
+    sentences = [s for d in docs for s in d.sentences]
+    tokens = list(chain.from_iterable(sentences))
+    distinct = list(dict(zip(map(id, tokens), tokens)).values())
+    index = {id(t): k for k, t in enumerate(distinct)}
+    token = np.fromiter(map(index.__getitem__, map(id, tokens)), np.int64, len(tokens))
+    terms, term = _codes([t.lemma.casefold() if t.pos in TARGET_TAGS else None for t in distinct])
+    sentence = np.repeat(np.arange(len(sentences), dtype=np.int64), list(map(len, sentences)))
+    document = np.repeat(np.arange(len(docs), dtype=np.int64), [len(d.sentences) for d in docs])
+    return terms, term[token], distinct, token, sentence, document[sentence]
+
+
+def _codes(labels: list) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct labels other than None, and each label's index
+    in them (-1 for None) as an int64 array."""
+    table = sorted({label for label in labels if label is not None})
+    index = {label: i for i, label in enumerate(table)}
+    return table, np.array([index.get(label, -1) for label in labels], dtype=np.int64)
+
+
+def _count(model, terms, contexts, keys, window_size=None) -> ContextMatrix:
+    """The matrix counting each ``term * len(contexts) + context`` key;
+    only the terms and contexts that occur in a key are stored."""
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    rows, row = np.unique(keys // max(len(contexts), 1), return_inverse=True)
+    columns, column = np.unique(keys % max(len(contexts), 1), return_inverse=True)
+    indptr = np.searchsorted(row, np.arange(len(rows) + 1))
+    csr = csr_matrix((counts.astype(np.int64), column, indptr), shape=(len(rows), len(columns)))
+    terms, contexts = [terms[i] for i in rows.tolist()], [contexts[j] for j in columns.tolist()]
+    return ContextMatrix._from_csr(csr, terms, contexts, model=model, window_size=window_size)
+
+
 def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatrix:
     """Count content-word co-occurrences in a sliding window over each sentence.
 
@@ -146,34 +183,28 @@ def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatr
     """
     if window_size < 3 or window_size % 2 == 0:
         raise ValueError("window_size must be an odd integer >= 3")
-    half = (window_size - 1) // 2
-    rows: dict[str, Counter] = {}
-    for doc in corpus.documents:
-        for sentence in doc.sentences:
-            # Each token's context label without its side; None for a token
-            # that is no content word.
-            labels = [
-                f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.is_content else None
-                for t in sentence
-            ]
-            for i, token in enumerate(sentence):
-                if token.pos not in TARGET_TAGS:
-                    continue
-                row = rows.setdefault(token.lemma.casefold(), Counter())
-                row.update(c + "l" for c in labels[max(0, i - half) : i] if c)
-                row.update(c + "r" for c in labels[i + 1 : i + half + 1] if c)
-    return ContextMatrix("window", rows, window_size=window_size)
+    terms, term, distinct, token, sentence, _ = _tokens(corpus)
+    stems = [
+        f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.is_content else None for t in distinct
+    ]
+    labels, code = _codes([s and s + side for side in "lr" for s in stems])
+    left, right = code[: len(stems)][token], code[len(stems) :][token]
+    keys = []
+    for d in range(1, (window_size - 1) // 2 + 1):
+        same = sentence[d:] == sentence[:-d]
+        # The context d tokens left of the target, then the one d tokens right.
+        for target, context in ((term[d:], left[:-d]), (term[:-d], right[d:])):
+            hit = same & (target >= 0) & (context >= 0)
+            keys.append(target[hit] * len(labels) + context[hit])
+    return _count("window", terms, labels, keys, window_size)
 
 
 def extract_document_contexts(corpus: Corpus) -> ContextMatrix:
     """Count, for every noun/proper-noun lemma, its frequency per document."""
-    rows: dict[str, Counter] = {}
-    for doc in corpus.documents:
-        for sentence in doc.sentences:
-            for token in sentence:
-                if token.pos in TARGET_TAGS:
-                    rows.setdefault(token.lemma.casefold(), Counter())[doc.id] += 1
-    return ContextMatrix("document", rows)
+    terms, term, _, _, _, document = _tokens(corpus)
+    ids, doc = _codes([d.id for d in corpus.documents])
+    hit = term >= 0
+    return _count("document", terms, ids, [term[hit] * len(ids) + doc[document[hit]]])
 
 
 class TermSet:

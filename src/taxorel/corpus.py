@@ -121,12 +121,20 @@ def coarse_pos(tag: str, mapping: Mapping[str, str] | None = None) -> str:
     return tag if tag in COARSE_TAGS else "OTHER"
 
 
-def _parse_document(path: Path, mapping: Mapping[str, str] | None) -> Document:
+def _parse_document(path: Path, mapping: Mapping[str, str] | None, tokens: dict) -> Document:
+    """Parse one file; a token line already in ``tokens`` reuses its token."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start] + b".").splitlines())
+        raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
     sentences: list[Sentence] = []
     current: list[TaggedToken] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
+    # Line ends as in text mode: "\r\n" and a lone "\r" both end a line.
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        token = tokens.get(line)
+        if token is None:
             if not line.strip():
                 if current:
                     sentences.append(tuple(current))
@@ -140,7 +148,8 @@ def _parse_document(path: Path, mapping: Mapping[str, str] | None) -> Document:
             surface, lemma, tag = fields
             if not surface or not lemma or not tag:
                 raise CorpusFormatError(f"{path}:{lineno}: empty field in token line")
-            current.append(TaggedToken(surface, lemma, coarse_pos(tag, mapping)))
+            token = tokens[line] = TaggedToken(surface, lemma, coarse_pos(tag, mapping))
+        current.append(token)
     if current:
         sentences.append(tuple(current))
     return Document(id=path.name, sentences=tuple(sentences))
@@ -155,6 +164,7 @@ def load_corpus(
 
     Each file becomes one document whose id is the file name; files in a
     directory are read in sorted name order so repeated loads are stable.
+    Equal token lines share one token object across the whole corpus.
     """
     path = Path(path)
     if path.is_dir():
@@ -165,7 +175,8 @@ def load_corpus(
             raise CorpusFormatError(f"empty corpus: no files under {path}")
     else:
         files = [path]
-    documents = tuple(_parse_document(f, pos_mapping) for f in files)
+    tokens: dict[str, TaggedToken] = {}
+    documents = tuple(_parse_document(f, pos_mapping, tokens) for f in files)
     return Corpus(language=language.upper(), documents=documents)
 
 
@@ -205,19 +216,10 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     Only content words (NOUN/PROPN/VERB/ADJ) enter the token and
     vocabulary counts; lemmas are case-folded before deduplication.
     """
-    num_sentences = 0
-    num_content = 0
-    lemmas: set[str] = set()
-    for doc in corpus.documents:
-        num_sentences += len(doc.sentences)
-        for sentence in doc.sentences:
-            for token in sentence:
-                if token.is_content:
-                    num_content += 1
-                    lemmas.add(token.lemma.casefold())
+    content = [t for t in corpus.tokens() if t.is_content]
     return CorpusStats(
         num_documents=len(corpus.documents),
-        num_sentences=num_sentences,
-        num_content_words=num_content,
-        vocabulary_size=len(lemmas),
+        num_sentences=sum(len(d.sentences) for d in corpus.documents),
+        num_content_words=len(content),
+        vocabulary_size=len({lemma.casefold() for lemma in {t.lemma for t in content}}),
     )

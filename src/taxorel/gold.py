@@ -54,6 +54,7 @@ class GoldTaxonomy:
             for lemma in syn.lemmas:
                 self._lemma_index.setdefault(lemma.casefold(), set()).add(syn.id)
         self._ancestor_cache: dict[int, frozenset[int]] = {}
+        self._ancestor_lemma_cache: dict[str, frozenset[str]] = {}
 
     @property
     def synsets(self) -> dict[int, Synset]:
@@ -108,11 +109,16 @@ class GoldTaxonomy:
 
     def ancestor_lemmas(self, lemma: str) -> frozenset[str]:
         """Case-folded lemmas of every transitive hypernym synset of ``lemma``."""
-        out: set[str] = set()
-        for sid in self._lemma_index.get(lemma.casefold(), ()):
-            for aid in self._ancestors(sid):
-                out.update(l.casefold() for l in self._synsets[aid].lemmas)
-        return frozenset(out)
+        key = lemma.casefold()
+        cached = self._ancestor_lemma_cache.get(key)
+        if cached is None:
+            cached = self._ancestor_lemma_cache[key] = frozenset(
+                l.casefold()
+                for sid in self._lemma_index.get(key, ())
+                for aid in self._ancestors(sid)
+                for l in self._synsets[aid].lemmas
+            )
+        return cached
 
 
 def load_gold(path: str | Path) -> GoldTaxonomy:

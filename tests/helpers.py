@@ -12,9 +12,10 @@ import random
 import statistics
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
-from taxorel.contexts import ContextMatrix
-from taxorel.corpus import Corpus, Document, TaggedToken
+from taxorel.contexts import POS_LETTER, TARGET_TAGS, ContextMatrix
+from taxorel.corpus import Corpus, CorpusFormatError, Document, TaggedToken, coarse_pos
 from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.patterns import PatternSet, _match_template
 from taxorel.relations import RelationSet
@@ -410,6 +411,72 @@ def oracle_match_sentence(tokens, pset: PatternSet) -> list[tuple[str, str]]:
                 hyper, hypos = found
                 pairs.extend((hypo, hyper) for hypo in hypos if hypo != hyper)
     return pairs
+
+
+# --- ingestion oracles: one token line, one token occurrence at a time -----
+
+
+def oracle_load_corpus(path, language: str, pos_mapping=None) -> Corpus:
+    """Every line of every file split, mapped and checked on its own, read in
+    text mode; no token object is shared."""
+    path = Path(path)
+    files = [path]
+    if path.is_dir():
+        files = sorted(p for p in path.iterdir() if p.is_file() and not p.name.startswith("."))
+    documents = []
+    for file in files:
+        sentences, current = [], []
+        with open(file, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.rstrip("\n")
+                if not line.strip():
+                    if current:
+                        sentences.append(tuple(current))
+                        current = []
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise CorpusFormatError(
+                        f"{file}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                    )
+                surface, lemma, tag = fields
+                if not surface or not lemma or not tag:
+                    raise CorpusFormatError(f"{file}:{lineno}: empty field in token line")
+                current.append(TaggedToken(surface, lemma, coarse_pos(tag, pos_mapping)))
+        if current:
+            sentences.append(tuple(current))
+        documents.append(Document(id=file.name, sentences=tuple(sentences)))
+    return Corpus(language=language.upper(), documents=tuple(documents))
+
+
+def oracle_window_contexts(corpus: Corpus, window_size: int) -> ContextMatrix:
+    """Each target's window contexts counted into a per-term Counter."""
+    half = (window_size - 1) // 2
+    rows: dict[str, Counter] = {}
+    for document in corpus.documents:
+        for sentence in document.sentences:
+            labels = [
+                f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.is_content else None
+                for t in sentence
+            ]
+            for i, token in enumerate(sentence):
+                if token.pos not in TARGET_TAGS:
+                    continue
+                row = rows.setdefault(token.lemma.casefold(), Counter())
+                row.update(c + "l" for c in labels[max(0, i - half) : i] if c)
+                row.update(c + "r" for c in labels[i + 1 : i + half + 1] if c)
+    return ContextMatrix("window", rows, window_size=window_size)
+
+
+def oracle_document_contexts(corpus: Corpus) -> ContextMatrix:
+    """Each target occurrence counted into its term's per-document Counter."""
+    rows: dict[str, Counter] = {}
+    for document in corpus.documents:
+        for sentence in document.sentences:
+            for token in sentence:
+                if token.pos in TARGET_TAGS:
+                    rows.setdefault(token.lemma.casefold(), Counter())[document.id] += 1
+    return ContextMatrix("document", rows)
 
 
 # --- random generators -----------------------------------------------------

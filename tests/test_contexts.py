@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxorel.contexts import (
     ContextMatrix,
@@ -12,9 +14,17 @@ from taxorel.contexts import (
     save_matrix,
     select_vocabulary,
 )
-from taxorel.corpus import Corpus
+from taxorel.corpus import Corpus, Document
 
-from helpers import corpus, doc, gold_from, random_corpus, tok
+from helpers import (
+    corpus,
+    doc,
+    gold_from,
+    oracle_document_contexts,
+    oracle_window_contexts,
+    random_corpus,
+    tok,
+)
 
 
 def labels(row):
@@ -130,6 +140,63 @@ class TestDocumentContexts:
                     freq[t.lemma.casefold()] = freq.get(t.lemma.casefold(), 0) + 1
             for term in m.terms():
                 assert sum(m.row(term).values()) == freq[term]
+
+
+# Token objects shared across sentences, as ``load_corpus`` shares them, plus
+# an equal copy that is a distinct object; one lemma as noun and verb, and
+# mixed-case lemmas.
+TOKENS = [
+    tok(surface, lemma, pos)
+    for surface, lemma, pos in [
+        ("x", "x", "NOUN"), ("x", "x", "VERB"), ("X", "X", "NOUN"), ("Dogs", "Dog", "PROPN"),
+        ("dog", "dog", "NOUN"), ("dog", "dog", "NOUN"), ("big", "big", "ADJ"),
+        ("the", "the", "OTHER"), ("ran", "run", "VERB"), ("runs", "run", "NOUN"),
+    ]
+]
+DOC_IDS = ["a.txt", "b.txt", "d#s3", "d#s10", "d#s1", "Z"]
+
+corpora = st.lists(
+    st.tuples(
+        st.sampled_from(DOC_IDS),
+        st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=8).map(tuple), max_size=4),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda d: d[0],
+).map(lambda docs: Corpus("EN", tuple(Document(i, tuple(s)) for i, s in docs)))
+
+
+def same_matrix(got: ContextMatrix, expected: ContextMatrix) -> None:
+    assert (got.model, got.window_size) == (expected.model, expected.window_size)
+    assert got.term_labels == expected.term_labels
+    assert got.context_labels == expected.context_labels
+    assert got.csr.shape == expected.csr.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got.csr, part), getattr(expected.csr, part)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+class TestContextOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(c=corpora)
+    @example(c=corpus(Document("a.txt", ()), doc("b.txt", "dog:N big:J")))
+    @example(c=corpus(Document("a.txt", ()), Document("b.txt", ())))
+    @example(c=corpus(doc("a.txt", "run:V big:J the:O", "ran:V")))
+    @example(
+        c=corpus(
+            doc(
+                "a.txt",
+                [tok("x", "x", "NOUN"), tok("x", "x", "VERB"), tok("X", "X", "NOUN")],
+                [tok("Dog", "Dog", "PROPN"), tok("dog", "dog", "NOUN"), tok("X", "x", "VERB")],
+            )
+        )
+    )
+    @example(c=corpus(doc("a.txt", "dog:N big:J the:O cat:N", "fish:N", "cat:N dog:N")))
+    @example(c=corpus(doc("d#s3", "dog:N cat:N"), doc("d#s10", "dog:N"), doc("d#s1", "cat:N")))
+    def test_counts_equal_the_counter_loops(self, c):
+        for window in (3, 5, 7):
+            same_matrix(extract_window_contexts(c, window), oracle_window_contexts(c, window))
+        same_matrix(extract_document_contexts(c), oracle_document_contexts(c))
 
 
 class TestSelectVocabulary:

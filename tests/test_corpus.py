@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from taxorel import corpus as corpus_module
 from taxorel.corpus import (
     CorpusFormatError,
     TaggedToken,
@@ -10,7 +13,7 @@ from taxorel.corpus import (
     sentence_documents,
 )
 
-from helpers import corpus, doc, random_corpus
+from helpers import corpus, doc, oracle_load_corpus, random_corpus
 
 
 class TestLoadCorpus:
@@ -39,14 +42,57 @@ class TestLoadCorpus:
         assert stats.num_documents == 3
         assert stats.num_sentences == 6
 
-    def test_malformed_line_reports_file_and_line(self, tmp_path):
-        (tmp_path / "bad.txt").write_text(
-            "dog\tdog\tNOUN\ncat cat NOUN\n", encoding="utf-8"
-        )
-        with pytest.raises(CorpusFormatError) as err:
-            load_corpus(tmp_path / "bad.txt", "EN")
-        assert "bad.txt" in str(err.value)
-        assert ":2" in str(err.value)
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            (b"dog\tdog\tNOUN\ncat cat NOUN\n", 2),
+            (b"dog\tdog\tNOUN\n\ncat\t\tNOUN\n", 3),
+            # The bad byte starts line 3; "\r\n" ends the lines before it.
+            (b"dog\tdog\tNOUN\r\n\r\n\xffcat\tcat\tNOUN\n\ndog\tdog\tNOUN\n", 3),
+            # A bad line after 500 repeats of a cached good one.
+            (b"dog\tdog\tNOUN\n" * 500 + b"dog\tdog\n", 501),
+        ],
+        ids=["malformed-line", "empty-field", "invalid-utf8", "after-cached-repeats"],
+    )
+    def test_malformed_line_reports_file_and_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(body)
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:{line}: "):
+            load_corpus(path, "EN")
+
+    def test_one_coarse_pos_call_per_distinct_token_line(self, tmp_path, monkeypatch):
+        calls = []
+        real = corpus_module.coarse_pos
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(corpus_module, "coarse_pos", counting)
+        lines = ["dog\tdog\tNOUN", "the\tthe\tDET", "dog\tdog\tNOUN", "", "barked\tbark\tVERB"]
+        for name in ("a.txt", "b.txt"):
+            (tmp_path / name).write_text("\n".join(lines * 3) + "\n", encoding="utf-8")
+        c = load_corpus(tmp_path, "EN")
+        assert sum(1 for _ in c.tokens()) == 24
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {"a.txt": b"dog\tdog\tNOUN\r\ncat\tcat\tNOUN\r\n\r\nfish\tfish\tNOUN\r\n"},
+            {"a.txt": b"dog\tdog\tNOUN\ncat\tcat\tNOUN", "b.txt": b"cat\tcat\tNOUN\n"},
+            {"a.txt": b"dog\tdog\tNOUN\n  \t \n\ncat\tcat\tNOUN\n \ndog\tdog\tNOUN\n"},
+            {"a.txt": b"dogs\tdog\tNN\ndogs\tdog\tNNS\n\ndogs\tdog\tNNS\r\nran\trun\tVBD"},
+            {"a.txt": b"\n\n", "b.txt": b"dog\tdog\tNN\rcat\tcat\tNN\r\rfish\tfish\tNN"},
+        ],
+        ids=["crlf", "no-final-newline", "blank-whitespace", "nn-and-nns", "empty-and-cr"],
+    )
+    def test_equals_the_per_line_oracle(self, tmp_path, files):
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        mapping = {"NN": "NOUN", "NNS": "NOUN", "VBD": "VERB"}
+        loaded = load_corpus(tmp_path, "EN", mapping)
+        assert loaded == oracle_load_corpus(tmp_path, "EN", mapping)
 
     def test_empty_directory_is_an_error(self, tmp_path):
         with pytest.raises(CorpusFormatError):

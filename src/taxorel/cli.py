@@ -57,7 +57,7 @@ from .taxonomy import (
     taxonomy_relations,
     transitive_reduction,
 )
-from .weighting import context_entropies, weight_lmi, weight_ppmi
+from .weighting import DEFAULT_TOP_CONTEXTS, context_entropies, weight_lmi, weight_ppmi
 
 # Method name -> (the inputs (see _Inputs) that are its extractor's leading
 # arguments, in order; the extractor call, given the config and those inputs).
@@ -105,7 +105,7 @@ class RunConfig:
     pos_mapping: str | None = None
     patterns_path: str | None = None
     dsim_measure: str = "clarkede"
-    slqs_contexts: int = 50
+    slqs_contexts: int = DEFAULT_TOP_CONTEXTS
     docsub_lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
     hclust_clusters: int = 100
 
@@ -144,17 +144,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         language=get(parser.get, "corpus", "language", "EN").upper(),
         gold_path=get(parser.get, "gold", "path", ""),
         output_dir=get(parser.get, "output", "dir", "out"),
-        vocabulary_size=get(parser.getint, "vocabulary", "n", 1000),
-        window_size=get(parser.getint, "contexts", "window_size", 5),
-        methods=get(parser.getlist, "methods", "methods", METHODS),
-        pseudo_documents=get(parser.getboolean, "corpus", "pseudo_documents", False),
-        best_parent=get(parser.getboolean, "filter", "best_parent", False),
+        vocabulary_size=get(parser.getint, "vocabulary", "n", RunConfig.vocabulary_size),
+        window_size=get(parser.getint, "contexts", "window_size", RunConfig.window_size),
+        methods=get(parser.getlist, "methods", "methods", RunConfig.methods),
+        pseudo_documents=get(
+            parser.getboolean, "corpus", "pseudo_documents", RunConfig.pseudo_documents
+        ),
+        best_parent=get(parser.getboolean, "filter", "best_parent", RunConfig.best_parent),
         pos_mapping=get(parser.get, "corpus", "pos_mapping", None) or None,
         patterns_path=get(parser.get, "patt", "patterns", None) or None,
-        dsim_measure=get(parser.get, "dsim", "measure", "clarkede").lower(),
-        slqs_contexts=get(parser.getint, "slqs", "top_contexts", 50),
-        docsub_lambdas=get(parser.getfloats, "docsub", "lambdas", DEFAULT_LAMBDAS),
-        hclust_clusters=get(parser.getint, "hclust", "clusters", 100),
+        dsim_measure=get(parser.get, "dsim", "measure", RunConfig.dsim_measure).lower(),
+        slqs_contexts=get(parser.getint, "slqs", "top_contexts", RunConfig.slqs_contexts),
+        docsub_lambdas=get(parser.getfloats, "docsub", "lambdas", RunConfig.docsub_lambdas),
+        hclust_clusters=get(parser.getint, "hclust", "clusters", RunConfig.hclust_clusters),
     )
     if overrides:
         config = replace(config, **overrides)
@@ -556,7 +558,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("contexts", help="export a co-occurrence matrix")
     _add_corpus_args(p)
     p.add_argument("--model", required=True, choices=("window", "document"))
-    p.add_argument("--window-size", type=int, default=5)
+    p.add_argument("--window-size", type=int, default=RunConfig.window_size)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_contexts)
 
@@ -564,12 +566,12 @@ def main(argv=None) -> int:
     _add_corpus_args(p)
     p.add_argument("--gold", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--n", type=int, default=1000, help="vocabulary size")
-    p.add_argument("--window-size", type=int, default=5)
-    p.add_argument("--measure", default="clarkede", choices=MEASURES)
+    p.add_argument("--n", type=int, default=RunConfig.vocabulary_size, help="vocabulary size")
+    p.add_argument("--window-size", type=int, default=RunConfig.window_size)
+    p.add_argument("--measure", default=RunConfig.dsim_measure, choices=MEASURES)
     p.add_argument("--lam", type=float, default=0.5, help="docsub threshold")
-    p.add_argument("--clusters", type=int, default=100)
-    p.add_argument("--top-contexts", type=int, default=50)
+    p.add_argument("--clusters", type=int, default=RunConfig.hclust_clusters)
+    p.add_argument("--top-contexts", type=int, default=RunConfig.slqs_contexts)
     p.add_argument("--patterns", help="pattern template file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)

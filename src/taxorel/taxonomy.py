@@ -13,10 +13,9 @@ graph, taken by Warshall's algorithm (1962) on bit-packed rows.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -117,18 +116,6 @@ class Taxonomy:
     @property
     def is_dag(self) -> bool:
         return not self.closure.diagonal().any()
-
-    def ancestor_distances(self, term: str) -> dict[str, int]:
-        """Shortest upward distance to every ancestor of ``term``."""
-        dist: dict[str, int] = {}
-        queue = deque((p, 1) for p in self.parents(term))
-        while queue:
-            cur, d = queue.popleft()
-            if cur in dist:
-                continue
-            dist[cur] = d
-            queue.extend((p, d + 1) for p in self.parents(cur))
-        return dist
 
 
 def build_taxonomy(relset: RelationSet) -> Taxonomy:
@@ -268,34 +255,44 @@ def best_parent_filter(t: Taxonomy, docm: ContextMatrix) -> Taxonomy:
     """Keep at most one parent per node, scored by document co-occurrence.
 
     A candidate parent p of x scores P(p|x) plus, for each ancestor a of p,
-    P(a|x) weighted by 1/d where d counts the edges from p up to a (a direct
-    parent of p has d=1).  P(a|x) = |D_a n D_x| / |D_x| over document sets;
-    terms missing from the matrix contribute zero everywhere.  Score ties
-    keep the lexicographically smaller parent.  Scores are compared exactly,
-    so a tie is found whatever order the ancestors are summed in.
+    P(a|x) weighted by 1/d where d is the length of the shortest path from p
+    up to a (a direct parent of p has d=1).  On a cycle p is its own ancestor
+    and counts again at the cycle's length; so does x when it lies above p.
+    P(a|x) = |D_a n D_x| / |D_x| over document sets; terms missing from the
+    matrix contribute zero everywhere.  Score ties keep the lexicographically
+    smaller parent.  Scores are compared exactly, at any depth, as integers:
+    score * |D_x| * lcm(1..depth).
     """
-    doc_sets = {n: frozenset(docm.row(n)) for n in t.terms}
+    multi = np.flatnonzero(np.count_nonzero(t.adj, axis=0) >= 2)
+    if not len(multi):
+        return t
+    docs = docm.rows_of(t.terms).sign()
+    # shared[i, a] = |D_x n D_a| for x = multi[i]; exact integers in float64
+    # while |D_x| * n < 2**53, and so are its products with 0/1 matrices.
+    shared = (docs[multi] @ docs.T).toarray().astype(np.float64)
+    # Candidate edges, by node and then ascending parent.
+    node, parent = np.nonzero(t.adj[:, multi].T)
+    # Ancestors one level at a time: at step d, level[p, a] is set iff the
+    # shortest path from p up to a has d edges; p's own bit turns on at the
+    # length of the shortest cycle through it.
+    up = t.adj.T.astype(np.float32)
+    level, seen, sums = t.adj.T, t.adj.T, []
+    while level.any():
+        sums.append((shared @ level.T)[node, parent])
+        level = (level.astype(np.float32) @ up > 0) & ~seen
+        seen = seen | level
+    lcm = math.lcm(*range(1, len(sums) + 1))
+    score = lcm * shared[node, parent].astype(np.int64).astype(object)
+    for d, total in enumerate(sums, 1):
+        score += lcm // d * total.astype(np.int64).astype(object)
 
+    best: dict[int, tuple[int, int]] = {}
+    for i, p, s in zip(node.tolist(), parent.tolist(), score.tolist()):
+        if i not in best or s > best[i][0]:
+            best[i] = (s, p)
     adj = t.adj.copy()
-    for x, name in enumerate(t.terms):
-        parents = np.flatnonzero(t.adj[:, x]).tolist()
-        if len(parents) < 2:
-            continue
-        dx = doc_sets[name]
-        best_parent = None
-        best_score = Fraction(-1)
-        for p in parents:
-            # Score times |D_x|, which all candidates share: integer counts
-            # summed per distance, p itself weighing 1 like a distance-1
-            # ancestor, then one exact fraction per distance.
-            counts = {1: len(doc_sets[t.terms[p]] & dx)}
-            for ancestor, d in t.ancestor_distances(t.terms[p]).items():
-                counts[d] = counts.get(d, 0) + len(doc_sets[ancestor] & dx)
-            score = sum(Fraction(k, d) for d, k in counts.items())
-            if score > best_score:
-                best_parent, best_score = p, score
-        adj[parents, x] = False
-        adj[best_parent, x] = True
+    adj[:, multi] = False
+    adj[[p for _, p in best.values()], multi] = True
     return Taxonomy._of(t.terms, adj)
 
 

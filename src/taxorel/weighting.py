@@ -138,9 +138,7 @@ def word_generalities(
     top_n: int = DEFAULT_TOP_CONTEXTS,
 ) -> dict[str, float]:
     """Generality for every term that has one; undefined terms are skipped."""
-    return {
-        t: word_generality(t, lmi, entropies, top_n) for t in terms if lmi.row(t)
-    }
+    return {t: word_generality(t, lmi, entropies, top_n) for t in terms if t in lmi}
 
 
 def save_context_entropies(table: EntropyTable, path: str | Path) -> None:

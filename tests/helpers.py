@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from collections import Counter
+from collections import Counter, deque
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -204,6 +205,40 @@ def oracle_closure(nodes, edges) -> set[tuple[str, str]]:
                     if reach[(k, j)]:
                         reach[(i, j)] = True
     return {pair for pair, ok in reach.items() if ok}
+
+
+def oracle_best_parent(t: Taxonomy, docm: ContextMatrix) -> set[tuple[str, str]]:
+    """Best-parent edge set, one candidate at a time: a breadth-first search
+    for the shortest distance to each ancestor of the candidate, one document
+    set intersection per ancestor and one exact fraction per distance."""
+
+    def ancestor_distances(term: str) -> dict[str, int]:
+        dist: dict[str, int] = {}
+        queue = deque((p, 1) for p in t.parents(term))
+        while queue:
+            cur, d = queue.popleft()
+            if cur not in dist:
+                dist[cur] = d
+                queue.extend((p, d + 1) for p in t.parents(cur))
+        return dist
+
+    doc_sets = {n: frozenset(docm.row(n)) for n in t.terms}
+    edges = t.edge_set()
+    for x in t.terms:
+        parents = sorted(t.parents(x))
+        if len(parents) < 2:
+            continue
+        best, best_score = None, Fraction(-1)
+        for p in parents:
+            # Score times |D_x|: p itself weighs 1 like a distance-1 ancestor.
+            counts = {1: len(doc_sets[p] & doc_sets[x])}
+            for ancestor, d in ancestor_distances(p).items():
+                counts[d] = counts.get(d, 0) + len(doc_sets[ancestor] & doc_sets[x])
+            score = sum(Fraction(k, d) for d, k in counts.items())
+            if score > best_score:
+                best, best_score = p, score
+        edges -= {(p, x) for p in parents if p != best}
+    return edges
 
 
 def oracle_evaluate(taxo: Taxonomy, gold: GoldTaxonomy):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from taxorel.cli import METHODS, StageError, load_config, main, run, validate
+from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
 
 GOLD = (
     "1\tanimal\t\n"
@@ -71,6 +71,11 @@ class TestValidate:
     def test_valid_config_has_no_problems(self, tmp_path):
         config = load_config(write_config(tmp_path))
         assert validate(config) == []
+
+    def test_config_without_optional_keys_loads_the_defaults(self, tmp_path):
+        path = tmp_path / "minimal.ini"
+        path.write_text("[corpus]\npath = c\n\n[gold]\npath = g\n", encoding="utf-8")
+        assert load_config(path) == RunConfig("c", "EN", "g", "out")
 
     def test_missing_gold_is_a_problem(self, tmp_path):
         config = load_config(write_config(tmp_path))
@@ -380,6 +385,21 @@ class TestCommandLine:
         assert code == 0
         expected = manifest_path.parent / f"relations_{method}.tsv"
         assert out_file.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_filter_parent_verb_writes_the_filtered_file_of_run(self, tmp_path, method):
+        extra = "\n[filter]\nbest_parent = true\n"
+        config_path = write_config(tmp_path, methods=method, extra=extra)
+        outdir = run(load_config(config_path, {"docsub_lambdas": (0.5,)})).parent
+        out_file = tmp_path / "verb.tsv"
+        code = main(
+            [
+                "filter-parent", str(outdir / f"relations_{method}.tsv"),
+                str(tmp_path / "corpus"), "--language", "EN", "--out", str(out_file),
+            ]
+        )
+        assert code == 0
+        assert out_file.read_bytes() == (outdir / f"filtered_{method}.tsv").read_bytes()
 
     def test_evaluate_verb_writes_the_eval_file_of_run(self, tmp_path):
         manifest_path = run(load_config(write_config(tmp_path, methods="tf")))

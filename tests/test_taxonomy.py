@@ -25,6 +25,7 @@ from helpers import (
     diamond_dag,
     doc_matrix,
     two_tree_forest,
+    oracle_best_parent,
     oracle_break_cycles,
     oracle_closure,
     oracle_components,
@@ -52,6 +53,25 @@ def dags(draw):
     pairs = [(u, v) for i, u in enumerate(order) for v in order[i + 1 :]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Taxonomy([pair for pair, k in zip(pairs, keep) if k], nodes=order)
+
+
+@st.composite
+def doc_matrices(draw):
+    """Document matrices over a few of NAMES; the other names are missing."""
+    rows = draw(
+        st.dictionaries(
+            st.sampled_from(NAMES), st.sets(st.sampled_from("123"), min_size=1), min_size=1
+        )
+    )
+    return doc_matrix(rows)
+
+
+def docs(k: int) -> list[str]:
+    return [f"d{i}" for i in range(k)]
+
+
+# 44 ancestors in a chain above the candidate a00: lcm(1..44) > 2**63.
+DEEP_CHAIN = [(f"a{k + 1:02d}", f"a{k:02d}") for k in range(44)]
 
 
 class TestBuildTaxonomy:
@@ -370,6 +390,41 @@ class TestBestParentFilter:
             assert filtered.edge_set() <= dag.edge_set()
             for node in filtered.nodes:
                 assert len(filtered.parents(node)) <= 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(graphs(), doc_matrices())
+    # The exact tie of test_exact_tie_is_independent_of_hash_seed.
+    @example(
+        Taxonomy([("pa", "x"), ("pb", "x"), ("a1", "pb"), ("a2", "pb"), ("a3", "pb")]),
+        doc_matrix({"x": docs(10), "pa": docs(6), "a1": docs(1), "a2": docs(2), "a3": docs(3)}),
+    )
+    # p lies on a cycle and counts itself at distance 2: 2 + 2/2 ties r's 3.
+    @example(
+        Taxonomy([("p", "x"), ("r", "x"), ("q", "p"), ("p", "q")]),
+        doc_matrix({"x": docs(10), "p": docs(2), "r": docs(3)}),
+    )
+    # x lies above its candidate p: 1 + 4/1 + (1 + 3)/2 for p, with x at
+    # distance 1 and p and q at 2, against 3 for q.
+    @example(
+        Taxonomy([("p", "x"), ("q", "x"), ("x", "p")]),
+        doc_matrix({"x": docs(4), "p": docs(1), "q": docs(3)}),
+    )
+    # Terms missing from the matrix: the candidate pa and the node y.
+    @example(
+        Taxonomy([("pa", "x"), ("pb", "x"), ("pa", "y"), ("pb", "y")]),
+        doc_matrix({"x": ["d1"], "pb": ["d1"]}),
+    )
+    @example(Taxonomy([("p", "x")], nodes=["z"]), doc_matrix({"p": ["d1"], "x": ["d1"]}))
+    @example(Taxonomy(), doc_matrix({"p": ["d1"]}))
+    # Scaled by lcm(1..44), a00's score overflows int64 and turns negative.
+    @example(
+        Taxonomy([*DEEP_CHAIN, ("a00", "x"), ("q", "x")]),
+        doc_matrix({"x": ["d1"], "a00": ["d1"]}),
+    )
+    def test_matches_per_candidate_oracle(self, t, m):
+        filtered = best_parent_filter(t, m)
+        assert filtered.edge_set() == oracle_best_parent(t, m)
+        assert filtered.terms == t.terms
 
 
 class TestPersistence:

@@ -127,8 +127,7 @@ def build_taxonomy(relset: RelationSet) -> Taxonomy:
 
 def _reaches(adj: np.ndarray, source: int, target: int) -> bool:
     """True iff a path of >= 1 edge of ``adj`` leads from source to target."""
-    seen = adj[source].copy()
-    frontier = seen
+    frontier = seen = adj[source].copy()
     while not seen[target] and frontier.any():
         frontier = adj[frontier].any(axis=0) & ~seen
         seen |= frontier
@@ -219,10 +218,8 @@ def compute_metrics(t: Taxonomy) -> HierarchyMetrics:
     leaf_depths = depth[leaves].tolist()
     total_roots = int(np.count_nonzero(roots))
     depth_sum = sum(leaf_depths)
-    max_depth = max(leaf_depths)
-    min_depth = min(leaf_depths)
-    avg_depth = depth_sum / total_roots
-    avg_depth_per_leaf = depth_sum / len(leaf_depths)
+    max_depth, min_depth = max(leaf_depths), min(leaf_depths)
+    avg_depth, avg_depth_per_leaf = depth_sum / total_roots, depth_sum / len(leaf_depths)
 
     widths = adj.sum(axis=1)
     inner = widths > 0
@@ -254,14 +251,13 @@ def compute_metrics(t: Taxonomy) -> HierarchyMetrics:
 def best_parent_filter(t: Taxonomy, docm: ContextMatrix) -> Taxonomy:
     """Keep at most one parent per node, scored by document co-occurrence.
 
-    A candidate parent p of x scores P(p|x) plus, for each ancestor a of p,
-    P(a|x) weighted by 1/d where d is the length of the shortest path from p
-    up to a (a direct parent of p has d=1).  On a cycle p is its own ancestor
-    and counts again at the cycle's length; so does x when it lies above p.
-    P(a|x) = |D_a n D_x| / |D_x| over document sets; terms missing from the
-    matrix contribute zero everywhere.  Score ties keep the lexicographically
-    smaller parent.  Scores are compared exactly, at any depth, as integers:
-    score * |D_x| * lcm(1..depth).
+    A candidate parent p of x scores P(p|x) plus P(a|x)/d for each ancestor a
+    of p, d being the length of the shortest path from p up to a (d=1 for a
+    direct parent of p).  On a cycle p is its own ancestor and counts again
+    at the cycle's length; so does x when it lies above p.  P(a|x) =
+    |D_a n D_x| / |D_x| over document sets, zero for terms missing from the
+    matrix.  Ties keep the lexicographically smaller parent.  Scores compare
+    exactly at any depth, as the integers score * |D_x| * lcm(1..depth).
     """
     multi = np.flatnonzero(np.count_nonzero(t.adj, axis=0) >= 2)
     if not len(multi):
@@ -270,17 +266,23 @@ def best_parent_filter(t: Taxonomy, docm: ContextMatrix) -> Taxonomy:
     # shared[i, a] = |D_x n D_a| for x = multi[i]; exact integers in float64
     # while |D_x| * n < 2**53, and so are its products with 0/1 matrices.
     shared = (docs[multi] @ docs.T).toarray().astype(np.float64)
-    # Candidate edges, by node and then ascending parent.
+    # Candidate edges, by node and then ascending parent; cands[pos] == parent.
     node, parent = np.nonzero(t.adj[:, multi].T)
-    # Ancestors one level at a time: at step d, level[p, a] is set iff the
-    # shortest path from p up to a has d edges; p's own bit turns on at the
-    # length of the shortest cycle through it.
-    up = t.adj.T.astype(np.float32)
-    level, seen, sums = t.adj.T, t.adj.T, []
+    cands, pos = np.unique(parent, return_inverse=True)
+    # Ancestors of the candidates one level at a time: at step d, level[r, c]
+    # is set iff the shortest path from cands[r] up to cols[c] has d edges; a
+    # candidate on a cycle reaches itself.  Only the frontier's columns are kept.
+    up = np.ascontiguousarray(t.adj.T)
+    cols, level = np.arange(len(t.terms)), up[cands]
+    seen, sums = level.copy(), []
     while level.any():
-        sums.append((shared @ level.T)[node, parent])
-        level = (level.astype(np.float32) @ up > 0) & ~seen
-        seen = seen | level
+        used = level.any(axis=0)
+        cols, level = cols[used], level[:, used]
+        sums.append((shared[:, cols] @ level.T)[node, pos])
+        step = up[cols]
+        cols = np.flatnonzero(step.any(axis=0))
+        level = (level @ step[:, cols].astype(np.float32) > 0) & ~seen[:, cols]
+        seen[:, cols] |= level
     lcm = math.lcm(*range(1, len(sums) + 1))
     score = lcm * shared[node, parent].astype(np.int64).astype(object)
     for d, total in enumerate(sums, 1):

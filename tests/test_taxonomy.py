@@ -414,6 +414,12 @@ class TestBestParentFilter:
         Taxonomy([("pa", "x"), ("pb", "x"), ("pa", "y"), ("pb", "y")]),
         doc_matrix({"x": ["d1"], "pb": ["d1"]}),
     )
+    # p and q share ancestors at different depths: a2 at 2 and a3 at 3 above
+    # p, at 1 and 2 above q, so q's 1 + 2 + 3/2 beats p's 1 + 0 + 2/2 + 3/3.
+    @example(
+        Taxonomy([("a3", "a2"), ("a2", "a1"), ("a1", "p"), ("a2", "q"), ("p", "x"), ("q", "x")]),
+        doc_matrix({"x": docs(6), "p": docs(1), "q": docs(1), "a2": docs(2), "a3": docs(3)}),
+    )
     @example(Taxonomy([("p", "x")], nodes=["z"]), doc_matrix({"p": ["d1"], "x": ["d1"]}))
     @example(Taxonomy(), doc_matrix({"p": ["d1"]}))
     # Scaled by lcm(1..44), a00's score overflows int64 and turns negative.

@@ -10,7 +10,6 @@ Lemmas are case-folded for lookup; diacritics are preserved.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,13 +79,13 @@ class GoldTaxonomy:
         if cached is not None:
             return cached
         seen: set[int] = set()
-        queue = deque(self._synsets[sid].hypernym_ids)
-        while queue:
-            cur = queue.popleft()
+        stack = list(self._synsets[sid].hypernym_ids)
+        while stack:
+            cur = stack.pop()
             if cur in seen:
                 continue
             seen.add(cur)
-            queue.extend(self._synsets[cur].hypernym_ids)
+            stack.extend(self._synsets[cur].hypernym_ids)
         result = frozenset(seen)
         self._ancestor_cache[sid] = result
         return result

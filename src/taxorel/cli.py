@@ -193,9 +193,12 @@ def validate(config: RunConfig) -> list[str]:
         problems.append("slqs top_contexts must be >= 1")
     if "docsub" in config.methods and not config.docsub_lambdas:
         problems.append("docsub requires at least one lambda")
-    for lam in config.docsub_lambdas:
+    for i, lam in enumerate(config.docsub_lambdas):
         if not 0 < lam <= 1:
             problems.append(f"docsub lambda {lam} outside (0, 1]")
+        clash = next((x for x in config.docsub_lambdas[:i] if f"{x:g}" == f"{lam:g}"), None)
+        if clash is not None:
+            problems.append(f"docsub lambdas {clash} and {lam} share eval_docsub_{lam:g}.json")
     if config.hclust_clusters < 1:
         problems.append("hclust clusters must be >= 1")
     return problems

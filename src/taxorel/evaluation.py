@@ -17,7 +17,7 @@ import numpy as np
 
 from .gold import GoldTaxonomy
 from .relations import Pair, RelationSet
-from .taxonomy import Taxonomy, build_taxonomy
+from .taxonomy import Taxonomy
 
 Ordered = Taxonomy | GoldTaxonomy  # anything with term_set/contains_term/reaches
 
@@ -125,22 +125,36 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     )
 
 
-def _shared_pairs(a: RelationSet, b: RelationSet, swap: bool = False) -> np.ndarray:
-    """Positions in ``a`` of the pairs that ``b`` holds too (with ``swap``,
-    holds with hyponym and hypernym swapped), in ascending order.
+def _encode(relsets: list[RelationSet]) -> tuple[int, list[np.ndarray]]:
+    """The size N of the sorted union of the sets' term tables, and each
+    set's pairs as unique int64 keys i * N + j into it."""
+    index = {term: i for i, term in enumerate(sorted({t for rs in relsets for t in rs.terms}))}
+    keys = []
+    for rs in relsets:
+        at = np.array([index[term] for term in rs.terms], dtype=np.int64)
+        keys.append(at[rs.hypo] * len(index) + at[rs.hyper])
+    return len(index), keys
 
-    Both sets' pairs become keys i * N + j over the sorted union of their
-    term tables (N terms), and the two key arrays are intersected whole
-    (``np.isin``, which picks a lookup table over the N * N keys when that
-    is small enough).
-    """
-    index = {term: i for i, term in enumerate(sorted({*a.terms, *b.terms}))}
-    in_a = np.array([index[term] for term in a.terms], dtype=np.int64)
-    in_b = np.array([index[term] for term in b.terms], dtype=np.int64)
-    b_hypo, b_hyper = (b.hyper, b.hypo) if swap else (b.hypo, b.hyper)
-    keys_a = in_a[a.hypo] * len(index) + in_a[a.hyper]
-    keys_b = in_b[b_hypo] * len(index) + in_b[b_hyper]
-    return np.flatnonzero(np.isin(keys_a, keys_b, assume_unique=True))
+
+def _ratios(n: int, keys_a: np.ndarray, keys_b: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Mask over A's pairs of those B holds too, and A's direct and inverse
+    overlap ratios with B; A is not empty."""
+    held = np.isin(keys_a, keys_b, assume_unique=True)
+    # k % N * N + k // N swaps the hyponym and hypernym of key k.
+    swapped = np.isin(keys_a, keys_b % n * n + keys_b // n, assume_unique=True)
+    return held, int(held.sum()) / len(keys_a), int(swapped.sum()) / len(keys_a)
+
+
+def _precision(a: RelationSet, keep: np.ndarray, gold: GoldTaxonomy) -> float:
+    """Precision of the taxonomy of A's pairs where ``keep`` holds; 0 when
+    it holds for none."""
+    if not keep.any():
+        return 0.0
+    adj = np.zeros((len(a.terms), len(a.terms)), dtype=bool)
+    adj[a.hyper[keep], a.hypo[keep]] = True
+    used = adj.any(axis=0) | adj.any(axis=1)
+    terms = [term for term, u in zip(a.terms, used.tolist()) if u]
+    return evaluate(Taxonomy._of(terms, adj[np.ix_(used, used)]), gold).precision
 
 
 def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
@@ -151,37 +165,22 @@ def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     """
     if len(a) == 0:
         raise ValueError("complementarity of an empty relation set is undefined")
-    return len(_shared_pairs(a, b)) / len(a), len(_shared_pairs(a, b, swap=True)) / len(a)
-
-
-def _base_precision(a: RelationSet, gold: GoldTaxonomy) -> float:
-    """A's own precision, the denominator of every relative precision of A."""
-    if len(a) == 0:
-        raise ValueError("relative precision of an empty relation set is undefined")
-    p_a = evaluate(build_taxonomy(a), gold).precision
-    if p_a == 0:
-        raise ValueError("relative precision undefined: base model has zero precision")
-    return p_a
-
-
-def _relative_to(p_a: float, a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
-    shared = _shared_pairs(a, b)
-    if not len(shared):
-        return 0.0
-    mask = np.zeros((len(a.terms), len(a.terms)), dtype=bool)
-    mask[a.hypo[shared], a.hyper[shared]] = True
-    inter = RelationSet.from_mask(a.method, a.terms, mask)
-    return evaluate(build_taxonomy(inter), gold).precision / p_a
+    n, (keys_a, keys_b) = _encode([a, b])
+    return _ratios(n, keys_a, keys_b)[1:]
 
 
 def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
     """Precision of A's relations shared with B, relative to A's own precision.
 
     Values above 1 mean the intersection is more precise than A alone.  An
-    empty intersection yields 0; a zero-precision A makes the ratio
-    undefined and raises ValueError.
+    empty intersection yields 0; an empty or zero-precision A makes the
+    ratio undefined and raises ValueError.
     """
-    return _relative_to(_base_precision(a, gold), a, b, gold)
+    p_a = _precision(a, np.ones(len(a), dtype=bool), gold)
+    if p_a == 0:
+        raise ValueError("relative precision undefined: base model is empty or has zero precision")
+    n, (keys_a, keys_b) = _encode([a, b])
+    return _precision(a, np.isin(keys_a, keys_b, assume_unique=True), gold) / p_a
 
 
 @dataclass(frozen=True)
@@ -205,20 +204,14 @@ def complementarity_matrix(
     methods = tuple(rs.method for rs in relsets)
     if len(set(methods)) != len(methods):
         raise ValueError("relation sets must have distinct method tags")
-    direct: dict[tuple[str, str], float | None] = {}
-    inverse: dict[tuple[str, str], float | None] = {}
-    relative: dict[tuple[str, str], float | None] = {}
-    for a in relsets:
-        # One base precision per row, shared by the row's cells.
-        try:
-            p_a = _base_precision(a, gold)
-        except ValueError:
-            p_a = None
-        for b in relsets:
+    direct, inverse, relative = {}, {}, {}
+    n, keys = _encode(relsets)
+    for a, keys_a in zip(relsets, keys):
+        # The diagonal cell, A n A = A, gives the row's base precision; a
+        # row whose base is empty or zero makes no further evaluate call.
+        p_a = _precision(a, np.ones(len(a), dtype=bool), gold)
+        for b, keys_b in zip(relsets, keys):
             key = (a.method, b.method)
-            try:
-                direct[key], inverse[key] = complementarity(a, b)
-            except ValueError:
-                direct[key] = inverse[key] = None
-            relative[key] = None if p_a is None else _relative_to(p_a, a, b, gold)
+            held, direct[key], inverse[key] = _ratios(n, keys_a, keys_b) if len(a) else (None,) * 3
+            relative[key] = (1.0 if b is a else _precision(a, held, gold) / p_a) if p_a else None
     return ComplementarityMatrix(methods, direct, inverse, relative)

@@ -96,11 +96,7 @@ class GoldTaxonomy:
         Unknown lemmas yield False rather than an error, keeping evaluation
         loops total.
         """
-        hyper_ids = self._lemma_index.get(hyper.casefold())
-        hypo_ids = self._lemma_index.get(hypo.casefold())
-        if not hyper_ids or not hypo_ids:
-            return False
-        return any(not hyper_ids.isdisjoint(self._ancestors(sid)) for sid in hypo_ids)
+        return hyper.casefold() in self.ancestor_lemmas(hypo)
 
     def reaches(self, ancestor: str, descendant: str) -> bool:
         """Alias of :meth:`is_hypernym`; shared interface with Taxonomy."""

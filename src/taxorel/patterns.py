@@ -21,11 +21,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .contexts import TermSet
+from .contexts import TARGET_TAGS, TermSet
 from .corpus import Corpus, Sentence
 from .relations import RelationSet
-
-_NOUN_TAGS = ("NOUN", "PROPN")
 
 _LANG_CONJUNCTIONS = {"EN": frozenset({"and", "or"}), "PT": frozenset({"e", "ou"})}
 _LANG_ARTICLES = {
@@ -127,13 +125,13 @@ def _np_at(tokens: Sentence, pos: int, pset: PatternSet) -> tuple[int, str] | No
         while i < n and tokens[i].pos == "ADJ":
             i += 1
         start = i
-        while i < n and tokens[i].pos in _NOUN_TAGS:
+        while i < n and tokens[i].pos in TARGET_TAGS:
             i += 1
         if i == start:
             return None
         return i, tokens[i - 1].lemma.casefold()
     start = i
-    while i < n and tokens[i].pos in _NOUN_TAGS:
+    while i < n and tokens[i].pos in TARGET_TAGS:
         i += 1
     if i == start:
         return None

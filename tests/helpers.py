@@ -147,6 +147,28 @@ def oracle_reachable(edges: set[tuple[str, str]], src: str, dst: str) -> bool:
     return False
 
 
+def oracle_is_hypernym(gold: GoldTaxonomy, hyper: str, hypo: str) -> bool:
+    """Breadth-first search up the synset graph from every synset holding
+    ``hypo`` until a synset holding ``hyper`` is met; lemmas compare
+    case-folded and at least one hypernym edge must be taken."""
+    synsets = gold.synsets
+
+    def holds(sid: int, lemma: str) -> bool:
+        return lemma.casefold() in {l.casefold() for l in synsets[sid].lemmas}
+
+    queue = deque(h for sid in synsets if holds(sid, hypo) for h in synsets[sid].hypernym_ids)
+    seen = set()
+    while queue:
+        sid = queue.popleft()
+        if sid in seen:
+            continue
+        seen.add(sid)
+        if holds(sid, hyper):
+            return True
+        queue.extend(synsets[sid].hypernym_ids)
+    return False
+
+
 def inverted(relset: RelationSet) -> RelationSet:
     """The same pairs with hyponym and hypernym swapped."""
     return RelationSet(relset.method, [(hyper, hypo) for hypo, hyper in relset.pair_set()])

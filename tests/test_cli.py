@@ -88,6 +88,15 @@ class TestValidate:
         config.docsub_lambdas = (1.5,)
         assert any("lambda" in p for p in validate(config))
 
+    def test_lambdas_sharing_an_eval_file_rejected(self, tmp_path):
+        # Both would write eval_docsub_0.5.json, the second over the first.
+        config = load_config(write_config(tmp_path))
+        config.docsub_lambdas = (0.5, 0.5000001, 0.9, 0.5)
+        assert validate(config) == [
+            "docsub lambdas 0.5 and 0.5000001 share eval_docsub_0.5.json",
+            "docsub lambdas 0.5 and 0.5 share eval_docsub_0.5.json",
+        ]
+
     def test_even_window_rejected(self, tmp_path):
         config = load_config(write_config(tmp_path))
         config.window_size = 4
@@ -369,6 +378,19 @@ class TestCommandLine:
         assert code == 0
         header = (tmp_path / "comp" / "complementarity_direct.csv").read_text()
         assert header.startswith("method,tf,df")
+
+    def test_complement_verb_writes_the_matrices_of_run(self, tmp_path):
+        config_path = write_config(tmp_path, methods=", ".join(METHODS))
+        outdir = run(load_config(config_path, {"docsub_lambdas": (0.5,)})).parent
+        files = [str(outdir / f"relations_{method}.tsv") for method in METHODS]
+        code = main(
+            ["complement", *files, "--gold", str(tmp_path / "gold.tsv"), "--out-dir",
+             str(tmp_path / "comp")]
+        )
+        assert code == 0
+        for name in ("complementarity_direct.csv", "complementarity_inverse.csv",
+                     "relative_precision.csv"):
+            assert (tmp_path / "comp" / name).read_bytes() == (outdir / name).read_bytes()
 
     @pytest.mark.parametrize("method", METHODS)
     def test_extract_verb_writes_the_relations_of_run(self, tmp_path, method):

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -372,3 +373,59 @@ class TestRelativePrecision:
         a = relset("tf", ("b", "a"))
         with pytest.raises(ValueError):
             complementarity_matrix([a, a], self.gold())
+
+
+class TestMatrixOracles:
+    gold = staticmethod(
+        lambda: gold_from(
+            (1, ["a"], []), (2, ["b"], [1]), (3, ["c"], [2]), (4, ["d"], [1])
+        )
+    )
+
+    # Each set draws on its own alphabet, so the term tables differ, and
+    # "A"/"a" and "D"/"d" are case variants of one gold lemma.
+    ALPHABETS = ("aAbc", "Abcd", "acdD", "abBd")
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(3, 4).flatmap(
+            lambda k: st.tuples(
+                *(
+                    st.sets(st.permutations(letters).map(lambda p: (p[0], p[1])), max_size=5)
+                    for letters in TestMatrixOracles.ALPHABETS[:k]
+                )
+            )
+        )
+    )
+    # The first example's third set has zero precision and its fourth is
+    # empty; the second example's empty set sits between two others.
+    @example(({("b", "a"), ("c", "b"), ("A", "c")}, {("b", "A"), ("c", "b")}, {("a", "c")}, set()))
+    @example(({("b", "a")}, set(), {("d", "a"), ("D", "a"), ("a", "c")}))
+    def test_matches_pair_arithmetic_and_evaluate(self, pair_sets):
+        gold = self.gold()
+        sets = [RelationSet(f"m{i}", pairs) for i, pairs in enumerate(pair_sets)]
+        expected, calls = {}, 0
+        for a, pa in zip(sets, pair_sets):
+            p_a = evaluate(build_taxonomy(a), gold).precision if pa else 0.0
+            # One call for the diagonal of every non-empty row, and one for
+            # each other non-empty cell of a row with a positive base.
+            calls += bool(pa)
+            for b, pb in zip(sets, pair_sets):
+                shared, key = pa & pb, (a.method, b.method)
+                if not pa:
+                    expected[key] = (None, None, None)
+                    continue
+                relative = 0.0 if p_a else None
+                if p_a and shared:
+                    calls += b is not a
+                    inter = RelationSet(a.method, shared)
+                    relative = evaluate(build_taxonomy(inter), gold).precision / p_a
+                swapped = {(hyper, hypo) for hypo, hyper in pb}
+                expected[key] = (len(shared) / len(pa), len(pa & swapped) / len(pa), relative)
+        with mock.patch("taxorel.evaluation.evaluate", wraps=evaluate) as spy:
+            matrix = complementarity_matrix(sets, gold)
+        assert spy.call_count == calls
+        for key, cells in expected.items():
+            got = (matrix.direct[key], matrix.inverse[key], matrix.relative[key])
+            assert got == cells
+            assert all(v is None or type(v) is float for v in got)

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxorel.gold import GoldFormatError, GoldTaxonomy, Synset, load_gold
 
-from helpers import gold_from
+from helpers import gold_from, oracle_is_hypernym
 
 
 class TestLoadGold:
@@ -150,3 +152,37 @@ class TestReachabilityOracle:
         )
         assert g.ancestor_lemmas("puppy") == {"dog", "animal"}
         assert g.ancestor_lemmas("animal") == frozenset()
+
+
+# "a"/"A" and "c"/"C" fold to one lemma; "zz" is in no synset.
+QUERY_LEMMAS = ["a", "A", "b", "c", "C", "d", "zz"]
+
+
+class TestIsHypernymProperty:
+    # Rows of (lemmas, hypernym ids); ids past the last synset are dropped,
+    # and a synset listed as its own hypernym loses that edge.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sets(st.sampled_from(QUERY_LEMMAS[:-1]), min_size=1, max_size=2),
+                st.sets(st.integers(0, 5), max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example([({"a"}, {1}), ({"b"}, {2}), ({"c"}, {0})])  # cycle through all three
+    @example([({"a"}, set()), ({"b"}, {0}), ({"b", "d"}, set()), ({"c"}, {2})])  # b in two synsets
+    @example([({"A"}, set()), ({"a", "b"}, {0}), ({"C"}, {1})])  # case variants
+    @example([({"d"}, {0})])  # self-cycle only
+    def test_matches_synset_bfs(self, rows):
+        gold = gold_from(
+            *((sid, lemmas, {h for h in hypers if h < len(rows)})
+              for sid, (lemmas, hypers) in enumerate(rows))
+        )
+        for hyper in QUERY_LEMMAS:
+            for hypo in QUERY_LEMMAS:
+                expected = oracle_is_hypernym(gold, hyper, hypo)
+                assert gold.is_hypernym(hyper, hypo) == expected
+                assert gold.reaches(hyper, hypo) == expected

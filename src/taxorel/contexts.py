@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -137,20 +136,15 @@ class ContextMatrix(TermContextMatrix):
 
 
 def _tokens(corpus: Corpus):
-    """The sorted target terms (case-folded noun lemmas), each token's term
-    index or -1, the distinct token objects, each token's index among them,
-    and each token's sentence and document number; arrays run over the
-    tokens in corpus order."""
-    docs = corpus.documents
-    sentences = [s for d in docs for s in d.sentences]
-    tokens = list(chain.from_iterable(sentences))
-    distinct = list(dict(zip(map(id, tokens), tokens)).values())
-    index = {id(t): k for k, t in enumerate(distinct)}
-    token = np.fromiter(map(index.__getitem__, map(id, tokens)), np.int64, len(tokens))
-    terms, term = _codes([t.lemma.casefold() if t.pos in TARGET_TAGS else None for t in distinct])
-    sentence = np.repeat(np.arange(len(sentences), dtype=np.int64), list(map(len, sentences)))
-    document = np.repeat(np.arange(len(docs), dtype=np.int64), [len(d.sentences) for d in docs])
-    return terms, term[token], distinct, token, sentence, document[sentence]
+    """The corpus's token coding (:attr:`Corpus.coding`, shared by both
+    models), the sorted target terms (case-folded noun lemmas) and each
+    token's term index or -1 in corpus order; the terms are coded once per
+    distinct token."""
+    coding = corpus.coding
+    terms, term = _codes(
+        [t.lemma.casefold() if t.pos in TARGET_TAGS else None for t in coding.distinct]
+    )
+    return coding, terms, term[coding.token]
 
 
 def _codes(labels: list) -> tuple[list[str], np.ndarray]:
@@ -183,12 +177,14 @@ def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatr
     """
     if window_size < 3 or window_size % 2 == 0:
         raise ValueError("window_size must be an odd integer >= 3")
-    terms, term, distinct, token, sentence, _ = _tokens(corpus)
+    coding, terms, term = _tokens(corpus)
     stems = [
-        f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.is_content else None for t in distinct
+        f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.is_content else None
+        for t in coding.distinct
     ]
     labels, code = _codes([s and s + side for side in "lr" for s in stems])
-    left, right = code[: len(stems)][token], code[len(stems) :][token]
+    left, right = code[: len(stems)][coding.token], code[len(stems) :][coding.token]
+    sentence = np.repeat(np.arange(len(coding.lengths)), coding.lengths)
     keys = []
     for d in range(1, (window_size - 1) // 2 + 1):
         same = sentence[d:] == sentence[:-d]
@@ -201,10 +197,11 @@ def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatr
 
 def extract_document_contexts(corpus: Corpus) -> ContextMatrix:
     """Count, for every noun/proper-noun lemma, its frequency per document."""
-    terms, term, _, _, _, document = _tokens(corpus)
+    coding, terms, term = _tokens(corpus)
     ids, doc = _codes([d.id for d in corpus.documents])
+    document = np.repeat(doc[coding.documents], coding.lengths)
     hit = term >= 0
-    return _count("document", terms, ids, [term[hit] * len(ids) + doc[document[hit]]])
+    return _count("document", terms, ids, [term[hit] * len(ids) + document[hit]])
 
 
 class TermSet:

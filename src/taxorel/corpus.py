@@ -8,13 +8,24 @@ adjectives count as content words.
 The on-disk format is vertical text: one token per line with three
 tab-separated fields ``surface<TAB>lemma<TAB>pos``, a blank line as
 sentence boundary, and one file per document.
+
+:attr:`Corpus.coding` codes the tokens on first use and keeps the view on
+the corpus: the distinct token objects, each token's index among them, and
+each sentence's start, length and document number.  It is the one
+per-token pass after parsing; the statistics, both context models and the
+pattern prefilter count on it with numpy.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 COARSE_TAGS = frozenset({"NOUN", "PROPN", "VERB", "ADJ", "OTHER"})
 CONTENT_TAGS = frozenset({"NOUN", "PROPN", "VERB", "ADJ"})
@@ -43,6 +54,19 @@ class TaggedToken:
 
 
 Sentence = tuple[TaggedToken, ...]
+
+
+class TokenCoding(NamedTuple):
+    """Token ``i`` in corpus order is ``distinct[token[i]]``; sentence ``s``
+    holds ``lengths[s]`` tokens from ``starts[s]`` on, in document number
+    ``documents[s]``.  Equal tokens that are not one object stay apart.
+    Every reader of the corpus shares one view, so none may write to it."""
+
+    distinct: list[TaggedToken]
+    token: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    documents: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,6 +100,29 @@ class Corpus:
         for doc in self.documents:
             for sentence in doc.sentences:
                 yield from sentence
+
+    @cached_property
+    def coding(self) -> TokenCoding:
+        return _code_tokens(self)
+
+
+def _code_tokens(corpus: Corpus) -> TokenCoding:
+    """The view of :attr:`Corpus.coding`; distinct tokens in order of first
+    occurrence."""
+    sentences = [s for d in corpus.documents for s in d.sentences]
+    tokens = list(chain.from_iterable(sentences))
+    ids = np.fromiter(map(id, tokens), np.uintp, len(tokens))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    per_document = [len(d.sentences) for d in corpus.documents]
+    return TokenCoding(
+        [tokens[i] for i in first[order].tolist()],
+        np.argsort(order)[inverse],
+        np.cumsum(lengths) - lengths,
+        lengths,
+        np.repeat(np.arange(len(per_document)), per_document),
+    )
 
 
 @dataclass(frozen=True)
@@ -216,10 +263,11 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     Only content words (NOUN/PROPN/VERB/ADJ) enter the token and
     vocabulary counts; lemmas are case-folded before deduplication.
     """
-    content = [t for t in corpus.tokens() if t.is_content]
+    coding = corpus.coding
+    content = np.fromiter((t.is_content for t in coding.distinct), bool, len(coding.distinct))
     return CorpusStats(
         num_documents=len(corpus.documents),
-        num_sentences=sum(len(d.sentences) for d in corpus.documents),
-        num_content_words=len(content),
-        vocabulary_size=len({lemma.casefold() for lemma in {t.lemma for t in content}}),
+        num_sentences=len(coding.lengths),
+        num_content_words=int(content[coding.token].sum()),
+        vocabulary_size=len({t.lemma.casefold() for t in coding.distinct if t.is_content}),
     )

@@ -7,7 +7,9 @@ Literal tokens match the token surface case-insensitively; a trailing
 ``?`` marks an optional literal.  A sentence is matched only against the
 templates whose non-optional literals all occur in it, compared
 case-insensitively; a template lacking one can never match, so this
-prefilter does not change the pairs found.
+prefilter does not change the pairs found.  :func:`extract_patterns`
+decides it once per corpus, with numpy over the corpus's token coding;
+:func:`match_sentence` decides it for its one sentence.
 
 Noun phrases are approximated as noun runs with adjectives on the
 language's modifier side (before the noun in English, after it in
@@ -20,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .contexts import TARGET_TAGS, TermSet
 from .corpus import Corpus, Sentence
@@ -208,15 +212,12 @@ def _match_template(
     return rec(0, start, None, None)
 
 
-def match_sentence(tokens: Sentence, pset: PatternSet) -> list[tuple[str, str]]:
-    """All (hyponym, hypernym) lemma pairs matched anywhere in the sentence."""
-    surfaces = {t.surface.casefold() for t in tokens}
-    live = [template for template in pset.templates if template.required <= surfaces]
-    if not live:
-        return []
+def _matches(tokens: Sentence, templates, pset: PatternSet) -> list[tuple[str, str]]:
+    """All (hyponym, hypernym) lemma pairs that ``templates`` match anywhere
+    in the sentence."""
     pairs: list[tuple[str, str]] = []
     for start in range(len(tokens)):
-        for template in live:
+        for template in templates:
             found = _match_template(template, tokens, start, pset)
             if found is None:
                 continue
@@ -227,6 +228,12 @@ def match_sentence(tokens: Sentence, pset: PatternSet) -> list[tuple[str, str]]:
     return pairs
 
 
+def match_sentence(tokens: Sentence, pset: PatternSet) -> list[tuple[str, str]]:
+    """All (hyponym, hypernym) lemma pairs matched anywhere in the sentence."""
+    surfaces = {t.surface.casefold() for t in tokens}
+    return _matches(tokens, [t for t in pset.templates if t.required <= surfaces], pset)
+
+
 def extract_patterns(corpus: Corpus, patterns: PatternSet, vocab: TermSet) -> RelationSet:
     """Scan every sentence with the template set; keep in-vocabulary pairs."""
     if corpus.language != patterns.language:
@@ -234,11 +241,20 @@ def extract_patterns(corpus: Corpus, patterns: PatternSet, vocab: TermSet) -> Re
             f"corpus language {corpus.language} does not match "
             f"pattern language {patterns.language}"
         )
+    templates, coding = patterns.templates, corpus.coding
+    # live[k, s]: sentence s holds every required literal of template k.
+    surfaces = np.array([t.surface.casefold() for t in coding.distinct], dtype=object)
+    live = np.ones((len(templates), len(coding.starts)), dtype=bool)
+    for literal in set().union(*(t.required for t in templates)):
+        present = np.logical_or.reduceat((surfaces == literal)[coding.token], coding.starts)
+        live[[literal in t.required for t in templates]] &= present
+    sentences = [s for d in corpus.documents for s in d.sentences]
     pairs = [
         (hypo, hyper)
-        for doc in corpus.documents
-        for sentence in doc.sentences
-        for hypo, hyper in match_sentence(sentence, patterns)
+        for i in np.flatnonzero(live.any(axis=0)).tolist()
+        for hypo, hyper in _matches(
+            sentences[i], [t for t, ok in zip(templates, live[:, i]) if ok], patterns
+        )
         if hypo in vocab and hyper in vocab
     ]
     return RelationSet("patt", pairs)

@@ -16,7 +16,7 @@ from itertools import combinations
 from pathlib import Path
 
 from taxorel.contexts import POS_LETTER, TARGET_TAGS, ContextMatrix
-from taxorel.corpus import Corpus, CorpusFormatError, Document, TaggedToken, coarse_pos
+from taxorel.corpus import Corpus, CorpusFormatError, CorpusStats, Document, TaggedToken, coarse_pos
 from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.patterns import PatternSet, _match_template
 from taxorel.relations import RelationSet
@@ -504,6 +504,17 @@ def oracle_load_corpus(path, language: str, pos_mapping=None) -> Corpus:
             sentences.append(tuple(current))
         documents.append(Document(id=file.name, sentences=tuple(sentences)))
     return Corpus(language=language.upper(), documents=tuple(documents))
+
+
+def oracle_corpus_stats(corpus: Corpus) -> CorpusStats:
+    """Every token of ``corpus.tokens()`` tested and counted on its own."""
+    content, lemmas = 0, set()
+    for token in corpus.tokens():
+        if token.is_content:
+            content += 1
+            lemmas.add(token.lemma.casefold())
+    sentences = sum(len(d.sentences) for d in corpus.documents)
+    return CorpusStats(len(corpus.documents), sentences, content, len(lemmas))
 
 
 def oracle_window_contexts(corpus: Corpus, window_size: int) -> ContextMatrix:

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from taxorel import corpus as corpus_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
 
 GOLD = (
@@ -204,6 +206,22 @@ class TestRun:
             content = (manifest_path.parent / name).read_bytes()
             assert hashlib.sha256(content).hexdigest() == digest
 
+    @pytest.mark.parametrize("pseudo", [False, True], ids=["documents", "pseudo-documents"])
+    def test_one_run_codes_its_corpus_once(self, tmp_path, monkeypatch, pseudo):
+        coded = []
+        real = corpus_module._code_tokens
+
+        def counting(c):
+            coded.append(c)
+            return real(c)
+
+        monkeypatch.setattr(corpus_module, "_code_tokens", counting)
+        config = load_config(write_config(tmp_path, methods=",".join(METHODS)))
+        run(replace(config, pseudo_documents=pseudo, best_parent=True))
+        # Stats, both context models and the patterns all read the run
+        # corpus; a split corpus has one document per sentence.
+        assert [len(c.documents) for c in coded] == [9 if pseudo else 4]
+
     def test_best_parent_toggle_writes_filtered_files(self, tmp_path):
         config = load_config(
             write_config(tmp_path, methods="tf", extra="\n[filter]\nbest_parent = true\n")
@@ -290,6 +308,17 @@ class TestCommandLine:
         assert main(["stats", str(corpus_dir), "--language", "EN"]) == 0
         out = capsys.readouterr().out
         assert "documents\t4" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--pseudo-documents"]], ids=["documents", "pseudo"])
+    def test_stats_verb_prints_the_run_corpus_stats(self, tmp_path, capsys, flags):
+        config = write_config(tmp_path, methods="tf")
+        assert main(["run", "--config", str(config), *flags]) == 0
+        capsys.readouterr()
+        corpus_dir = tmp_path / "corpus"
+        assert main(["stats", str(corpus_dir), "--language", "EN", *flags]) == 0
+        assert capsys.readouterr().out == (tmp_path / "out" / "corpus_stats.txt").read_text(
+            encoding="utf-8"
+        )
 
     def test_contexts_verb(self, tmp_path, capsys):
         corpus_dir, _ = write_fixture(tmp_path)

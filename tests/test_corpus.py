@@ -1,10 +1,15 @@
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxorel import corpus as corpus_module
 from taxorel.corpus import (
+    Corpus,
     CorpusFormatError,
+    CorpusStats,
+    Document,
     TaggedToken,
     corpus_stats,
     load_corpus,
@@ -13,7 +18,7 @@ from taxorel.corpus import (
     sentence_documents,
 )
 
-from helpers import corpus, doc, oracle_load_corpus, random_corpus
+from helpers import corpus, doc, oracle_corpus_stats, oracle_load_corpus, random_corpus, tok
 
 
 class TestLoadCorpus:
@@ -174,6 +179,65 @@ class TestCorpusStats:
             stats = corpus_stats(c)
             total = sum(1 for _ in c.tokens())
             assert stats.vocabulary_size <= stats.num_content_words <= total
+
+
+# Token lines for the coded-view property test: PROPN and NOUN targets,
+# lemmas that differ only in case (and fold together), and every coarse tag.
+TOKEN_LINES = [
+    ("Dogs", "Dog", "PROPN"), ("dogs", "dog", "NOUN"), ("DOG", "DOG", "NOUN"),
+    ("Bach", "Bach", "PROPN"), ("bach", "bach", "NOUN"), ("Straße", "Straße", "NOUN"),
+    ("STRASSE", "STRASSE", "PROPN"), ("runs", "run", "VERB"), ("Run", "Run", "VERB"),
+    ("big", "big", "ADJ"), ("the", "the", "OTHER"),
+]
+SHARED = [TaggedToken(*line) for line in TOKEN_LINES]
+# A token is (line number, shared): the one shared object of the line, as
+# load_corpus interns it, or a fresh equal one built with tok().
+TOKENS = st.tuples(st.integers(0, len(TOKEN_LINES) - 1), st.booleans())
+SENTENCES = st.lists(TOKENS, min_size=1, max_size=6)
+DOCUMENTS = st.lists(st.lists(SENTENCES, max_size=3), min_size=1, max_size=4)
+
+
+def build_corpus(documents) -> Corpus:
+    def sentence(drawn):
+        return tuple(SHARED[k] if shared else tok(*TOKEN_LINES[k]) for k, shared in drawn)
+
+    return Corpus(
+        "EN",
+        tuple(Document(f"d{i}", tuple(map(sentence, s))) for i, s in enumerate(documents)),
+    )
+
+
+class TestTokenCoding:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(documents=DOCUMENTS, split=st.booleans())
+    # Documents without sentences, before, between and after the others.
+    @example(documents=[[], [[(0, True)], [(1, False)]], [], [[(2, True)]], []], split=False)
+    @example(documents=[[]], split=False)
+    # Equal tokens, one interned and one not, in one sentence.
+    @example(documents=[[[(3, True), (3, False), (3, True)]]], split=True)
+    def test_coding_and_stats_match_a_token_walk(self, documents, split):
+        c = build_corpus(documents)
+        if split and any(documents):
+            c = sentence_documents(c)
+        coding = c.coding
+        assert c.coding is coding
+        tokens = list(c.tokens())
+        assert len(coding.token) == len(tokens)
+        assert all(coding.distinct[k] is t for k, t in zip(coding.token.tolist(), tokens))
+        # Each token object once, in order of first occurrence.
+        assert [id(t) for t in coding.distinct] == list(dict.fromkeys(map(id, tokens)))
+        sentences = [(i, s) for i, d in enumerate(c.documents) for s in d.sentences]
+        assert coding.lengths.tolist() == [len(s) for _, s in sentences]
+        assert coding.documents.tolist() == [i for i, _ in sentences]
+        for start, (_, sentence) in zip(coding.starts.tolist(), sentences):
+            assert tokens[start : start + len(sentence)] == list(sentence)
+        assert corpus_stats(c) == oracle_corpus_stats(c)
+
+    def test_mixed_case_lemmas_and_proper_nouns_counted(self):
+        dogs, straße = [(0, True), (1, False), (2, True)], [(5, False), (6, True), (10, True)]
+        c = build_corpus([[dogs, straße]])
+        # Dog, dog and DOG fold to one lemma, Straße and STRASSE to another.
+        assert corpus_stats(c) == CorpusStats(1, 2, 5, 2)
 
 
 class TestPseudoDocuments:

@@ -318,16 +318,18 @@ def user_sets(tmp_path_factory):
     return sets
 
 
+SENTENCES = st.lists(
+    st.tuples(st.sampled_from(CONNECTORS), st.sampled_from(NOUN_PHRASES)),
+    min_size=1,
+    max_size=5,
+).map(lambda pieces: words(" ".join(" ".join(piece) for piece in pieces)))
+VOCABULARIES = st.sets(st.sampled_from(sorted(map(lemma, WORDS))))
+
+
 class TestPrefilterAgainstOracle:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        name=st.sampled_from(["EN", "PT", *USER_TEMPLATES]),
-        tokens=st.lists(
-            st.tuples(st.sampled_from(CONNECTORS), st.sampled_from(NOUN_PHRASES)),
-            min_size=1,
-            max_size=5,
-        ).map(lambda pieces: words(" ".join(" ".join(piece) for piece in pieces))),
-        vocab=st.sets(st.sampled_from(sorted(map(lemma, WORDS)))),
+        name=st.sampled_from(["EN", "PT", *USER_TEMPLATES]), tokens=SENTENCES, vocab=VOCABULARIES
     )
     # Literals present but out of order; only some of a template's literals.
     @example(name="EN", tokens=words("Dogs as such animals or cats other"), vocab={"animal", "cat"})
@@ -345,3 +347,78 @@ class TestPrefilterAgainstOracle:
         assert relset.pair_set() == {
             (hypo, hyper) for hypo, hyper in expected if hypo in vocab and hyper in vocab
         }
+
+
+@pytest.fixture
+def matched(monkeypatch):
+    """The sentence and the template sources of every call of the matcher."""
+    calls = []
+    real = patterns._matches
+
+    def recording(tokens, templates, pset):
+        calls.append((tokens, [t.source for t in templates]))
+        return real(tokens, templates, pset)
+
+    monkeypatch.setattr(patterns, "_matches", recording)
+    return calls
+
+
+def oracle_pairs(c, pset, vocab) -> set:
+    """The in-vocabulary pairs of the unfiltered matcher on every sentence."""
+    return {
+        (hypo, hyper)
+        for d in c.documents
+        for sentence in d.sentences
+        for hypo, hyper in oracle_match_sentence(sentence, pset)
+        if hypo in vocab and hyper in vocab
+    }
+
+
+class TestCorpusPrefilter:
+    """``extract_patterns`` decides the prefilter for all sentences at once."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(["EN", "PT", *USER_TEMPLATES]),
+        documents=st.lists(st.lists(SENTENCES, max_size=3), min_size=1, max_size=4),
+        vocab=VOCABULARIES,
+    )
+    def test_matches_the_oracle_on_every_sentence(self, user_sets, name, documents, vocab):
+        pset = user_sets[name]
+        c = corpus(
+            *(doc(f"d{i}.txt", *sentences) for i, sentences in enumerate(documents)),
+            language=pset.language,
+        )
+        assert extract_patterns(c, pset, TermSet(vocab)).pair_set() == oracle_pairs(c, pset, vocab)
+
+    def test_literals_in_two_sentences_are_not_live(self, matched):
+        # "such" ends a sentence and "as" starts the next, within a document
+        # and across two documents.
+        c = corpus(
+            doc("a.txt", words("animals such"), words("as Dogs"), words("cats such")),
+            doc("b.txt", words("as cats")),
+        )
+        assert len(extract_patterns(c, EN, TermSet(["animal", "cat", "dog"]))) == 0
+        assert matched == []
+
+    def test_required_literal_ending_a_document(self, matched):
+        ends_a, ends_corpus = words("Dogs , cats or other"), words("cats or other")
+        c = corpus(
+            doc("a.txt", words("animals like Dogs"), ends_a),
+            doc("b.txt", words("Dogs and cats"), ends_corpus),
+        )
+        vocab = TermSet(["animal", "cat", "dog"])
+        assert extract_patterns(c, EN, vocab).pair_set() == oracle_pairs(c, EN, vocab)
+        assert matched == [
+            (ends_a, ["HYPO+ ,? or other HYPER"]),
+            (ends_corpus, ["HYPO+ ,? or other HYPER"]),
+        ]
+
+    def test_template_without_required_literals_is_live_everywhere(self, user_sets, matched):
+        pset = user_sets["optional"]
+        sentences = [words("animals , cats"), words("big"), words("cão outros gatos")]
+        c = corpus(doc("a.txt", *sentences[:2]), doc("b.txt", sentences[2]), language="PT")
+        vocab = {"animal", "cat", "cão", "gato"}
+        assert extract_patterns(c, pset, TermSet(vocab)).pair_set() == oracle_pairs(c, pset, vocab)
+        sources = [t.source for t in pset.templates]
+        assert matched == [(sentence, sources) for sentence in sentences]

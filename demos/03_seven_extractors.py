@@ -51,8 +51,10 @@ DOCS = {
 
 
 def show(relset):
-    pairs = ", ".join(f"{r.hyponym} is-a {r.hypernym}" for r in relset) or "(none)"
-    print(f"  {relset.method:7s} {pairs}")
+    terms = relset.terms
+    pairs = zip(relset.hypo.tolist(), relset.hyper.tolist())
+    text = ", ".join(f"{terms[i]} is-a {terms[j]}" for i, j in pairs) or "(none)"
+    print(f"  {relset.method:7s} {text}")
 
 
 def main() -> None:

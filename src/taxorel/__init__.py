@@ -25,7 +25,6 @@ from .corpus import (
     corpus_stats,
     load_corpus,
     load_pos_mapping,
-    save_corpus,
     sentence_documents,
 )
 from .evaluation import (
@@ -56,7 +55,7 @@ from .patterns import (
     load_patterns,
     match_sentence,
 )
-from .relations import Relation, RelationSet, load_relations, save_relations
+from .relations import RelationSet, load_relations, save_relations
 from .taxonomy import (
     HierarchyMetrics,
     Taxonomy,
@@ -64,8 +63,6 @@ from .taxonomy import (
     break_cycles,
     build_taxonomy,
     compute_metrics,
-    load_taxonomy,
-    save_taxonomy,
     taxonomy_relations,
     transitive_reduction,
 )
@@ -76,7 +73,6 @@ from .weighting import (
     weight_lmi,
     weight_ppmi,
     word_generalities,
-    word_generality,
 )
 
 __version__ = "0.1.0"

@@ -227,20 +227,6 @@ def load_corpus(
     return Corpus(language=language.upper(), documents=documents)
 
 
-def save_corpus(corpus: Corpus, directory: str | Path) -> None:
-    """Write each document back to vertical format under ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for doc in corpus.documents:
-        chunks = []
-        for sentence in doc.sentences:
-            chunks.append(
-                "\n".join(f"{t.surface}\t{t.lemma}\t{t.pos}" for t in sentence)
-            )
-        text = "\n\n".join(chunks)
-        (directory / doc.id).write_text(text + ("\n" if text else ""), encoding="utf-8")
-
-
 def sentence_documents(corpus: Corpus) -> Corpus:
     """Split every sentence into its own pseudo-document.
 

@@ -1,27 +1,18 @@
 """Directed is-a relation sets with TSV persistence.
 
 A relation points from a hyponym (the narrower term) to a hypernym (the
-broader term) and carries the tag of the method that produced it plus an
-optional method-specific score.
+broader term).  A relation set holds the relations of one method, tagged
+with its name, each with an optional method-specific score.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
 
 Pair = tuple[str, str]  # (hyponym, hypernym)
-
-
-@dataclass(frozen=True)
-class Relation:
-    hyponym: str
-    hypernym: str
-    method: str
-    score: float | None = None
 
 
 class RelationSet:
@@ -30,7 +21,7 @@ class RelationSet:
     ``terms`` is the sorted tuple of the terms the pairs use; ``hypo`` and
     ``hyper`` are int32 index arrays into it, sorted by (hyponym, hypernym),
     and ``scores`` holds each pair's score (a float, or None) in the same
-    order.
+    order.  A pair set has only one such form, so sets compare by it.
     """
 
     def __init__(self, method: str, pairs=(), scores=None) -> None:
@@ -83,31 +74,22 @@ class RelationSet:
     def __len__(self) -> int:
         return len(self.scores)
 
-    @cached_property
-    def _scored(self) -> dict[Pair, float | None]:
-        """Score by pair, in order; built on first use."""
-        terms = self.terms
-        pairs = ((terms[i], terms[j]) for i, j in zip(self.hypo.tolist(), self.hyper.tolist()))
-        return dict(zip(pairs, self.scores))
-
     def __contains__(self, pair: Pair) -> bool:
-        return pair in self._scored
-
-    def __iter__(self):
-        for (hypo, hyper), score in self._scored.items():
-            yield Relation(hypo, hyper, self.method, score)
+        i, j = (bisect_left(self.terms, term) for term in pair)
+        found = self.terms[i : i + 1] + self.terms[j : j + 1] == tuple(pair)
+        return found and bool(((self.hypo == i) & (self.hyper == j)).any())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RelationSet) and self._scored.keys() == other._scored.keys()
+        if not isinstance(other, RelationSet) or self.terms != other.terms:
+            return False
+        return np.array_equal(self.hypo, other.hypo) and np.array_equal(self.hyper, other.hyper)
 
     def __repr__(self) -> str:
         return f"RelationSet({self.method!r}, {len(self)} relations)"
 
     def pair_set(self) -> set[Pair]:
-        return set(self._scored)
-
-    def score(self, hyponym: str, hypernym: str) -> float | None:
-        return self._scored[(hyponym, hypernym)]
+        terms = self.terms
+        return {(terms[i], terms[j]) for i, j in zip(self.hypo.tolist(), self.hyper.tolist())}
 
 
 def relations_text(relset: RelationSet) -> str:

@@ -17,7 +17,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -142,11 +141,14 @@ def break_cycles(t: Taxonomy) -> Taxonomy:
     a cycle are ever dropped, and the rule is deterministic and idempotent.
     Removing an edge never puts another edge on a cycle, so one pass over
     the edges on a cycle of ``t`` in descending (hyponym, hypernym) order,
-    dropping each that still closes one, removes the same edges.
+    dropping each that still closes one, removes the same edges.  An
+    acyclic ``t`` is returned itself.
     """
-    adj = t.adj.copy()
     # Edge u->v lies on a cycle iff v reaches u.
     hyper, hypo = np.nonzero(t.adj & t.closure.T)
+    if not len(hyper):
+        return t
+    adj = t.adj.copy()
     for k in np.lexsort((hyper, hypo))[::-1].tolist():
         if _reaches(adj, hypo[k], hyper[k]):
             adj[hyper[k], hypo[k]] = False
@@ -158,13 +160,15 @@ def transitive_reduction(t: Taxonomy) -> Taxonomy:
 
     An edge u->v is redundant exactly when a longer path also leads from u
     to v, that is, when v is below some child of u: the edges kept are
-    ``A & ~(A·R > 0)`` for adjacency A and closure R.  Raises ValueError on
-    cyclic input.
+    ``A & ~(A·R > 0)`` for adjacency A and closure R, which is the result's
+    closure as well.  Raises ValueError on cyclic input.
     """
     if not t.is_dag:
         raise ValueError("transitive reduction requires an acyclic taxonomy")
     implied = t.adj.astype(np.float32) @ t.closure.astype(np.float32) > 0
-    return Taxonomy._of(t.terms, t.adj & ~implied)
+    reduced = Taxonomy._of(t.terms, t.adj & ~implied)
+    reduced.closure = t.closure
+    return reduced
 
 
 @dataclass(frozen=True)
@@ -301,24 +305,3 @@ def best_parent_filter(t: Taxonomy, docm: ContextMatrix) -> Taxonomy:
 def taxonomy_relations(t: Taxonomy, method: str) -> RelationSet:
     """The taxonomy's direct edges as a relation set."""
     return RelationSet.from_mask(method, t.terms, t.adj.T)
-
-
-def save_taxonomy(t: Taxonomy, path: str | Path) -> None:
-    """Write sorted ``hypernym<TAB>hyponym`` edge lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for hyper, hypo in t.edges():
-            fh.write(f"{hyper}\t{hypo}\n")
-
-
-def load_taxonomy(path: str | Path) -> Taxonomy:
-    edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-            edges.append((fields[0], fields[1]))
-    return Taxonomy(edges)

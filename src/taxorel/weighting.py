@@ -9,10 +9,8 @@ general words score higher.
 
 from __future__ import annotations
 
-import statistics
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -109,47 +107,34 @@ def context_entropies(m: ContextMatrix) -> EntropyTable:
     )
 
 
-def word_generality(
-    term: str,
-    lmi: WeightedMatrix,
-    entropies: EntropyTable,
-    top_n: int = DEFAULT_TOP_CONTEXTS,
-) -> float:
-    """Median normalized entropy of the term's top ``top_n`` contexts by LMI.
-
-    Fewer than ``top_n`` contexts are used as-is; ranking ties break on the
-    lexicographic context label.  The median of an even-length list is the
-    mean of the two middle values.  Raises ValueError for terms without any
-    positively weighted context, whose generality is undefined.
-    """
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    row = lmi.row(term)
-    if not row:
-        raise ValueError(f"generality undefined: {term!r} has no weighted contexts")
-    ranked = sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))
-    return statistics.median(entropies.normalized[key] for key, _ in ranked[:top_n])
-
-
 def word_generalities(
     lmi: WeightedMatrix,
     entropies: EntropyTable,
     terms: Iterable[str],
     top_n: int = DEFAULT_TOP_CONTEXTS,
 ) -> dict[str, float]:
-    """Generality for every term that has one; undefined terms are skipped."""
-    return {t: word_generality(t, lmi, entropies, top_n) for t in terms if t in lmi}
+    """Each term's median normalized entropy of its top ``top_n`` contexts by
+    LMI, for the terms of ``terms`` stored in ``lmi``.
 
-
-def save_context_entropies(table: EntropyTable, path: str | Path) -> None:
-    """Write sorted ``context<TAB>rawH<TAB>normH`` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for label in sorted(table.raw):
-            fh.write(f"{label}\t{table.raw[label]!r}\t{table.normalized[label]!r}\n")
-
-
-def save_generalities(generalities: Mapping[str, float], path: str | Path) -> None:
-    """Write sorted ``term<TAB>generality`` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for term in sorted(generalities):
-            fh.write(f"{term}\t{generalities[term]!r}\n")
+    Fewer than ``top_n`` contexts are used as-is; ranking ties break on the
+    lexicographic context label.  The median of an even-length list is the
+    mean of the two middle values.  Terms without any positively weighted
+    context have no generality and are skipped.
+    """
+    if top_n < 1:
+        raise ValueError("top_n must be >= 1")
+    terms = [t for t in terms if t in lmi]
+    x = lmi.rows_of(terms)
+    lengths = np.diff(x.indptr)
+    row = np.repeat(np.arange(len(terms)), lengths)
+    # Descending weight within each row; the sort is stable and a row's
+    # columns are in label order, so ties keep label order.
+    ranked = np.lexsort((-x.data, row))
+    top = ranked[np.arange(len(ranked)) - x.indptr[row] < top_n]
+    labels, normalized = lmi.context_labels, entropies.normalized
+    values = np.fromiter((normalized[labels[j]] for j in x.indices[top].tolist()), float, len(top))
+    values = values[np.lexsort((values, row[top]))]
+    counts = np.minimum(lengths, top_n)
+    starts = np.cumsum(counts) - counts
+    median = (values[starts + (counts - 1) // 2] + values[starts + counts // 2]) / 2
+    return dict(zip(terms, median.tolist()))

@@ -420,15 +420,24 @@ def oracle_dsim_pairs(weights: dict[str, dict[str, float]], vocab, measure: str)
     return pairs
 
 
-def oracle_slqs_pairs(lmi: dict[str, dict[str, float]], normalized: dict, vocab, top_n: int) -> set:
+def oracle_generalities(
+    lmi: dict[str, dict[str, float]], normalized: dict, terms, top_n: int
+) -> dict[str, float]:
     """Median normalized entropy of each term's top LMI contexts (ties on
-    the label); the more general term is the hypernym."""
+    the label), one sorted row per term; terms without contexts are left
+    out."""
     generality = {}
-    for t in vocab:
+    for t in terms:
         if lmi.get(t):
             ranked = sorted(lmi[t].items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
             generality[t] = statistics.median(normalized[c] for c, _ in ranked)
-    return _ranked_pairs(generality)
+    return generality
+
+
+def oracle_slqs_pairs(lmi: dict[str, dict[str, float]], normalized: dict, vocab, top_n: int) -> set:
+    """The more general term of a pair (:func:`oracle_generalities`) is the
+    hypernym."""
+    return _ranked_pairs(oracle_generalities(lmi, normalized, vocab, top_n))
 
 
 def oracle_frequency_pairs(rows: dict[str, dict[str, int]], vocab, documents: bool) -> set:
@@ -577,3 +586,16 @@ def random_corpus(rng: random.Random, language: str = "EN") -> Corpus:
             sentences.append(tokens)
         documents.append(Document(f"doc{d}.txt", tuple(sentences)))
     return Corpus(language, tuple(documents))
+
+
+def write_vertical(corpus: Corpus, directory: Path) -> None:
+    """Write each document of ``corpus`` as a vertical-format file under
+    ``directory``: one ``surface<TAB>lemma<TAB>pos`` line per token and a
+    blank line between sentences."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for document in corpus.documents:
+        text = "\n\n".join(
+            "\n".join(f"{t.surface}\t{t.lemma}\t{t.pos}" for t in sentence)
+            for sentence in document.sentences
+        )
+        (directory / document.id).write_text(text + ("\n" if text else ""), encoding="utf-8")

@@ -69,6 +69,99 @@ def write_config(tmp_path, outdir="out", methods="tf, df, docsub", extra=""):
     return config
 
 
+# sha256 of every file an all-methods run of the fixture writes, manifest
+# excepted (it names the output directory), keyed by ``best_parent``.  A
+# change that alters an output updates its digest only together with a
+# CHANGES.md line that says why.
+PINNED_DIGESTS = {
+    False: {
+        "complementarity_direct.csv": "b11d47221c7cbecd79c6f1fb3d90a2a6573a6f9a0501d22ec45ea473b5d14956",
+        "complementarity_inverse.csv": "baa92516b08f50a46cb6a8dcc2525285b7abeaf334be0fa84a2519002648d464",
+        "corpus_stats.txt": "45b35ee87760354eea58d3fe2eaade3594a2702434852d942ae25b2816703715",
+        "docsub_sweep.json": "0d3cec331f495a73c8f876b42e3dddf104756135a02e2d16bd665bb2d0dac01f",
+        "eval_df.json": "007adf5b0e669b28647b2fc5c0e0b4b2e77143fbeeee79908e9cf53ef33f3fe6",
+        "eval_docsub.json": "25913c3fbe9ea836d4fd0c71b871ac400b882245940b6cd53ac008e290ebeed2",
+        "eval_docsub_0.1.json": "c38df78fbf4089b63df4ebed88e5eb9c9d32c3a24350fa1f487b48b17fa8787f",
+        "eval_docsub_0.5.json": "c38df78fbf4089b63df4ebed88e5eb9c9d32c3a24350fa1f487b48b17fa8787f",
+        "eval_docsub_0.9.json": "c38df78fbf4089b63df4ebed88e5eb9c9d32c3a24350fa1f487b48b17fa8787f",
+        "eval_dsim.json": "8c12fb1049be382b3973db4d7486d4ddf38b1bbaa70d86da79b90684474af47f",
+        "eval_hclust.json": "5cbfc978b5d54ac04d13e00c637776c7e488b7b3f5443ea6888a3974986999eb",
+        "eval_patt.json": "57e54c3761bb370064a30a6653d2e3fc452015f1b31bff99c733ff7345020da8",
+        "eval_slqs.json": "7c6b7d5bd32ff4c16dc5709b24448980f3efb90126df502f4ad349ecdde7c737",
+        "eval_tf.json": "5e33b14908aa0f8926335eef19a02509008f3df1779786e03e5a56483fe88877",
+        "metrics_df.json": "470c39a2268ceaadc2eccb204efec00ce449ce02b986e75f89e7b20b787d176c",
+        "metrics_df.txt": "81095aed38583076bc2b0081dc0846dd23066f26935d45c4d8de9a459488f1bf",
+        "metrics_docsub.json": "c1689467b6dca4e8bd4cec4a7f2cbe9d64b81bf46e620a4b6801487bb346d5cf",
+        "metrics_docsub.txt": "e3fd1cdcb30e1251e7864214a24b041a3f9f5cc57fe1700d18201f4506df4b7d",
+        "metrics_dsim.json": "75e920a17984661a8194e27eee0dc718aa83395ee39a836ce045a445013efbd7",
+        "metrics_dsim.txt": "766089035da56336e3d0df6817cd33a876c3eaac9f19a654ebe9d2932e67edb5",
+        "metrics_hclust.json": "d3295f096d86ca5743309179bee56a7e881a40031b2ef6e1423d33486ded43dd",
+        "metrics_hclust.txt": "29b229443a90092e7a27871d91761b15e1307675c1301d58dae9d36fa813e63f",
+        "metrics_patt.json": "8cf0768247430bd984b59dd7bef568384ab136186950ee67fb05123a57862374",
+        "metrics_patt.txt": "ad62e94035e385113489973c8262f29f9aa911faa79edcec03ad0bf43ab25e06",
+        "metrics_slqs.json": "0db4e885ce93aef31c64bb423c3c91d100bf08193908333079be675c8184da8f",
+        "metrics_slqs.txt": "1738217765a668f601a1b883c89328d783d83a28240cf68afee58a365f84d2e7",
+        "metrics_tf.json": "0127e86129dcf4513d078615d5ac13f967cac2b4e76dfd2bd5c3e48e3475c2e9",
+        "metrics_tf.txt": "50305a620b1fb5e3e8d78a2944034a95f6d2ca2fe6aba332781fec24c3e8c684",
+        "relations_df.tsv": "076eba394a73347d5e6aa455c6dc50da93beeca84598e592ac008a695dec7973",
+        "relations_docsub.tsv": "7ee9ab6bfcac5dff5014a3d5c99bca1b88c6b92b16d6d3115f9d9512d1f2b6c0",
+        "relations_dsim.tsv": "4f2a42775fe702d52a71fe8f5642906ebad7e76c81b69035d981a2118eac06aa",
+        "relations_hclust.tsv": "84ad5116cf9be49c53dc2ce66c8874c3a3a02f7a40d9cef5c3d5c292509c60b1",
+        "relations_patt.tsv": "afa5e6c8b268775f1185842b4aea5e302065b283e1c459f4f1154e5ea495ce80",
+        "relations_slqs.tsv": "94dae0cf8cf43833488e6b0aca7b0306082776965c114bd8eb9dde6c690f3ae8",
+        "relations_tf.tsv": "b8bde39cbc37722f83a7ef575d69aca4080968e45a9417c72f10a180c8590258",
+        "relative_precision.csv": "1d0073144b855d350b052693618e66e1c969a9d19ef0d8eb2d0c63e35e15dbc9",
+        "vocabulary.txt": "52f3bfefeafcfe9f29245c281433b73db0b5e3346536acfc9b945afbdc72cf0c",
+    },
+    True: {
+        "complementarity_direct.csv": "b11d47221c7cbecd79c6f1fb3d90a2a6573a6f9a0501d22ec45ea473b5d14956",
+        "complementarity_inverse.csv": "baa92516b08f50a46cb6a8dcc2525285b7abeaf334be0fa84a2519002648d464",
+        "corpus_stats.txt": "45b35ee87760354eea58d3fe2eaade3594a2702434852d942ae25b2816703715",
+        "docsub_sweep.json": "0d3cec331f495a73c8f876b42e3dddf104756135a02e2d16bd665bb2d0dac01f",
+        "eval_df.json": "25913c3fbe9ea836d4fd0c71b871ac400b882245940b6cd53ac008e290ebeed2",
+        "eval_docsub.json": "25913c3fbe9ea836d4fd0c71b871ac400b882245940b6cd53ac008e290ebeed2",
+        "eval_docsub_0.1.json": "c38df78fbf4089b63df4ebed88e5eb9c9d32c3a24350fa1f487b48b17fa8787f",
+        "eval_docsub_0.5.json": "c38df78fbf4089b63df4ebed88e5eb9c9d32c3a24350fa1f487b48b17fa8787f",
+        "eval_docsub_0.9.json": "c38df78fbf4089b63df4ebed88e5eb9c9d32c3a24350fa1f487b48b17fa8787f",
+        "eval_dsim.json": "8c12fb1049be382b3973db4d7486d4ddf38b1bbaa70d86da79b90684474af47f",
+        "eval_hclust.json": "ce02e1bd2296a8a1ea7c188446628d5e5a9ec9c170635955d1661d9ebb476463",
+        "eval_patt.json": "57e54c3761bb370064a30a6653d2e3fc452015f1b31bff99c733ff7345020da8",
+        "eval_slqs.json": "7c6b7d5bd32ff4c16dc5709b24448980f3efb90126df502f4ad349ecdde7c737",
+        "eval_tf.json": "ce02e1bd2296a8a1ea7c188446628d5e5a9ec9c170635955d1661d9ebb476463",
+        "filtered_df.tsv": "1ce160beedd46891c59630f54dfb28e42ea980e770b7ad0ba7a95693ac3b19b1",
+        "filtered_docsub.tsv": "2a2ceec2b7ae5abe6d948443ba4645b3ac6ed9c7ce27ab64936d92ae826787fc",
+        "filtered_dsim.tsv": "8f2063dc6bb1c646d4dc66256b8ddc519b09d96e3d15ae33db7c22dbed5947f1",
+        "filtered_hclust.tsv": "01310866627407cad08398297192da91b95e168d7e69808be5bf7f33b5f89a09",
+        "filtered_patt.tsv": "afa5e6c8b268775f1185842b4aea5e302065b283e1c459f4f1154e5ea495ce80",
+        "filtered_slqs.tsv": "a51b193709b3d1e2d11f392aa843c793a3f29ba2d53ddafcc7393c6ace3f14f8",
+        "filtered_tf.tsv": "8c86aac9425067906b1ae6442df9ad07151c78ea8790946c3ddb60ac808abb2d",
+        "metrics_df.json": "c1689467b6dca4e8bd4cec4a7f2cbe9d64b81bf46e620a4b6801487bb346d5cf",
+        "metrics_df.txt": "e3fd1cdcb30e1251e7864214a24b041a3f9f5cc57fe1700d18201f4506df4b7d",
+        "metrics_docsub.json": "c1689467b6dca4e8bd4cec4a7f2cbe9d64b81bf46e620a4b6801487bb346d5cf",
+        "metrics_docsub.txt": "e3fd1cdcb30e1251e7864214a24b041a3f9f5cc57fe1700d18201f4506df4b7d",
+        "metrics_dsim.json": "75e920a17984661a8194e27eee0dc718aa83395ee39a836ce045a445013efbd7",
+        "metrics_dsim.txt": "766089035da56336e3d0df6817cd33a876c3eaac9f19a654ebe9d2932e67edb5",
+        "metrics_hclust.json": "9567a3bd8392560c31592757ad640de87f0ab16fad651479a57ff26723ff4811",
+        "metrics_hclust.txt": "b93a6735546f6b679603028ff8ba5b50503464672af51a4ef0f30ee445efa0ae",
+        "metrics_patt.json": "8cf0768247430bd984b59dd7bef568384ab136186950ee67fb05123a57862374",
+        "metrics_patt.txt": "ad62e94035e385113489973c8262f29f9aa911faa79edcec03ad0bf43ab25e06",
+        "metrics_slqs.json": "0db4e885ce93aef31c64bb423c3c91d100bf08193908333079be675c8184da8f",
+        "metrics_slqs.txt": "1738217765a668f601a1b883c89328d783d83a28240cf68afee58a365f84d2e7",
+        "metrics_tf.json": "a0c4b88d0bc95cf5885dd5dcf419d6eaf305796e4e334d0c1d632f5f430c6dd2",
+        "metrics_tf.txt": "1582640129b31595197b9539125f2e4193cd3e088eb5c431e04c0a501b1c1197",
+        "relations_df.tsv": "076eba394a73347d5e6aa455c6dc50da93beeca84598e592ac008a695dec7973",
+        "relations_docsub.tsv": "7ee9ab6bfcac5dff5014a3d5c99bca1b88c6b92b16d6d3115f9d9512d1f2b6c0",
+        "relations_dsim.tsv": "4f2a42775fe702d52a71fe8f5642906ebad7e76c81b69035d981a2118eac06aa",
+        "relations_hclust.tsv": "84ad5116cf9be49c53dc2ce66c8874c3a3a02f7a40d9cef5c3d5c292509c60b1",
+        "relations_patt.tsv": "afa5e6c8b268775f1185842b4aea5e302065b283e1c459f4f1154e5ea495ce80",
+        "relations_slqs.tsv": "94dae0cf8cf43833488e6b0aca7b0306082776965c114bd8eb9dde6c690f3ae8",
+        "relations_tf.tsv": "b8bde39cbc37722f83a7ef575d69aca4080968e45a9417c72f10a180c8590258",
+        "relative_precision.csv": "1d0073144b855d350b052693618e66e1c969a9d19ef0d8eb2d0c63e35e15dbc9",
+        "vocabulary.txt": "52f3bfefeafcfe9f29245c281433b73db0b5e3346536acfc9b945afbdc72cf0c",
+    },
+}
+
+
 class TestValidate:
     def test_valid_config_has_no_problems(self, tmp_path):
         config = load_config(write_config(tmp_path))
@@ -205,6 +298,19 @@ class TestRun:
         for name, digest in manifest["outputs"].items():
             content = (manifest_path.parent / name).read_bytes()
             assert hashlib.sha256(content).hexdigest() == digest
+
+    @pytest.mark.parametrize("best_parent", [False, True], ids=["plain", "best-parent"])
+    def test_all_methods_outputs_match_the_pinned_digests(self, tmp_path, best_parent):
+        import hashlib
+
+        config = load_config(write_config(tmp_path, methods=",".join(METHODS)))
+        outdir = run(replace(config, best_parent=best_parent)).parent
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(outdir.iterdir())
+            if path.name != "manifest.json"
+        }
+        assert digests == PINNED_DIGESTS[best_parent]
 
     @pytest.mark.parametrize("pseudo", [False, True], ids=["documents", "pseudo-documents"])
     def test_one_run_codes_its_corpus_once(self, tmp_path, monkeypatch, pseudo):

@@ -14,11 +14,18 @@ from taxorel.corpus import (
     corpus_stats,
     load_corpus,
     load_pos_mapping,
-    save_corpus,
     sentence_documents,
 )
 
-from helpers import corpus, doc, oracle_corpus_stats, oracle_load_corpus, random_corpus, tok
+from helpers import (
+    corpus,
+    doc,
+    oracle_corpus_stats,
+    oracle_load_corpus,
+    random_corpus,
+    tok,
+    write_vertical,
+)
 
 
 class TestLoadCorpus:
@@ -133,14 +140,14 @@ class TestLoadCorpus:
             doc("a.txt", "The:O energetic:J dog:N barked:V", "cat:N sat:V"),
             doc("b.txt", "fish:N swim:V"),
         )
-        save_corpus(original, tmp_path / "out")
+        write_vertical(original, tmp_path / "out")
         reloaded = load_corpus(tmp_path / "out", "EN")
         assert reloaded == original
 
     def test_loads_are_stable(self, tmp_path):
         import random
 
-        save_corpus(random_corpus(random.Random(7)), tmp_path / "c")
+        write_vertical(random_corpus(random.Random(7)), tmp_path / "c")
         first = load_corpus(tmp_path / "c", "EN")
         second = load_corpus(tmp_path / "c", "EN")
         assert first == second

@@ -112,9 +112,10 @@ def test_extractor_pairs_match_the_oracles(rows):
     for measure, definition in (("clarkede", measure_clarke_de), ("weedsprec", measure_weeds_prec)):
         relset = extract_dsim(ppmi_matrix, vocab, measure)
         assert relset.pair_set() == oracle_dsim_pairs(ppmi, vocab, measure)
-        for rel in relset:
-            expected = definition(ppmi[rel.hyponym], ppmi[rel.hypernym])
-            assert rel.score == pytest.approx(expected, rel=1e-12)
+        terms = relset.terms
+        for i, j, score in zip(relset.hypo.tolist(), relset.hyper.tolist(), relset.scores):
+            expected = definition(ppmi[terms[i]], ppmi[terms[j]])
+            assert score == pytest.approx(expected, rel=1e-12)
     table = EntropyTable(raw=raw, normalized=normalized)
     for top_n in (1, 2, 50):
         got = extract_slqs(WeightedMatrix("lmi", lmi), table, vocab, top_n).pair_set()

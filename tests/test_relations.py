@@ -2,8 +2,67 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from taxorel.relations import Relation, RelationSet, load_relations, save_relations
+from taxorel.relations import RelationSet, load_relations, relations_text, save_relations
+
+
+TERMS = "abcd"
+# Scored pairs with repeats and both orientations; None is a missing score.
+SCORED_PAIRS = st.lists(
+    st.tuples(
+        st.tuples(st.sampled_from(TERMS), st.sampled_from(TERMS)).filter(lambda p: p[0] != p[1]),
+        st.one_of(st.none(), st.floats(allow_nan=False)),
+    ),
+    max_size=14,
+)
+
+
+def first_scores(scored) -> dict:
+    """The set-of-pairs oracle: each pair with its first score."""
+    first = {}
+    for pair, score in scored:
+        first.setdefault(pair, score)
+    return first
+
+
+class TestRelationSetProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(SCORED_PAIRS, SCORED_PAIRS)
+    @example([(("a", "b"), 0.5), (("b", "a"), None), (("a", "b"), 0.9)], [(("a", "b"), None)])
+    @example([], [])
+    def test_matches_a_set_of_pairs(self, scored, other):
+        rs = RelationSet("m", [p for p, _ in scored], [s for _, s in scored])
+        first = first_scores(scored)
+        assert rs.pair_set() == set(first) and len(rs) == len(first)
+        for u in TERMS + "z":
+            for v in TERMS + "z":
+                assert ((u, v) in rs) == ((u, v) in first)
+        again = RelationSet("other", reversed([p for p, _ in scored]))
+        assert rs == again
+        other_pairs = [p for p, _ in other]
+        assert (rs == RelationSet("m", other_pairs)) == (set(first) == set(other_pairs))
+        assert relations_text(rs) == "".join(
+            f"{u}\t{v}\tm\t{'' if s is None else repr(s)}\n" for (u, v), s in sorted(first.items())
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(SCORED_PAIRS)
+    def test_mask_constructor_equals_the_pair_constructor(self, scored):
+        index = {t: i for i, t in enumerate(TERMS)}
+        mask = np.zeros((len(TERMS), len(TERMS)), dtype=bool)
+        values = np.zeros(mask.shape)
+        for (u, v), score in first_scores(scored).items():
+            mask[index[u], index[v]] = True
+            values[index[u], index[v]] = 0.0 if score is None else score
+        pairs = [p for p, _ in scored]
+        expected = RelationSet("m", pairs, [values[index[u], index[v]].item() for u, v in pairs])
+        got = RelationSet.from_mask("m", TERMS, mask, values)
+        assert got == expected and got.terms == expected.terms
+        assert relations_text(got) == relations_text(expected)
+        unscored = RelationSet.from_mask("m", TERMS, mask)
+        assert relations_text(unscored) == relations_text(RelationSet("m", pairs))
 
 
 class TestRelationSet:
@@ -11,12 +70,13 @@ class TestRelationSet:
         rs = RelationSet("tf", [("dog", "animal")], [0.5])
         assert ("dog", "animal") in rs
         assert ("animal", "dog") not in rs
-        assert rs.score("dog", "animal") == 0.5
+        assert ("dog", "cat") not in rs
+        assert rs.scores == (0.5,)
 
     def test_duplicates_keep_first_score(self):
         rs = RelationSet("tf", [("dog", "animal"), ("dog", "animal")], [0.5, 0.9])
         assert len(rs) == 1
-        assert rs.score("dog", "animal") == 0.5
+        assert rs.scores == (0.5,)
 
     def test_self_relation_rejected(self):
         with pytest.raises(ValueError):
@@ -24,8 +84,9 @@ class TestRelationSet:
 
     def test_iteration_is_sorted(self):
         rs = RelationSet("tf", [("z", "a"), ("b", "a")])
-        assert [(r.hyponym, r.hypernym) for r in rs] == [("b", "a"), ("z", "a")]
-        assert all(isinstance(r, Relation) and r.method == "tf" for r in rs)
+        assert rs.terms == ("a", "b", "z")
+        assert (rs.hypo.tolist(), rs.hyper.tolist()) == ([1, 2], [0, 0])
+        assert relations_text(rs) == "b\ta\ttf\t\nz\ta\ttf\t\n"
 
     def test_mask_constructor_keeps_only_the_terms_of_its_pairs(self):
         mask = np.zeros((4, 4), dtype=bool)
@@ -34,10 +95,7 @@ class TestRelationSet:
         rs = RelationSet.from_mask("tf", ["a", "b", "c", "d"], mask, scores)
         assert rs.terms == ("a", "c", "d")
         assert rs == RelationSet("tf", [("d", "a"), ("a", "c")])
-        assert [(r.hyponym, r.hypernym, r.score) for r in rs] == [
-            ("a", "c", 2.0),
-            ("d", "a", 12.0),
-        ]
+        assert relations_text(rs) == "a\tc\ttf\t2.0\nd\ta\ttf\t12.0\n"
 
     def test_opposite_orientations_are_distinct_pairs(self):
         # Pattern evidence can claim both directions of a pair.
@@ -52,9 +110,8 @@ class TestPersistence:
         save_relations(rs, path)
         again = load_relations(path)
         assert again.method == "dsim"
-        assert again.pair_set() == rs.pair_set()
-        assert again.score("dog", "animal") == 0.75
-        assert again.score("cat", "animal") is None
+        assert again == rs
+        assert again.scores == (None, 0.75)  # cat, then dog
 
     def test_file_is_sorted(self, tmp_path):
         rs = RelationSet("tf", [("z", "a"), ("b", "a")])

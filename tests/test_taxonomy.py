@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,11 @@ import taxorel
 from taxorel.relations import RelationSet
 from taxorel.taxonomy import (
     Taxonomy,
+    _closure,
     best_parent_filter,
     break_cycles,
     build_taxonomy,
     compute_metrics,
-    load_taxonomy,
-    save_taxonomy,
     transitive_reduction,
 )
 
@@ -195,6 +195,28 @@ class TestClosureProperties:
         assert m.avg_depth_per_leaf == sum(leaf_depths) / len(leaf_depths)
         assert (m.max_width, m.min_width) == (max(inner, default=0), min(inner, default=0))
         assert m.avg_width == (sum(tax_widths) / len(roots) if tax_widths else 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(graphs(), st.randoms(use_true_random=False).map(random_dag)))
+    @example(Taxonomy([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]))
+    @example(Taxonomy())
+    def test_reduction_carries_the_closure_of_its_result(self, t):
+        fixed = break_cycles(t)
+        reduced = transitive_reduction(fixed)
+        assert (fixed is t) == t.is_dag
+        assert fixed.edge_set() == oracle_break_cycles(t.edge_set())
+        assert reduced.edge_set() == oracle_reduction(fixed.edge_set())
+        assert np.array_equal(reduced.closure, _closure(reduced.adj))
+
+    def test_metrics_of_a_closed_dag_take_one_closure(self, monkeypatch):
+        # Evaluation takes the closure of each taxonomy first; the metrics
+        # stage then only adds the undirected one for the weak components.
+        t = diamond_dag()
+        assert t.is_dag
+        calls = []
+        monkeypatch.setattr(taxorel.taxonomy, "_closure", lambda a: calls.append(a) or _closure(a))
+        compute_metrics(transitive_reduction(break_cycles(t)))
+        assert len(calls) == 1
 
 
 class TestTransitiveReduction:
@@ -431,11 +453,3 @@ class TestBestParentFilter:
         filtered = best_parent_filter(t, m)
         assert filtered.edge_set() == oracle_best_parent(t, m)
         assert filtered.terms == t.terms
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        t = two_tree_forest()
-        save_taxonomy(t, tmp_path / "t.tsv")
-        again = load_taxonomy(tmp_path / "t.tsv")
-        assert again.edge_set() == t.edge_set()

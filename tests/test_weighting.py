@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxorel.contexts import ContextMatrix
 from taxorel.weighting import (
@@ -11,8 +13,9 @@ from taxorel.weighting import (
     weight_lmi,
     weight_ppmi,
     word_generalities,
-    word_generality,
 )
+
+from helpers import oracle_generalities
 
 
 def matrix(rows):
@@ -102,33 +105,35 @@ class TestWordGenerality:
 
     def test_median_of_singleton(self):
         lmi = WeightedMatrix("lmi", {"w": {"a": 1.0}})
-        assert word_generality("w", lmi, self.entropy_table({"a": 0.7})) == 0.7
+        assert word_generalities(lmi, self.entropy_table({"a": 0.7}), ["w"])["w"] == 0.7
 
     def test_median_of_odd_list(self):
         lmi = WeightedMatrix("lmi", {"w": {"a": 3.0, "b": 2.0, "c": 1.0}})
         table = self.entropy_table({"a": 0.2, "b": 0.4, "c": 0.9})
-        assert word_generality("w", lmi, table) == 0.4
+        assert word_generalities(lmi, table, ["w"])["w"] == 0.4
 
     def test_median_of_even_list_averages_middle_pair(self):
         lmi = WeightedMatrix("lmi", {"w": {"a": 3.0, "b": 2.0}})
         table = self.entropy_table({"a": 0.2, "b": 0.4})
-        assert word_generality("w", lmi, table) == pytest.approx(0.3)
+        assert word_generalities(lmi, table, ["w"])["w"] == pytest.approx(0.3)
 
     def test_top_n_limits_contexts(self):
         lmi = WeightedMatrix("lmi", {"w": {"a": 3.0, "b": 2.0, "c": 1.0}})
         table = self.entropy_table({"a": 0.9, "b": 0.1, "c": 0.0})
-        assert word_generality("w", lmi, table, top_n=2) == pytest.approx(0.5)
+        assert word_generalities(lmi, table, ["w"], top_n=2)["w"] == pytest.approx(0.5)
 
     def test_lmi_ties_break_on_context_label(self):
         lmi = WeightedMatrix("lmi", {"w": {"b": 1.0, "a": 1.0, "c": 1.0}})
         table = self.entropy_table({"a": 0.0, "b": 1.0, "c": 0.5})
         # Top-2 by (weight, label) is {a, b}; median = 0.5.
-        assert word_generality("w", lmi, table, top_n=2) == pytest.approx(0.5)
+        assert word_generalities(lmi, table, ["w"], top_n=2)["w"] == pytest.approx(0.5)
 
     def test_no_contexts_is_an_error(self):
         lmi = WeightedMatrix("lmi", {})
+        with pytest.raises(KeyError):
+            word_generalities(lmi, self.entropy_table({}), ["w"])["w"]
         with pytest.raises(ValueError):
-            word_generality("w", lmi, self.entropy_table({}))
+            word_generalities(lmi, self.entropy_table({}), ["w"], top_n=0)
 
     def test_monotone_in_context_entropy(self):
         rng = random.Random(3)
@@ -136,15 +141,15 @@ class TestWordGenerality:
             ents = [rng.random() for _ in range(5)]
             weights = {f"c{i}": 5.0 - i for i in range(5)}
             lmi = WeightedMatrix("lmi", {"w": weights})
-            base = word_generality(
-                "w", lmi, self.entropy_table({f"c{i}": e for i, e in enumerate(ents)})
-            )
+            base = word_generalities(
+                lmi, self.entropy_table({f"c{i}": e for i, e in enumerate(ents)}), ["w"]
+            )["w"]
             bumped = list(ents)
             i = rng.randrange(5)
             bumped[i] = min(1.0, bumped[i] + rng.random())
-            higher = word_generality(
-                "w", lmi, self.entropy_table({f"c{i}": e for i, e in enumerate(bumped)})
-            )
+            higher = word_generalities(
+                lmi, self.entropy_table({f"c{i}": e for i, e in enumerate(bumped)}), ["w"]
+            )["w"]
             assert higher >= base - 1e-12
 
     def test_bulk_generalities_skip_undefined(self):
@@ -153,27 +158,30 @@ class TestWordGenerality:
         out = word_generalities(lmi, table, ["w", "unknown"])
         assert out == {"w": 0.5}
 
-
-class TestPersistence:
-    def test_entropy_table_file(self, tmp_path):
-        from taxorel.weighting import save_context_entropies
-
-        table = context_entropies(matrix({"t1": {"c": 3}, "t2": {"c": 1, "d": 1}}))
-        path = tmp_path / "entropies.tsv"
-        save_context_entropies(table, path)
-        lines = path.read_text().splitlines()
-        assert lines == sorted(lines)
-        label, raw, norm = lines[0].split("\t")
-        assert label == "c"
-        assert float(raw) == table.raw["c"]
-        assert float(norm) == table.normalized["c"]
-
-    def test_generality_file(self, tmp_path):
-        from taxorel.weighting import save_generalities
-
-        path = tmp_path / "generality.tsv"
-        save_generalities({"dog": 0.25, "animal": 0.75}, path)
-        assert path.read_text() == "animal\t0.75\ndog\t0.25\n"
+    # Terms t1..t3 may be stored; t0 and t4 never are.  Few distinct
+    # weights make ties under different labels common.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        rows=st.dictionaries(
+            st.sampled_from(["t1", "t2", "t3"]),
+            st.dictionaries(st.sampled_from("abcdef"), st.sampled_from([0.5, 1.0, 2.5])),
+        ),
+        entropies=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        top_n=st.integers(1, 7),
+    )
+    # The top 3 of t1 cut the tie of b, c and d after c, in label order; t2
+    # ties under labels given out of order and has an even-length median.
+    @example(
+        rows={"t1": {"a": 2.5, "d": 1.0, "c": 1.0, "b": 1.0}, "t2": {"f": 1.0, "e": 1.0}},
+        entropies=[0.1, 0.9, 0.8, 0.2, 0.2, 0.4],
+        top_n=3,
+    )
+    def test_generalities_match_the_per_term_oracle(self, rows, entropies, top_n):
+        normalized = dict(zip("abcdef", entropies))
+        table = self.entropy_table(normalized)
+        terms = ["t0", "t1", "t2", "t3", "t4"]
+        got = word_generalities(WeightedMatrix("lmi", rows), table, terms, top_n)
+        assert got == oracle_generalities(rows, normalized, terms, top_n)
 
 
 class TestPipelineInvariants:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .gold import GoldTaxonomy
 from .relations import Pair, RelationSet
@@ -125,36 +126,28 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     )
 
 
-def _encode(relsets: list[RelationSet]) -> tuple[int, list[np.ndarray]]:
-    """The size N of the sorted union of the sets' term tables, and each
-    set's pairs as unique int64 keys i * N + j into it."""
-    index = {term: i for i, term in enumerate(sorted({t for rs in relsets for t in rs.terms}))}
-    keys = []
+def _encode(relsets: list[RelationSet]) -> tuple[list[str], list[csr_matrix]]:
+    """The sorted union of the sets' term tables, and each set's pairs as a
+    sparse boolean (hyponym, hypernym) matrix over it."""
+    terms = sorted({t for rs in relsets for t in rs.terms})
+    index = {term: i for i, term in enumerate(terms)}
+    masks = []
     for rs in relsets:
         at = np.array([index[term] for term in rs.terms], dtype=np.int64)
-        keys.append(at[rs.hypo] * len(index) + at[rs.hyper])
-    return len(index), keys
+        cells = (np.ones(len(rs), dtype=bool), (at[rs.hypo], at[rs.hyper]))
+        masks.append(csr_matrix(cells, shape=(len(terms), len(terms))))
+    return terms, masks
 
 
-def _ratios(n: int, keys_a: np.ndarray, keys_b: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Mask over A's pairs of those B holds too, and A's direct and inverse
-    overlap ratios with B; A is not empty."""
-    held = np.isin(keys_a, keys_b, assume_unique=True)
-    # k % N * N + k // N swaps the hyponym and hypernym of key k.
-    swapped = np.isin(keys_a, keys_b % n * n + keys_b // n, assume_unique=True)
-    return held, int(held.sum()) / len(keys_a), int(swapped.sum()) / len(keys_a)
-
-
-def _precision(a: RelationSet, keep: np.ndarray, gold: GoldTaxonomy) -> float:
-    """Precision of the taxonomy of A's pairs where ``keep`` holds; 0 when
-    it holds for none."""
-    if not keep.any():
+def _precision(terms: list[str], pairs: csr_matrix, gold: GoldTaxonomy) -> float:
+    """Precision of the taxonomy of a (hyponym, hypernym) pair matrix over
+    the terms its pairs use; 0 when it holds no pair."""
+    used = (pairs.getnnz(axis=0) + pairs.getnnz(axis=1)) > 0
+    if not used.any():
         return 0.0
-    adj = np.zeros((len(a.terms), len(a.terms)), dtype=bool)
-    adj[a.hyper[keep], a.hypo[keep]] = True
-    used = adj.any(axis=0) | adj.any(axis=1)
-    terms = [term for term, u in zip(a.terms, used.tolist()) if u]
-    return evaluate(Taxonomy._of(terms, adj[np.ix_(used, used)]), gold).precision
+    terms = [term for term, u in zip(terms, used.tolist()) if u]
+    adj = np.ascontiguousarray(pairs[np.ix_(used, used)].toarray().T)
+    return evaluate(Taxonomy._of(terms, adj), gold).precision
 
 
 def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
@@ -165,8 +158,9 @@ def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     """
     if len(a) == 0:
         raise ValueError("complementarity of an empty relation set is undefined")
-    n, (keys_a, keys_b) = _encode([a, b])
-    return _ratios(n, keys_a, keys_b)[1:]
+    _, (ma, mb) = _encode([a, b])
+    held, crossed = ma.multiply(mb).count_nonzero(), ma.multiply(mb.T).count_nonzero()
+    return int(held) / len(a), int(crossed) / len(a)
 
 
 def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
@@ -176,11 +170,11 @@ def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> fl
     empty intersection yields 0; an empty or zero-precision A makes the
     ratio undefined and raises ValueError.
     """
-    p_a = _precision(a, np.ones(len(a), dtype=bool), gold)
+    terms, (ma, mb) = _encode([a, b])
+    p_a = _precision(terms, ma, gold)
     if p_a == 0:
         raise ValueError("relative precision undefined: base model is empty or has zero precision")
-    n, (keys_a, keys_b) = _encode([a, b])
-    return _precision(a, np.isin(keys_a, keys_b, assume_unique=True), gold) / p_a
+    return _precision(terms, ma.multiply(mb), gold) / p_a
 
 
 @dataclass(frozen=True)
@@ -204,14 +198,22 @@ def complementarity_matrix(
     methods = tuple(rs.method for rs in relsets)
     if len(set(methods)) != len(methods):
         raise ValueError("relation sets must have distinct method tags")
+    terms, masks = _encode(relsets)
+    swapped = [m.T.tocsr() for m in masks]
+    base = [_precision(terms, m, gold) for m in masks]
     direct, inverse, relative = {}, {}, {}
-    n, keys = _encode(relsets)
-    for a, keys_a in zip(relsets, keys):
-        # The diagonal cell, A n A = A, gives the row's base precision; a
-        # row whose base is empty or zero makes no further evaluate call.
-        p_a = _precision(a, np.ones(len(a), dtype=bool), gold)
-        for b, keys_b in zip(relsets, keys):
-            key = (a.method, b.method)
-            held, direct[key], inverse[key] = _ratios(n, keys_a, keys_b) if len(a) else (None,) * 3
-            relative[key] = (1.0 if b is a else _precision(a, held, gold) / p_a) if p_a else None
+    # Each unordered pair {A, B} is taken once: |A n B| and |A n B^T| are
+    # symmetric counts, and A n B is one taxonomy whichever row it serves.
+    # A n B is a subset of A, so its common relations are a subset of A's:
+    # a zero base leaves the intersection's precision at 0, unevaluated.
+    for x, (a, ma, p_a) in enumerate(zip(relsets, masks, base)):
+        for b, mb, mb_t, p_b in zip(relsets[x:], masks[x:], swapped[x:], base[x:]):
+            both = ma.multiply(mb)
+            held, crossed = int(both.count_nonzero()), int(ma.multiply(mb_t).count_nonzero())
+            p_ab = (p_a if b is a else _precision(terms, both, gold)) if p_a and p_b else 0.0
+            for row, col, p_row in ((a, b, p_a), (b, a, p_b)):
+                key = (row.method, col.method)
+                direct[key] = held / len(row) if len(row) else None
+                inverse[key] = crossed / len(row) if len(row) else None
+                relative[key] = p_ab / p_row if p_row else None
     return ComplementarityMatrix(methods, direct, inverse, relative)

@@ -52,7 +52,6 @@ class GoldTaxonomy:
         for syn in self._synsets.values():
             for lemma in syn.lemmas:
                 self._lemma_index.setdefault(lemma.casefold(), set()).add(syn.id)
-        self._ancestor_cache: dict[int, frozenset[int]] = {}
         self._ancestor_lemma_cache: dict[str, frozenset[str]] = {}
 
     @property
@@ -68,28 +67,6 @@ class GoldTaxonomy:
     def term_set(self) -> frozenset[str]:
         return frozenset(self._lemma_index)
 
-    def _ancestors(self, sid: int) -> frozenset[int]:
-        """Synset ids reachable via one or more hypernym edges.
-
-        Traversal keeps a visited set, so cycles among distinct synsets
-        (present in noisy gold data) terminate; ``sid`` itself appears only
-        when a cycle leads back to it.
-        """
-        cached = self._ancestor_cache.get(sid)
-        if cached is not None:
-            return cached
-        seen: set[int] = set()
-        stack = list(self._synsets[sid].hypernym_ids)
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._synsets[cur].hypernym_ids)
-        result = frozenset(seen)
-        self._ancestor_cache[sid] = result
-        return result
-
     def is_hypernym(self, hyper: str, hypo: str) -> bool:
         """True iff some synset of ``hypo`` reaches some synset of ``hyper``.
 
@@ -103,18 +80,27 @@ class GoldTaxonomy:
         return self.is_hypernym(ancestor, descendant)
 
     def ancestor_lemmas(self, lemma: str) -> frozenset[str]:
-        """Case-folded lemmas of every transitive hypernym synset of ``lemma``."""
-        key = lemma.casefold()
-        cached = self._ancestor_lemma_cache.get(key)
-        if cached is None:
-            cached = self._ancestor_lemma_cache[key] = frozenset(
-                l.casefold()
-                for sid in self._lemma_index.get(key, ())
-                for aid in self._ancestors(sid)
-                for l in self._synsets[aid].lemmas
-            )
-        return cached
+        """Case-folded lemmas of every transitive hypernym synset of ``lemma``.
 
+        One walk goes up from the hypernyms of all of the lemma's synsets.
+        Its visited set makes cycles among distinct synsets (present in
+        noisy gold data) terminate.  A synset of the lemma itself counts only
+        when reached through >= 1 edge: by a cycle, or from another of the
+        lemma's synsets.
+        """
+        key = lemma.casefold()
+        if key not in self._ancestor_lemma_cache:
+            synsets, seen = self._synsets, set()
+            stack = [h for s in self._lemma_index.get(key, ()) for h in synsets[s].hypernym_ids]
+            while stack:
+                sid = stack.pop()
+                if sid not in seen:
+                    seen.add(sid)
+                    stack.extend(synsets[sid].hypernym_ids)
+            self._ancestor_lemma_cache[key] = frozenset(
+                l.casefold() for sid in seen for l in synsets[sid].lemmas
+            )
+        return self._ancestor_lemma_cache[key]
 
 def load_gold(path: str | Path) -> GoldTaxonomy:
     """Read a synset-lines file: ``id<TAB>lemma1|lemma2|...<TAB>hyp1,hyp2,...``.

@@ -26,8 +26,9 @@ class RelationSet:
 
     def __init__(self, method: str, pairs=(), scores=None) -> None:
         """The set of ``pairs``, each scored by the item of ``scores`` at
-        its position (None throughout when ``scores`` is None).  Repeats keep
-        the first score; a self-relation raises ValueError."""
+        its position (None throughout when ``scores`` is None), held as a
+        Python float or None.  Repeats keep the first score; a self-relation
+        raises ValueError."""
         pairs = list(pairs)
         scores = [None] * len(pairs) if scores is None else list(scores)
         first: dict[Pair, float | None] = {}
@@ -43,7 +44,7 @@ class RelationSet:
             terms,
             [index[hypo] for hypo, _ in ordered],
             [index[hyper] for _, hyper in ordered],
-            [first[pair] for pair in ordered],
+            [None if first[pair] is None else float(first[pair]) for pair in ordered],
         )
 
     @classmethod

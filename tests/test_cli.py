@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from taxorel import corpus as corpus_module
+from taxorel import taxonomy as taxonomy_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
 
 GOLD = (
@@ -327,6 +328,22 @@ class TestRun:
         # Stats, both context models and the patterns all read the run
         # corpus; a split corpus has one document per sentence.
         assert [len(c.documents) for c in coded] == [9 if pseudo else 4]
+
+    @pytest.mark.parametrize("best_parent", [False, True], ids=["plain", "best-parent"])
+    def test_one_run_stays_within_its_closure_budget(self, tmp_path, monkeypatch, best_parent):
+        closures = []
+        real = taxonomy_module._closure
+
+        def counting(adj):
+            closures.append(len(adj))
+            return real(adj)
+
+        monkeypatch.setattr(taxonomy_module, "_closure", counting)
+        config = load_config(write_config(tmp_path, methods=",".join(METHODS)))
+        run(replace(config, best_parent=best_parent))
+        # Warshall closures are the run's costliest step at paper scale;
+        # this pins how many one all-methods run takes.
+        assert len(closures) == 44
 
     def test_best_parent_toggle_writes_filtered_files(self, tmp_path):
         config = load_config(

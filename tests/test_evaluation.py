@@ -404,12 +404,18 @@ class TestMatrixOracles:
     def test_matches_pair_arithmetic_and_evaluate(self, pair_sets):
         gold = self.gold()
         sets = [RelationSet(f"m{i}", pairs) for i, pairs in enumerate(pair_sets)]
-        expected, calls = {}, 0
-        for a, pa in zip(sets, pair_sets):
-            p_a = evaluate(build_taxonomy(a), gold).precision if pa else 0.0
-            # One call for the diagonal of every non-empty row, and one for
-            # each other non-empty cell of a row with a positive base.
-            calls += bool(pa)
+        base = [evaluate(build_taxonomy(a), gold).precision if pa else 0.0
+                for a, pa in zip(sets, pair_sets)]
+        # One call for the base of every non-empty set, and one for each
+        # unordered pair whose intersection is non-empty and whose two bases
+        # are positive.
+        calls = sum(map(bool, pair_sets)) + sum(
+            bool(pair_sets[x] & pair_sets[y] and base[x] and base[y])
+            for x in range(len(sets))
+            for y in range(x + 1, len(sets))
+        )
+        expected = {}
+        for a, pa, p_a in zip(sets, pair_sets, base):
             for b, pb in zip(sets, pair_sets):
                 shared, key = pa & pb, (a.method, b.method)
                 if not pa:
@@ -417,7 +423,6 @@ class TestMatrixOracles:
                     continue
                 relative = 0.0 if p_a else None
                 if p_a and shared:
-                    calls += b is not a
                     inter = RelationSet(a.method, shared)
                     relative = evaluate(build_taxonomy(inter), gold).precision / p_a
                 swapped = {(hyper, hypo) for hypo, hyper in pb}
@@ -429,3 +434,25 @@ class TestMatrixOracles:
             got = (matrix.direct[key], matrix.inverse[key], matrix.relative[key])
             assert got == cells
             assert all(v is None or type(v) is float for v in got)
+
+    # Drawn as above, two sets at a time.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        *(
+            st.sets(st.permutations(letters).map(lambda p: (p[0], p[1])), max_size=5)
+            for letters in ALPHABETS[:2]
+        )
+    )
+    @example({("A", "b"), ("b", "c")}, {("A", "b")})
+    def test_zero_base_leaves_the_intersection_at_zero(self, a_pairs, b_pairs):
+        # complementarity_matrix evaluates no intersection with a zero-base
+        # side: A n B is a subset of A, so it holds none of A's common
+        # relations either.
+        gold = self.gold()
+        a = RelationSet("a", a_pairs)
+        if not a_pairs or evaluate(build_taxonomy(a), gold).precision:
+            return
+        shared = a_pairs & b_pairs
+        if shared:
+            inter = build_taxonomy(RelationSet("a", shared))
+            assert evaluate(inter, gold).precision == 0.0

@@ -176,6 +176,10 @@ class TestIsHypernymProperty:
     @example([({"a"}, set()), ({"b"}, {0}), ({"b", "d"}, set()), ({"c"}, {2})])  # b in two synsets
     @example([({"A"}, set()), ({"a", "b"}, {0}), ({"C"}, {1})])  # case variants
     @example([({"d"}, {0})])  # self-cycle only
+    # b in two synsets whose chains meet at c and go on to a
+    @example([({"a"}, set()), ({"c"}, {0}), ({"b"}, {1}), ({"b", "d"}, {1})])
+    # a cycle leads back to b's first synset; its second has no hypernym
+    @example([({"b", "d"}, {1}), ({"c"}, {0}), ({"b"}, set())])
     def test_matches_synset_bfs(self, rows):
         gold = gold_from(
             *((sid, lemmas, {h for h in hypers if h < len(rows)})

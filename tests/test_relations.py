@@ -113,6 +113,19 @@ class TestPersistence:
         assert again == rs
         assert again.scores == (None, 0.75)  # cat, then dog
 
+    def test_round_trip_with_numpy_and_int_scores(self, tmp_path):
+        rs = RelationSet(
+            "dsim",
+            [("dog", "animal"), ("cat", "animal"), ("ant", "animal")],
+            [np.float64(0.5), np.float32(0.25), 1],
+        )
+        assert all(type(score) is float for score in rs.scores)
+        path = tmp_path / "rels.tsv"
+        save_relations(rs, path)
+        assert path.read_text().splitlines()[0] == "ant\tanimal\tdsim\t1.0"
+        again = load_relations(path)
+        assert again == rs and again.scores == rs.scores == (1.0, 0.25, 0.5)
+
     def test_file_is_sorted(self, tmp_path):
         rs = RelationSet("tf", [("z", "a"), ("b", "a")])
         save_relations(rs, tmp_path / "rels.tsv")

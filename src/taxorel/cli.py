@@ -38,6 +38,8 @@ from .corpus import (
 from .evaluation import ComplementarityMatrix, EvalReport, complementarity_matrix, evaluate
 from .extractors import (
     MEASURES,
+    _docsub_counts,
+    _docsub_relations,
     extract_df,
     extract_docsub,
     extract_dsim,
@@ -69,7 +71,7 @@ _METHODS = {
     "slqs": (("lmi", "entropies", "vocab"), lambda c, *a: extract_slqs(*a, c.slqs_contexts)),
     "tf": (("documents", "vocab"), lambda c, *a: extract_tf(*a)),
     "df": (("documents", "vocab"), lambda c, *a: extract_df(*a)),
-    # One lambda per call: run() sweeps by calling it once per lambda.
+    # The first lambda; run() sweeps them all in _docsub_sweep.
     "docsub": (("documents", "vocab"), lambda c, *a: extract_docsub(*a, c.docsub_lambdas[0])),
     "hclust": (
         ("ppmi", "documents", "vocab"),
@@ -408,11 +410,13 @@ def run(config: RunConfig) -> Path:
 
 
 def _docsub_sweep(config: RunConfig, inputs: _Inputs, emit):
-    """Evaluate every configured lambda, keep the best-F one as canonical."""
+    """Evaluate every lambda on one count of shared documents; keep the
+    best-F one as canonical."""
+    counts = _docsub_counts(inputs["documents"], inputs["vocab"])
     best = None
     summary = []
     for lam in config.docsub_lambdas:
-        relset = _extract("docsub", replace(config, docsub_lambdas=(lam,)), inputs)
+        relset = _docsub_relations(*counts, lam)
         report = _evaluate(build_taxonomy(relset), inputs["gold"])
         emit(f"eval_docsub_{lam:g}.json", _json_text(report.to_dict()))
         summary.append(

@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
 
 from .corpus import Corpus
 
@@ -23,11 +23,57 @@ POS_LETTER = {"NOUN": "n", "PROPN": "p", "VERB": "v", "ADJ": "j", "OTHER": "o"}
 
 TARGET_TAGS = frozenset({"NOUN", "PROPN"})
 
+_GRAM_CHUNK = 1 << 16  # pairs of values that _gram makes at once
+
+
+class CSR(NamedTuple):
+    """Row ``i`` stores ``data[indptr[i]:indptr[i + 1]]`` in the ascending
+    columns ``indices[indptr[i]:indptr[i + 1]]``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored value."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + lengths[i]``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _gram(x: CSR, pair=np.multiply, symmetric: bool = True) -> np.ndarray:
+    """The dense matrix whose cell (i, j) sums ``pair(x[i, c], x[j, c])``
+    over the columns c stored in rows i and j, from 0.0 in ascending column
+    order as ``x @ x.T`` adds (``np.add.at`` adds in index order), so bit for
+    bit equal to that product; ``symmetric`` if pair(u, v) == pair(v, u)."""
+    n = x.shape[0]
+    # Values in column order, rows ascending within a column: value e pairs
+    # with itself and the values after it in its column (i <= j).
+    order = np.argsort(x.indices, kind="stable")
+    row, value = x.rows()[order], x.data[order]
+    after = np.cumsum(np.bincount(x.indices))[x.indices[order]] - np.arange(len(order))
+    cuts = np.searchsorted(np.cumsum(after), range(_GRAM_CHUNK, after.sum(), _GRAM_CHUNK))
+    edges = [0, *cuts.tolist(), len(order)]
+    upper = np.zeros(n * n)
+    lower = upper if symmetric else np.zeros(n * n)  # transposed
+    for lo, hi in zip(edges, edges[1:]):
+        i, u = np.repeat(row[lo:hi], after[lo:hi]), np.repeat(value[lo:hi], after[lo:hi])
+        later = _ranges(np.arange(lo, hi), after[lo:hi])
+        np.add.at(upper, i * n + row[later], pair(u, value[later]))
+        if not symmetric:
+            np.add.at(lower, i * n + row[later], pair(value[later], u))
+    return upper.reshape(n, n) + np.triu(lower.reshape(n, n), 1).T
+
 
 class TermContextMatrix:
     """Sparse term-by-context matrix: the sorted term labels, the sorted
-    context labels (plain strings) and one CSR whose row ``i`` and column
-    ``j`` are ``term_labels[i]`` and ``context_labels[j]``.
+    context labels (plain strings) and one :class:`CSR` whose row ``i`` and
+    column ``j`` are ``term_labels[i]`` and ``context_labels[j]``.
 
     ``rows`` maps each term to its context values; terms without any are
     not stored.  Instances are treated as immutable once built.
@@ -37,18 +83,15 @@ class TermContextMatrix:
         terms = sorted(t for t, row in rows.items() if row)
         contexts = sorted({c for t in terms for c in rows[t]})
         column = {c: j for j, c in enumerate(contexts)}
-        csr = csr_matrix(
-            (
-                np.array([v for t in terms for v in rows[t].values()], dtype=dtype),
-                np.array([column[c] for t in terms for c in rows[t]], dtype=np.int64),
-                np.cumsum([0] + [len(rows[t]) for t in terms]),
-            ),
-            shape=(len(terms), len(contexts)),
+        csr = CSR(
+            np.array([rows[t][c] for t in terms for c in sorted(rows[t])], dtype=dtype),
+            np.array([column[c] for t in terms for c in sorted(rows[t])], dtype=np.int64),
+            np.cumsum([0] + [len(rows[t]) for t in terms]),
+            (len(terms), len(contexts)),
         )
-        csr.sort_indices()
         self._adopt(csr, terms, contexts)
 
-    def _adopt(self, csr: csr_matrix, term_labels: list[str], context_labels: list[str]):
+    def _adopt(self, csr: CSR, term_labels: list[str], context_labels: list[str]):
         self.csr = csr
         self.term_labels = term_labels
         self.context_labels = context_labels
@@ -68,23 +111,18 @@ class TermContextMatrix:
     def row(self, term: str) -> dict[str, float]:
         """Context values of a term by context label, in label order (empty
         for a term not stored); a fresh dict."""
-        i = self._index.get(term)
-        if i is None:
-            return {}
-        lo, hi = self.csr.indptr[i], self.csr.indptr[i + 1]
-        labels = self.context_labels
-        return {
-            labels[j]: v
-            for j, v in zip(self.csr.indices[lo:hi].tolist(), self.csr.data[lo:hi].tolist())
-        }
+        x, labels = self.rows_of([term]), self.context_labels
+        return {labels[j]: v for j, v in zip(x.indices.tolist(), x.data.tolist())}
 
-    def rows_of(self, terms: Iterable[str]) -> csr_matrix:
+    def rows_of(self, terms: Iterable[str]) -> CSR:
         """The rows of ``terms``, in that order, as a CSR over all contexts;
         a term not stored gets an empty row."""
-        empty = csr_matrix((1, self.csr.shape[1]), dtype=self.csr.dtype)
-        # Index -1 selects the empty row appended last.
-        index = [self._index.get(t, -1) for t in terms]
-        return vstack([self.csr, empty], format="csr")[index]
+        x = self.csr
+        index = np.array([self._index.get(t, -1) for t in terms], dtype=np.int64)
+        lengths = np.append(np.diff(x.indptr), 0)[index]  # -1: empty, after the last row
+        picked = _ranges(x.indptr[index], lengths)
+        indptr = np.append(0, np.cumsum(lengths))
+        return CSR(x.data[picked], x.indices[picked], indptr, (len(index), x.shape[1]))
 
     def __contains__(self, term: str) -> bool:
         return term in self._index
@@ -126,13 +164,9 @@ class ContextMatrix(TermContextMatrix):
         """Copy of the matrix with every count multiplied by ``factor``."""
         if factor < 1:
             raise ValueError("scale factor must be a positive integer")
-        return ContextMatrix._from_csr(
-            self.csr * factor,
-            self.term_labels,
-            self.context_labels,
-            model=self.model,
-            window_size=self.window_size,
-        )
+        csr = self.csr._replace(data=self.csr.data * factor)
+        labels = self.term_labels, self.context_labels
+        return ContextMatrix._from_csr(csr, *labels, model=self.model, window_size=self.window_size)
 
 
 def _tokens(corpus: Corpus):
@@ -162,7 +196,7 @@ def _count(model, terms, contexts, keys, window_size=None) -> ContextMatrix:
     rows, row = np.unique(keys // max(len(contexts), 1), return_inverse=True)
     columns, column = np.unique(keys % max(len(contexts), 1), return_inverse=True)
     indptr = np.searchsorted(row, np.arange(len(rows) + 1))
-    csr = csr_matrix((counts.astype(np.int64), column, indptr), shape=(len(rows), len(columns)))
+    csr = CSR(counts.astype(np.int64), column, indptr, (len(rows), len(columns)))
     terms, contexts = [terms[i] for i in rows.tolist()], [contexts[j] for j in columns.tolist()]
     return ContextMatrix._from_csr(csr, terms, contexts, model=model, window_size=window_size)
 

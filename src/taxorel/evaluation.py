@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .gold import GoldTaxonomy
 from .relations import Pair, RelationSet
@@ -126,27 +125,29 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     )
 
 
-def _encode(relsets: list[RelationSet]) -> tuple[list[str], list[csr_matrix]]:
+def _encode(relsets: list[RelationSet]) -> tuple[list[str], list[np.ndarray]]:
     """The sorted union of the sets' term tables, and each set's pairs as a
-    sparse boolean (hyponym, hypernym) matrix over it."""
+    sorted int64 array of keys ``hyponym * N + hypernym`` over its N terms."""
     terms = sorted({t for rs in relsets for t in rs.terms})
     index = {term: i for i, term in enumerate(terms)}
-    masks = []
+    keys = []
     for rs in relsets:
-        at = np.array([index[term] for term in rs.terms], dtype=np.int64)
-        cells = (np.ones(len(rs), dtype=bool), (at[rs.hypo], at[rs.hyper]))
-        masks.append(csr_matrix(cells, shape=(len(terms), len(terms))))
-    return terms, masks
+        at = np.array([index[term] for term in rs.terms], dtype=np.int64)  # increasing
+        keys.append(at[rs.hypo] * len(terms) + at[rs.hyper])
+    return terms, keys
 
 
-def _precision(terms: list[str], pairs: csr_matrix, gold: GoldTaxonomy) -> float:
-    """Precision of the taxonomy of a (hyponym, hypernym) pair matrix over
-    the terms its pairs use; 0 when it holds no pair."""
-    used = (pairs.getnnz(axis=0) + pairs.getnnz(axis=1)) > 0
-    if not used.any():
+def _precision(terms: list[str], keys: np.ndarray, gold: GoldTaxonomy) -> float:
+    """Precision of the taxonomy of the pairs of ``keys``; 0 for no pair."""
+    if not len(keys):
         return 0.0
+    hypo, hyper = np.divmod(keys, len(terms))
+    used = np.zeros(len(terms), dtype=bool)
+    used[hypo] = used[hyper] = True
+    at = np.cumsum(used) - 1
+    adj = np.zeros((at[-1] + 1,) * 2, dtype=bool)
+    adj[at[hyper], at[hypo]] = True
     terms = [term for term, u in zip(terms, used.tolist()) if u]
-    adj = np.ascontiguousarray(pairs[np.ix_(used, used)].toarray().T)
     return evaluate(Taxonomy._of(terms, adj), gold).precision
 
 
@@ -158,9 +159,9 @@ def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     """
     if len(a) == 0:
         raise ValueError("complementarity of an empty relation set is undefined")
-    _, (ma, mb) = _encode([a, b])
-    held, crossed = ma.multiply(mb).count_nonzero(), ma.multiply(mb.T).count_nonzero()
-    return int(held) / len(a), int(crossed) / len(a)
+    terms, (ka, kb) = _encode([a, b])
+    crossed = np.isin(ka, kb % len(terms) * len(terms) + kb // len(terms))
+    return int(np.isin(ka, kb).sum()) / len(a), int(crossed.sum()) / len(a)
 
 
 def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
@@ -170,11 +171,11 @@ def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> fl
     empty intersection yields 0; an empty or zero-precision A makes the
     ratio undefined and raises ValueError.
     """
-    terms, (ma, mb) = _encode([a, b])
-    p_a = _precision(terms, ma, gold)
+    terms, (ka, kb) = _encode([a, b])
+    p_a = _precision(terms, ka, gold)
     if p_a == 0:
         raise ValueError("relative precision undefined: base model is empty or has zero precision")
-    return _precision(terms, ma.multiply(mb), gold) / p_a
+    return _precision(terms, ka[np.isin(ka, kb)], gold) / p_a
 
 
 @dataclass(frozen=True)
@@ -198,18 +199,18 @@ def complementarity_matrix(
     methods = tuple(rs.method for rs in relsets)
     if len(set(methods)) != len(methods):
         raise ValueError("relation sets must have distinct method tags")
-    terms, masks = _encode(relsets)
-    swapped = [m.T.tocsr() for m in masks]
-    base = [_precision(terms, m, gold) for m in masks]
+    terms, keys = _encode(relsets)
+    swapped = [k % len(terms) * len(terms) + k // len(terms) for k in keys]  # pairs reversed
+    base = [_precision(terms, k, gold) for k in keys]
     direct, inverse, relative = {}, {}, {}
     # Each unordered pair {A, B} is taken once: |A n B| and |A n B^T| are
     # symmetric counts, and A n B is one taxonomy whichever row it serves.
     # A n B is a subset of A, so its common relations are a subset of A's:
     # a zero base leaves the intersection's precision at 0, unevaluated.
-    for x, (a, ma, p_a) in enumerate(zip(relsets, masks, base)):
-        for b, mb, mb_t, p_b in zip(relsets[x:], masks[x:], swapped[x:], base[x:]):
-            both = ma.multiply(mb)
-            held, crossed = int(both.count_nonzero()), int(ma.multiply(mb_t).count_nonzero())
+    for x, (a, ka, p_a) in enumerate(zip(relsets, keys, base)):
+        for b, kb, kb_t, p_b in zip(relsets[x:], keys[x:], swapped[x:], base[x:]):
+            both = ka[np.isin(ka, kb)]
+            held, crossed = len(both), int(np.isin(ka, kb_t).sum())
             p_ab = (p_a if b is a else _precision(terms, both, gold)) if p_a and p_b else 0.0
             for row, col, p_row in ((a, b, p_a), (b, a, p_b)):
                 key = (row.method, col.method)

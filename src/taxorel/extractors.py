@@ -12,10 +12,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import squareform
 
-from .contexts import ContextMatrix, TermSet
+from .contexts import ContextMatrix, TermSet, _gram
 from .relations import RelationSet
 from .weighting import (
     DEFAULT_TOP_CONTEXTS,
@@ -24,7 +22,10 @@ from .weighting import (
     word_generalities,
 )
 
-MEASURES = ("clarkede", "weedsprec")
+# Measure -> (what a shared context adds to u's inclusion in v, given their
+# weights there; whether swapping u and v keeps it).
+_SHARED = {"clarkede": (np.minimum, True), "weedsprec": (lambda u, v: u, False)}
+MEASURES = tuple(_SHARED)
 
 
 def measure_weeds_prec(u: Mapping, v: Mapping) -> float:
@@ -60,19 +61,9 @@ def extract_dsim(
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     terms = sorted(vocab)
     w = ppmi.rows_of(terms)
-    if measure == "weedsprec":
-        shared = (w @ w.sign().T).toarray()
-    else:
-        # One feature at a time, so memory stays at one vocab x vocab array.
-        shared = np.zeros((len(terms), len(terms)))
-        cols = w.tocsc()
-        for f in np.flatnonzero(np.diff(cols.indptr) > 1).tolist():
-            lo, hi = cols.indptr[f], cols.indptr[f + 1]
-            rows, values = cols.indices[lo:hi], cols.data[lo:hi]
-            shared[np.ix_(rows, rows)] += np.minimum.outer(values, values)
-    # Row totals one weight after another in label order: the sparse product
-    # sums that way, .sum(axis=1) (np.add.reduceat) does not.
-    totals = w @ np.ones(w.shape[1])
+    # Summed in label order; the diagonal (u with itself) holds the row totals.
+    shared = _gram(w, *_SHARED[measure])
+    totals = np.diag(shared)
     with np.errstate(divide="ignore", invalid="ignore"):
         inclusion = shared / totals[:, None]
     # A pair without shared contexts scores 0 both ways, a tie.
@@ -97,7 +88,8 @@ def extract_tf(docm: ContextMatrix, vocab: TermSet) -> RelationSet:
     """The more frequent term of a pair (the larger sum of its per-document
     counts) is taken as the hypernym."""
     terms = sorted(vocab)
-    frequency = docm.rows_of(terms).sum(axis=1).A1
+    x = docm.rows_of(terms)
+    frequency = np.bincount(x.rows(), x.data, len(terms))
     return RelationSet.from_mask("tf", terms, frequency > frequency[:, None])
 
 
@@ -118,13 +110,22 @@ def extract_docsub(docm: ContextMatrix, vocab: TermSet, lam: float) -> RelationS
     integers as |D_x| > |D_y|, which is the same test when they share a
     document.
     """
+    return _docsub_relations(*_docsub_counts(docm, vocab), lam)
+
+
+def _docsub_counts(docm: ContextMatrix, vocab: TermSet):
+    """The sorted vocabulary, ``given[x, y]`` = P(x|y) (0 for a term without
+    documents) and each term's number of documents, for any lambda."""
+    terms = sorted(vocab)
+    docs = docm.rows_of(terms)
+    sizes = np.diff(docs.indptr)
+    return terms, _gram(docs, lambda u, v: 1.0) / np.maximum(sizes, 1), sizes
+
+
+def _docsub_relations(terms, given, sizes, lam: float) -> RelationSet:
+    """The docsub relations at ``lam`` from :func:`_docsub_counts`."""
     if not 0 < lam <= 1:
         raise ValueError(f"lambda must be in (0, 1], got {lam}")
-    terms = sorted(vocab)
-    docs = docm.rows_of(terms).sign()
-    sizes = np.diff(docs.indptr)
-    # given[x, y] = P(x|y); a term without documents shares none.
-    given = (docs @ docs.T).toarray() / np.maximum(sizes, 1)
     subsumes = (given >= lam) & (sizes[:, None] > sizes)
     return RelationSet.from_mask("docsub", terms, subsumes.T, given.T)
 
@@ -135,9 +136,8 @@ def cluster_terms(ppmi: WeightedMatrix, vocab: TermSet, k: int) -> list[list[str
 
     The cut applies exactly n-k merges of the linkage sequence, so exactly
     k clusters come back even when merge heights tie (e.g. duplicate or
-    all-zero vectors, which sit at distance 1 from everything).  Terms are
-    processed in sorted order, making the partition deterministic for a
-    given matrix.  Clusters are returned sorted, members sorted.
+    all-zero vectors, which sit at distance 1 from everything).  Clusters
+    are returned sorted, members sorted.
     """
     terms = sorted(vocab)
     n = len(terms)
@@ -148,21 +148,41 @@ def cluster_terms(ppmi: WeightedMatrix, vocab: TermSet, k: int) -> list[list[str
     if k == 1:
         return [terms]
 
-    x = ppmi.rows_of(terms)
-    sims = (x @ x.T).toarray()
+    sims = _gram(ppmi.rows_of(terms))
     norms = np.sqrt(np.diag(sims))
     denom = np.outer(norms, norms)
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = np.where(denom > 0, sims / np.where(denom > 0, denom, 1.0), 0.0)
     dist = np.clip(1.0 - sims, 0.0, None)
-    np.fill_diagonal(dist, 0.0)
-    merges = linkage(squareform(dist, checks=False), method="average")
-    # Row i merges cluster ids merges[i,0] and merges[i,1] into id n+i.
-    components: dict[int, list[str]] = {i: [t] for i, t in enumerate(terms)}
-    for i in range(n - k):
-        a, b = int(merges[i, 0]), int(merges[i, 1])
-        components[n + i] = sorted(components.pop(a) + components.pop(b))
-    return sorted(components.values(), key=lambda g: g[0])
+    clusters: dict[int, list[str]] = {}
+    for t, c in zip(terms, _average_linkage(dist, n - k).tolist()):
+        clusters.setdefault(c, []).append(t)
+    return sorted(clusters.values(), key=lambda g: g[0])
+
+
+def _average_linkage(dist: np.ndarray, merges: int) -> np.ndarray:
+    """Each point's cluster label after the first ``merges`` merges (stably
+    by height) of average linkage over a distance matrix: a nearest-neighbour
+    chain from the lowest live cluster to the first nearest one, kept at its
+    previous cluster on a tie; mutual neighbours x < y merge into y."""
+    d = dist.astype(np.float64)
+    np.fill_diagonal(d, np.inf)  # itself, or a cluster merged away: never nearest
+    size, chain, steps = [1] * len(d), [], []
+    for _ in range(len(d) - 1):
+        chain = chain or [next(i for i, s in enumerate(size) if s)]
+        x, y = chain[-1], int(d[chain[-1]].argmin())
+        while len(chain) < 2 or d[x, chain[-2]] > d[x, y]:
+            chain.append(y)
+            x, y = y, int(d[y].argmin())
+        x, y = sorted((chain.pop(), chain.pop()))
+        steps.append((d[x, y], x, y))
+        merged = (size[x] * d[x] + size[y] * d[y]) / (size[x] + size[y])
+        size[x], size[y] = 0, size[x] + size[y]
+        d[x], d[:, x], d[y], d[:, y] = np.inf, np.inf, merged, merged
+    label = np.arange(len(d))
+    for _, x, y in sorted(steps, key=lambda step: step[0])[:merges]:  # stable
+        label[label == label[x]] = label[y]
+    return label
 
 
 def extract_hclust(

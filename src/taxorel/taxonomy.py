@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .contexts import ContextMatrix
+from .contexts import ContextMatrix, _gram
 from .relations import RelationSet
 
 Edge = tuple[str, str]  # (hypernym, hyponym)
@@ -266,10 +266,10 @@ def best_parent_filter(t: Taxonomy, docm: ContextMatrix) -> Taxonomy:
     multi = np.flatnonzero(np.count_nonzero(t.adj, axis=0) >= 2)
     if not len(multi):
         return t
-    docs = docm.rows_of(t.terms).sign()
+    docs = docm.rows_of(t.terms)
     # shared[i, a] = |D_x n D_a| for x = multi[i]; exact integers in float64
     # while |D_x| * n < 2**53, and so are its products with 0/1 matrices.
-    shared = (docs[multi] @ docs.T).toarray().astype(np.float64)
+    shared = _gram(docs, lambda u, v: 1.0)[multi]
     # Candidate edges, by node and then ascending parent; cands[pos] == parent.
     node, parent = np.nonzero(t.adj[:, multi].T)
     cands, pos = np.unique(parent, return_inverse=True)

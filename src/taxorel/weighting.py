@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import ContextMatrix, TermContextMatrix
+from .contexts import CSR, ContextMatrix, TermContextMatrix
 
 DEFAULT_TOP_CONTEXTS = 50
 
@@ -34,11 +34,10 @@ def _pmi(m: ContextMatrix) -> np.ndarray:
     probabilities from the row, column and grand totals."""
     # Floats, which are exact up to 2**53 and cannot wrap around as int64 can.
     x = m.csr
-    grand = float(x.sum())
+    grand = float(x.data.sum())
     if grand <= 0:
         raise ValueError("matrix has no counts")
-    row_totals = np.repeat(np.asarray(x.sum(axis=1), dtype=np.float64).ravel(), np.diff(x.indptr))
-    col_totals = np.asarray(x.sum(axis=0), dtype=np.float64).ravel()[x.indices]
+    row_totals, col_totals = (np.bincount(k, weights=x.data)[k] for k in (x.rows(), x.indices))
     return np.log(x.data * grand / (row_totals * col_totals))
 
 
@@ -46,12 +45,13 @@ def _positive(
     scheme: str, m: ContextMatrix, pmi: np.ndarray, weights: np.ndarray
 ) -> WeightedMatrix:
     """The ``weights`` of the cells of ``m`` whose PMI is positive."""
-    x = m.csr.astype(np.float64)
-    x.data = np.where(pmi > 0, weights, 0.0)
-    x.eliminate_zeros()
-    kept = np.diff(x.indptr) > 0
-    terms = [t for t, k in zip(m.term_labels, kept.tolist()) if k]
-    return WeightedMatrix._from_csr(x[kept], terms, m.context_labels, scheme=scheme)
+    x = m.csr
+    kept = (pmi > 0) & (weights != 0)
+    rows, row = np.unique(x.rows()[kept], return_inverse=True)
+    indptr = np.searchsorted(row, np.arange(len(rows) + 1))
+    csr = CSR(weights[kept], x.indices[kept], indptr, (len(rows), x.shape[1]))
+    terms = [m.term_labels[i] for i in rows.tolist()]
+    return WeightedMatrix._from_csr(csr, terms, m.context_labels, scheme=scheme)
 
 
 def weight_ppmi(m: ContextMatrix) -> WeightedMatrix:
@@ -83,21 +83,14 @@ def context_entropies(m: ContextMatrix) -> EntropyTable:
     and the maximum to 1; if all contexts have equal entropy everything maps
     to 0.
     """
-    x = m.csr.tocsc()
-    if not x.nnz:
+    x = m.csr
+    if not len(x.data):
         raise ValueError("matrix has no contexts")
-    lengths = np.diff(x.indptr)
-    column = np.repeat(np.arange(len(lengths)), lengths)
-    counts = x.data[np.lexsort((x.data, column))]
-    p = counts / np.repeat(np.asarray(x.sum(axis=0)).ravel(), lengths)
-    plogp = p * np.log2(p)
-    # Step k subtracts the term of the k-th smallest count of every column
-    # that has one.
-    raw = np.zeros(len(lengths))
-    active = np.arange(len(lengths))
-    for k in range(lengths.max()):
-        active = active[lengths[active] > k]
-        raw[active] -= plogp[x.indptr[active] + k]
+    order = np.lexsort((x.data, x.indices))  # by context, then ascending count
+    column, counts = x.indices[order], x.data[order]
+    p = counts / np.bincount(column, weights=counts, minlength=x.shape[1])[column]
+    raw = np.zeros(x.shape[1])
+    np.subtract.at(raw, column, p * np.log2(p))  # in index order: one after another
     lo, hi = raw.min(), raw.max()
     normalized = (raw - lo) / (hi - lo) if hi > lo else np.zeros_like(raw)
     labels = m.context_labels
@@ -125,8 +118,7 @@ def word_generalities(
         raise ValueError("top_n must be >= 1")
     terms = [t for t in terms if t in lmi]
     x = lmi.rows_of(terms)
-    lengths = np.diff(x.indptr)
-    row = np.repeat(np.arange(len(terms)), lengths)
+    lengths, row = np.diff(x.indptr), x.rows()
     # Descending weight within each row; the sort is stable and a row's
     # columns are in label order, so ties keep label order.
     ranked = np.lexsort((-x.data, row))

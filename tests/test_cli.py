@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import taxorel
 from taxorel import corpus as corpus_module
 from taxorel import taxonomy as taxonomy_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
@@ -312,6 +316,29 @@ class TestRun:
             if path.name != "manifest.json"
         }
         assert digests == PINNED_DIGESTS[best_parent]
+
+    def test_a_run_loads_no_scipy(self, tmp_path):
+        # Importing scipy would take longer than a small run; nothing needs it.
+        config = write_config(tmp_path, methods=",".join(METHODS))
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "import taxorel, taxorel.cli as cli\n"
+            f"config = cli.load_config({str(config)!r})\n"
+            "for best_parent in (False, True):\n"
+            "    cli.run(replace(config, best_parent=best_parent))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(taxorel.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("pseudo", [False, True], ids=["documents", "pseudo-documents"])
     def test_one_run_codes_its_corpus_once(self, tmp_path, monkeypatch, pseudo):

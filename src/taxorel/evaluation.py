@@ -88,28 +88,22 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
 
     Both orders are taken whole rather than pair by pair, as boolean
     (ancestor, descendant) matrices over the shared terms S: the taxonomy's
-    one reachability closure (:attr:`Taxonomy.closure`, by Warshall's
-    algorithm) cut down to S, and one case-folded ancestor-lemma set per
-    shared term on the gold side.  The per-term sums then reduce to pair
-    counts (:func:`_pair_count`), so the cost is O(V^3 / 8) byte operations
-    at worst plus the sum of the gold ancestor-set sizes, instead of a
-    graph search for every pair of shared terms.
+    one reachability closure (:attr:`Taxonomy.closure`, by repeated
+    squaring) cut down to S, and one slice of the gold taxonomy's ancestor
+    matrix, which each case-folded lemma joins once over all calls.  The
+    per-term sums then reduce to pair counts (:func:`_pair_count`), so a
+    call costs a few boolean products over the taxonomy's V nodes (one per
+    doubling of its longest path) plus O(|S|^2) for the slices, instead of
+    a graph search for every pair of shared terms.
     """
     if not o_t.terms:
         raise ValueError("cannot evaluate an empty taxonomy")
     shared = [i for i, term in enumerate(o_t.terms) if gold.contains_term(term)]
     if not shared:
         return EvalReport(0.0, 0.0, 0.0, 0, 0, 0, no_shared_terms=True)
-    terms = [o_t.terms[i] for i in shared]
-    t_rel = o_t.closure[np.ix_(shared, shared)]
-    # Gold lookups are case-folded, so "Car" and "car" share one gold lemma.
-    folded: dict[str, list[int]] = {}
-    for a, term in enumerate(terms):
-        folded.setdefault(term.casefold(), []).append(a)
-    g_rel = np.zeros_like(t_rel)
-    for d, term in enumerate(terms):
-        above = [a for lemma in gold.ancestor_lemmas(term) for a in folded.get(lemma, ())]
-        g_rel[above, d] = True
+    t_rel = o_t.closure[shared][:, shared]  # rows then columns: faster than np.ix_
+    # Gold lookups are case-folded, so "Car" and "car" share one gold row.
+    g_rel = gold._ancestor_order([o_t.terms[i] for i in shared])
     common = _pair_count(t_rel & g_rel)
     extracted = _pair_count(t_rel)
     gold_total = _pair_count(g_rel)

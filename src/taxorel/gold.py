@@ -14,6 +14,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 
 class GoldFormatError(ValueError):
     """Malformed synset-lines input; the message carries file and line."""
@@ -53,6 +55,9 @@ class GoldTaxonomy:
             for lemma in syn.lemmas:
                 self._lemma_index.setdefault(lemma.casefold(), set()).add(syn.id)
         self._ancestor_lemma_cache: dict[str, frozenset[str]] = {}
+        self._order_code: dict[str, int] = {}  # each lemma's row and column in _order
+        self._order_asked: set[str] = set()
+        self._order = np.zeros((0, 0), dtype=bool)
 
     @property
     def synsets(self) -> dict[int, Synset]:
@@ -101,6 +106,26 @@ class GoldTaxonomy:
                 l.casefold() for sid in seen for l in synsets[sid].lemmas
             )
         return self._ancestor_lemma_cache[key]
+
+    def _ancestor_order(self, terms: list[str]) -> np.ndarray:
+        """Boolean matrix over gold ``terms`` whose [a, d] is set iff the
+        case-folded a is in ``ancestor_lemmas(d)``: a slice of one matrix over
+        the lemmas asked about so far and the lemmas above them, in which a
+        lemma's column is filled once, when it is first asked about."""
+        code, keys = self._order_code, [term.casefold() for term in terms]
+        rows, cols = [], []
+        for key in dict.fromkeys(keys):
+            if key not in self._order_asked:
+                self._order_asked.add(key)
+                d = code.setdefault(key, len(code))
+                for a in self.ancestor_lemmas(key):
+                    rows.append(code.setdefault(a, len(code)))
+                    cols.append(d)
+        if len(code) > len(self._order):
+            self._order = np.pad(self._order, (0, len(code) - len(self._order)))
+        self._order[rows, cols] = True
+        at = [code[key] for key in keys]
+        return self._order[at][:, at]
 
 def load_gold(path: str | Path) -> GoldTaxonomy:
     """Read a synset-lines file: ``id<TAB>lemma1|lemma2|...<TAB>hyp1,hyp2,...``.

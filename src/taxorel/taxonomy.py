@@ -7,8 +7,8 @@ metric sense is one weakly-connected component together with its roots
 
 A taxonomy is a sorted term table and a boolean adjacency matrix over it.
 Every question of what reaches what (descendants, cycles, edges implied by
-a path, weak components) is answered from one transitive closure of the
-graph, taken by Warshall's algorithm (1962) on bit-packed rows.
+a path) is answered from one transitive closure of the graph, taken by
+repeated boolean squaring; weak components need none.
 """
 
 from __future__ import annotations
@@ -30,14 +30,18 @@ def _closure(adj: np.ndarray) -> np.ndarray:
     """Boolean matrix whose [u, v] is set iff a path of >= 1 edge of ``adj``
     leads from u to v; [u, u] is set exactly when a cycle runs through u.
 
-    Warshall (1962) on rows packed eight bits to a byte: for each k in turn,
-    every row that reaches k takes in the row of k.
+    Repeated squaring through the middle nodes (those with an in-edge and an
+    out-edge): after k products every path of up to 2**k edges is in, and the
+    first product that adds no pair ends it (the first, on a transitive graph).
+    float32 is exact here, as each cell counts at most n < 2**24 paths.
     """
-    n = len(adj)
-    rows = np.packbits(adj, axis=1)
-    for k in range(n):
-        rows[rows[:, k >> 3] & (0x80 >> (k & 7)) != 0] |= rows[k]
-    return np.unpackbits(rows, axis=1, count=n).view(bool)
+    reach = adj.copy()
+    mid = np.flatnonzero(adj.any(axis=0) & adj.any(axis=1))
+    while True:
+        step = reach[:, mid].astype(np.float32) @ reach[mid].astype(np.float32) > 0
+        if not (step > reach).any():
+            return reach
+        reach |= step
 
 
 class Taxonomy:
@@ -227,10 +231,16 @@ def compute_metrics(t: Taxonomy) -> HierarchyMetrics:
 
     widths = adj.sum(axis=1)
     inner = widths > 0
-    # Weak components, each named by its first term: in the closure of the
-    # undirected graph a term with an edge is linked to every term of its
-    # component, itself included.
-    component = _closure(adj | adj.T).argmax(axis=1)[inner]
+    # Weak components, each named by its first term: every label drops to its
+    # neighbours' smallest, then to its own label's, until none changes.
+    hyper, hypo = np.nonzero(adj)
+    label, last = np.arange(len(t.terms)), None
+    while not np.array_equal(label, last):
+        last, label = label, label.copy()
+        np.minimum.at(label, hyper, last[hypo])
+        np.minimum.at(label, hypo, last[hyper])
+        label = label[label]
+    component = label[inner]
     totals = np.bincount(component, weights=widths[inner]).tolist()
     counts = np.bincount(component).tolist()
     tax_widths = [total / count for total, count in zip(totals, counts) if count]

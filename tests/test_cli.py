@@ -11,6 +11,7 @@ import taxorel
 from taxorel import corpus as corpus_module
 from taxorel import taxonomy as taxonomy_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
+from taxorel.gold import GoldTaxonomy
 
 GOLD = (
     "1\tanimal\t\n"
@@ -368,9 +369,24 @@ class TestRun:
         monkeypatch.setattr(taxonomy_module, "_closure", counting)
         config = load_config(write_config(tmp_path, methods=",".join(METHODS)))
         run(replace(config, best_parent=best_parent))
-        # Warshall closures are the run's costliest step at paper scale;
-        # this pins how many one all-methods run takes.
-        assert len(closures) == 44
+        # Closures are the run's costliest step at paper scale; this pins
+        # how many one all-methods run takes.  The metrics reuse the closure
+        # evaluation took, and find the weak components without one.
+        assert len(closures) == 37
+
+    def test_one_run_asks_the_gold_once_per_lemma(self, tmp_path, monkeypatch):
+        asked = []
+        real = GoldTaxonomy.ancestor_lemmas
+
+        def counting(gold, lemma):
+            asked.append(lemma.casefold())
+            return real(gold, lemma)
+
+        monkeypatch.setattr(GoldTaxonomy, "ancestor_lemmas", counting)
+        config = load_config(write_config(tmp_path, methods=",".join(METHODS)))
+        run(config)
+        # Every evaluation slices one gold order; a lemma joins it once.
+        assert asked and len(asked) == len(set(asked))
 
     def test_best_parent_toggle_writes_filtered_files(self, tmp_path):
         config = load_config(

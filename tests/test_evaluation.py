@@ -223,6 +223,30 @@ class TestEvaluateProperty:
         assert (report.precision, report.recall, report.fmeasure) == (p, r, f)
         assert report.no_shared_terms == (not any(gold.contains_term(t) for t in taxo.nodes))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(taxonomies(), min_size=1, max_size=5), golds())
+    @example(  # "car" first; its ancestors "b", then "a", join the gold order later
+        [
+            Taxonomy([("Car", "car")]),
+            Taxonomy([("car", "a"), ("x", "car")]),
+            Taxonomy([("b", "y"), ("c", "a")]),
+            Taxonomy([("a", "b"), ("b", "car"), ("Car", "d")]),
+        ],
+        gold_from((1, ["a"], []), (2, ["b"], [1]), (3, ["CAR"], [2]), (4, ["d", "c"], [3])),
+    )
+    def test_one_gold_serves_a_sequence_of_calls(self, taxos, gold):
+        # The gold order grows as calls ask about new lemmas; each report
+        # still equals a fresh oracle evaluation, whatever came before it.
+        for taxo in taxos:
+            report = evaluate(taxo, gold)
+            p, r, f, common, extracted, gold_count = oracle_evaluate(taxo, gold)
+            assert (report.common_count, report.extracted_count, report.gold_count) == (
+                common,
+                extracted,
+                gold_count,
+            )
+            assert (report.precision, report.recall, report.fmeasure) == (p, r, f)
+
 
 class TestComplementarity:
     def test_self_overlap_is_one(self):

@@ -143,8 +143,46 @@ class TestBreakCycles:
         assert break_cycles(t).nodes == {"a", "b"}
 
 
+@st.composite
+def adjacencies(draw):
+    """Boolean adjacency matrices with cycles, self-loops and isolated nodes."""
+    n = draw(st.integers(0, 9))
+    node = st.integers(0, max(n - 1, 0))
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in draw(st.lists(st.tuples(node, node), max_size=20 if n else 0)):
+        adj[u, v] = True
+    return adj
+
+
+def chain(n: int) -> np.ndarray:
+    return np.eye(n, k=1, dtype=bool)
+
+
+def star(n: int) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
+    adj[0, 1:] = True
+    return adj
+
+
 class TestClosureProperties:
     """The one closure per graph against searches over the edge set."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(adjacencies())
+    @example(chain(70))  # a path of 69 edges: seven doublings
+    @example(np.roll(np.eye(12, dtype=bool), 1, axis=1))  # one cycle through every node
+    @example(star(8))  # no middle node
+    @example(np.zeros((0, 0), dtype=bool))
+    @example(np.zeros((1, 1), dtype=bool))
+    @example(np.ones((1, 1), dtype=bool))  # a self-loop is a cycle
+    @example(np.triu(np.ones((30, 30), dtype=bool), k=1))  # dense transitive order: one product
+    def test_closure_matches_the_oracle(self, adj):
+        def pairs(m):
+            return set(zip(*(ix.tolist() for ix in np.nonzero(m))))
+
+        closure = _closure(adj)
+        assert closure.dtype == bool and closure.shape == adj.shape
+        assert pairs(closure) == oracle_closure(range(len(adj)), pairs(adj))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(graphs())
@@ -173,6 +211,13 @@ class TestClosureProperties:
     @example(Taxonomy([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")], nodes=["f"]))
     @example(Taxonomy(nodes=["a", "b"]))  # no edges: every term a root and a leaf
     @example(Taxonomy([("a", "b"), ("c", "d"), ("e", "f")]))  # three components
+    @example(  # zigzag a01->b01<-a02->b02<-...: the smallest label travels its length
+        Taxonomy(
+            [(f"a{i:02}", f"b{i:02}") for i in range(1, 21)]
+            + [(f"a{i + 1:02}", f"b{i:02}") for i in range(1, 20)]
+        )
+    )
+    @example(Taxonomy([("b", "a"), ("c", "b"), ("e", "d")]))  # smallest terms are leaves
     def test_metrics_match_longest_paths_and_weak_components(self, t):
         m = compute_metrics(t)
         nodes, edges = t.nodes, t.edge_set()
@@ -208,15 +253,15 @@ class TestClosureProperties:
         assert reduced.edge_set() == oracle_reduction(fixed.edge_set())
         assert np.array_equal(reduced.closure, _closure(reduced.adj))
 
-    def test_metrics_of_a_closed_dag_take_one_closure(self, monkeypatch):
+    def test_metrics_of_a_closed_dag_take_no_closure(self, monkeypatch):
         # Evaluation takes the closure of each taxonomy first; the metrics
-        # stage then only adds the undirected one for the weak components.
+        # stage reuses it, and finds the weak components without one.
         t = diamond_dag()
         assert t.is_dag
         calls = []
         monkeypatch.setattr(taxorel.taxonomy, "_closure", lambda a: calls.append(a) or _closure(a))
         compute_metrics(transitive_reduction(break_cycles(t)))
-        assert len(calls) == 1
+        assert len(calls) == 0
 
 
 class TestTransitiveReduction:

@@ -9,15 +9,17 @@ The on-disk format is vertical text: one token per line with three
 tab-separated fields ``surface<TAB>lemma<TAB>pos``, a blank line as
 sentence boundary, and one file per document.
 
-:attr:`Corpus.coding` codes the tokens on first use and keeps the view on
-the corpus: the distinct token objects, each token's index among them, and
-each sentence's start, length and document number.  It is the one
-per-token pass after parsing; the statistics, both context models and the
-pattern prefilter count on it with numpy.
+:attr:`Corpus.coding` is the corpus's token coding: the distinct token
+objects, each token's index among them, and each sentence's start, length
+and document number.  A loaded corpus is coded as it is parsed, a split one
+shares the coding of its source, and a corpus built by hand is coded on
+first use.  The statistics, both context models and the pattern prefilter
+count on it with numpy.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,8 +61,9 @@ Sentence = tuple[TaggedToken, ...]
 class TokenCoding(NamedTuple):
     """Token ``i`` in corpus order is ``distinct[token[i]]``; sentence ``s``
     holds ``lengths[s]`` tokens from ``starts[s]`` on, in document number
-    ``documents[s]``.  Equal tokens that are not one object stay apart.
-    Every reader of the corpus shares one view, so none may write to it."""
+    ``documents[s]``.  Equal tokens that are not one object stay apart; a
+    loaded corpus, coded as it is parsed, has one object per distinct token
+    line.  Every reader of the corpus shares one view, so none may write to it."""
 
     distinct: list[TaggedToken]
     token: np.ndarray
@@ -103,12 +106,14 @@ class Corpus:
 
     @cached_property
     def coding(self) -> TokenCoding:
+        """The token coding; :func:`load_corpus` and :func:`sentence_documents`
+        set it, and a corpus built by hand is coded on first use."""
         return _code_tokens(self)
 
 
 def _code_tokens(corpus: Corpus) -> TokenCoding:
-    """The view of :attr:`Corpus.coding`; distinct tokens in order of first
-    occurrence."""
+    """:attr:`Corpus.coding` of a corpus not coded as it was loaded, from its
+    token objects; distinct tokens in order of first occurrence."""
     sentences = [s for d in corpus.documents for s in d.sentences]
     tokens = list(chain.from_iterable(sentences))
     ids = np.fromiter(map(id, tokens), np.uintp, len(tokens))
@@ -168,38 +173,37 @@ def coarse_pos(tag: str, mapping: Mapping[str, str] | None = None) -> str:
     return tag if tag in COARSE_TAGS else "OTHER"
 
 
-def _parse_document(path: Path, mapping: Mapping[str, str] | None, tokens: dict) -> Document:
-    """Parse one file; a token line already in ``tokens`` reuses its token."""
+def _code_lines(path: Path, mapping: Mapping | None, codes: dict, distinct: list) -> list:
+    """Each line's code: its token's index in ``distinct``, or -1 for a blank
+    line.  Only a line not yet in ``codes`` is split, mapped and checked."""
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len((data[: exc.start] + b".").splitlines())
         raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
-    sentences: list[Sentence] = []
-    current: list[TaggedToken] = []
     # Line ends as in text mode: "\r\n" and a lone "\r" both end a line.
-    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
-        token = tokens.get(line)
-        if token is None:
-            if not line.strip():
-                if current:
-                    sentences.append(tuple(current))
-                    current = []
-                continue
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    coded = list(map(codes.get, lines))
+    i = 0
+    for _ in range(coded.count(None)):
+        i = coded.index(None, i)
+        line = lines[i]
+        if line not in codes and line.strip():
             fields = line.split("\t")
             if len(fields) != 3:
                 raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                    f"{path}:{i + 1}: expected 3 tab-separated fields, got {len(fields)}"
                 )
             surface, lemma, tag = fields
             if not surface or not lemma or not tag:
-                raise CorpusFormatError(f"{path}:{lineno}: empty field in token line")
-            token = tokens[line] = TaggedToken(surface, lemma, coarse_pos(tag, mapping))
-        current.append(token)
-    if current:
-        sentences.append(tuple(current))
-    return Document(id=path.name, sentences=tuple(sentences))
+                raise CorpusFormatError(f"{path}:{i + 1}: empty field in token line")
+            codes[line] = len(distinct)
+            distinct.append(TaggedToken(surface, lemma, coarse_pos(tag, mapping)))
+        coded[i] = codes.setdefault(line, -1)
+    return coded
 
 
 def load_corpus(
@@ -211,20 +215,43 @@ def load_corpus(
 
     Each file becomes one document whose id is the file name; files in a
     directory are read in sorted name order so repeated loads are stable.
-    Equal token lines share one token object across the whole corpus.
+    Equal token lines share one token object across the whole corpus, and
+    the corpus comes with its :attr:`Corpus.coding`, built as it is parsed.
     """
     path = Path(path)
     if path.is_dir():
-        files = sorted(
-            p for p in path.iterdir() if p.is_file() and not p.name.startswith(".")
-        )
-        if not files:
+        with os.scandir(path) as entries:
+            names = sorted(e.name for e in entries if e.is_file() and not e.name.startswith("."))
+        if not names:
             raise CorpusFormatError(f"empty corpus: no files under {path}")
+        files = [path / name for name in names]
     else:
         files = [path]
-    tokens: dict[str, TaggedToken] = {}
-    documents = tuple(_parse_document(f, pos_mapping, tokens) for f in files)
-    return Corpus(language=language.upper(), documents=documents)
+    codes: dict[str, int] = {"": -1}
+    distinct: list[TaggedToken] = []
+    coded, ends = [], [0]
+    for f in files:
+        coded += _code_lines(f, pos_mapping, codes, distinct)
+        coded.append(-1)  # a file's last sentence ends with the file
+        ends.append(len(coded))
+    line = np.fromiter(coded, np.int64, len(coded))
+    # Each run of token lines is a sentence; [begin, end) are its lines.
+    begin, end = np.flatnonzero(np.diff(line >= 0, prepend=False)).reshape(-1, 2).T
+    lengths = end - begin
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    bounds = np.searchsorted(begin, ends).tolist()  # each file's first sentence
+    token = line[line >= 0]
+    toks = np.fromiter(distinct, object, len(distinct))[token].tolist()
+    sentences = list(map(tuple, map(toks.__getitem__, map(slice, starts.tolist(), stops.tolist()))))
+    documents = tuple(
+        Document(f.name, tuple(sentences[a:b])) for f, a, b in zip(files, bounds, bounds[1:])
+    )
+    corpus = Corpus(language.upper(), documents)
+    vars(corpus)["coding"] = TokenCoding(
+        distinct, token, starts, lengths, np.repeat(np.arange(len(files)), np.diff(bounds))
+    )
+    return corpus
 
 
 def sentence_documents(corpus: Corpus) -> Corpus:
@@ -232,7 +259,8 @@ def sentence_documents(corpus: Corpus) -> Corpus:
 
     Useful for corpora without document borders, where the effective
     document size is a single sentence.  Pseudo-document ids are derived
-    from the source document id and the 1-based sentence index.
+    from the source document id and the 1-based sentence index.  The split
+    corpus shares the token coding of ``corpus``.
     """
     documents = []
     for doc in corpus.documents:
@@ -240,7 +268,9 @@ def sentence_documents(corpus: Corpus) -> Corpus:
             documents.append(Document(id=f"{doc.id}#s{i}", sentences=(sentence,)))
     if not documents:
         raise ValueError("corpus has no sentences to split into pseudo-documents")
-    return Corpus(language=corpus.language, documents=tuple(documents))
+    split = Corpus(language=corpus.language, documents=tuple(documents))
+    vars(split)["coding"] = corpus.coding._replace(documents=np.arange(len(documents)))
+    return split
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

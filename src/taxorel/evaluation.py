@@ -154,8 +154,8 @@ def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     if len(a) == 0:
         raise ValueError("complementarity of an empty relation set is undefined")
     terms, (ka, kb) = _encode([a, b])
-    crossed = np.isin(ka, kb % len(terms) * len(terms) + kb // len(terms))
-    return int(np.isin(ka, kb).sum()) / len(a), int(crossed.sum()) / len(a)
+    crossed = np.isin(ka, kb % len(terms) * len(terms) + kb // len(terms), assume_unique=True)
+    return int(np.isin(ka, kb, assume_unique=True).sum()) / len(a), int(crossed.sum()) / len(a)
 
 
 def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
@@ -169,7 +169,7 @@ def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> fl
     p_a = _precision(terms, ka, gold)
     if p_a == 0:
         raise ValueError("relative precision undefined: base model is empty or has zero precision")
-    return _precision(terms, ka[np.isin(ka, kb)], gold) / p_a
+    return _precision(terms, ka[np.isin(ka, kb, assume_unique=True)], gold) / p_a
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ def complementarity_matrix(
     # a zero base leaves the intersection's precision at 0, unevaluated.
     for x, (a, ka, p_a) in enumerate(zip(relsets, keys, base)):
         for b, kb, kb_t, p_b in zip(relsets[x:], keys[x:], swapped[x:], base[x:]):
-            both = ka[np.isin(ka, kb)]
-            held, crossed = len(both), int(np.isin(ka, kb_t).sum())
+            both = ka[np.isin(ka, kb, assume_unique=True)]
+            held, crossed = len(both), int(np.isin(ka, kb_t, assume_unique=True).sum())
             p_ab = (p_a if b is a else _precision(terms, both, gold)) if p_a and p_b else 0.0
             for row, col, p_row in ((a, b, p_a), (b, a, p_b)):
                 key = (row.method, col.method)

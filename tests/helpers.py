@@ -16,7 +16,15 @@ from itertools import combinations
 from pathlib import Path
 
 from taxorel.contexts import POS_LETTER, TARGET_TAGS, ContextMatrix
-from taxorel.corpus import Corpus, CorpusFormatError, CorpusStats, Document, TaggedToken, coarse_pos
+from taxorel.corpus import (
+    Corpus,
+    CorpusFormatError,
+    CorpusStats,
+    Document,
+    TaggedToken,
+    TokenCoding,
+    coarse_pos,
+)
 from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.patterns import PatternSet, _match_template
 from taxorel.relations import RelationSet
@@ -513,6 +521,14 @@ def oracle_load_corpus(path, language: str, pos_mapping=None) -> Corpus:
             sentences.append(tuple(current))
         documents.append(Document(id=file.name, sentences=tuple(sentences)))
     return Corpus(language=language.upper(), documents=tuple(documents))
+
+
+def assert_coding_equal(coding: TokenCoding, expected: TokenCoding) -> None:
+    """``distinct`` holds the very same token objects, and every array is
+    equal, dtype included."""
+    assert [id(t) for t in coding.distinct] == [id(t) for t in expected.distinct]
+    for name, got, want in zip(TokenCoding._fields[1:], coding[1:], expected[1:]):
+        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist()), name
 
 
 def oracle_corpus_stats(corpus: Corpus) -> CorpusStats:

@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 
 import taxorel
+from taxorel import cli as cli_module
 from taxorel import corpus as corpus_module
 from taxorel import taxonomy as taxonomy_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
 from taxorel.gold import GoldTaxonomy
+
+from helpers import assert_coding_equal
 
 GOLD = (
     "1\tanimal\t\n"
@@ -343,19 +346,27 @@ class TestRun:
 
     @pytest.mark.parametrize("pseudo", [False, True], ids=["documents", "pseudo-documents"])
     def test_one_run_codes_its_corpus_once(self, tmp_path, monkeypatch, pseudo):
-        coded = []
-        real = corpus_module._code_tokens
+        coded, loaded = [], []
+        real_code, real_load = corpus_module._code_tokens, cli_module._load_run_corpus
 
         def counting(c):
             coded.append(c)
-            return real(c)
+            return real_code(c)
+
+        def keeping(source):
+            loaded.append(real_load(source))
+            return loaded[-1]
 
         monkeypatch.setattr(corpus_module, "_code_tokens", counting)
+        monkeypatch.setattr(cli_module, "_load_run_corpus", keeping)
         config = load_config(write_config(tmp_path, methods=",".join(METHODS)))
         run(replace(config, pseudo_documents=pseudo, best_parent=True))
-        # Stats, both context models and the patterns all read the run
-        # corpus; a split corpus has one document per sentence.
-        assert [len(c.documents) for c in coded] == [9 if pseudo else 4]
+        # Stats, both context models and the patterns all read the coding
+        # the loader built while parsing, and a split corpus shares it.
+        assert coded == []
+        [c] = loaded
+        assert len(c.documents) == (9 if pseudo else 4)
+        assert_coding_equal(c.coding, real_code(c))
 
     @pytest.mark.parametrize("best_parent", [False, True], ids=["plain", "best-parent"])
     def test_one_run_stays_within_its_closure_budget(self, tmp_path, monkeypatch, best_parent):

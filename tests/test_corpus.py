@@ -1,4 +1,7 @@
+import os
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +21,7 @@ from taxorel.corpus import (
 )
 
 from helpers import (
+    assert_coding_equal,
     corpus,
     doc,
     oracle_corpus_stats,
@@ -25,6 +29,19 @@ from helpers import (
     random_corpus,
     tok,
     write_vertical,
+)
+
+
+# A vertical file for the loader property test: (line, line end) pairs and
+# whether the last line keeps its end.  NN and NNS lines give equal coarse
+# tokens, and the small pool repeats lines within and across files.
+VERTICAL_LINES = st.sampled_from([
+    "dogs\tdog\tNN", "dogs\tdog\tNNS", "cat\tcat\tNOUN", "ran\trun\tVBD", "the\tthe\tDT",
+    "", "", " ", " \t ",
+])
+VERTICAL_FILES = st.tuples(
+    st.lists(st.tuples(VERTICAL_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
+    st.booleans(),
 )
 
 
@@ -105,6 +122,65 @@ class TestLoadCorpus:
         mapping = {"NN": "NOUN", "NNS": "NOUN", "VBD": "VERB"}
         loaded = load_corpus(tmp_path, "EN", mapping)
         assert loaded == oracle_load_corpus(tmp_path, "EN", mapping)
+        assert_coding_equal(loaded.coding, corpus_module._code_tokens(loaded))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(files=st.lists(VERTICAL_FILES, min_size=1, max_size=4))
+    def test_random_files_equal_the_per_line_oracle(self, files):
+        mapping = {"NN": "NOUN", "NNS": "NOUN", "VBD": "VERB"}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for i, (lines, final) in enumerate(files):
+                text = "".join(line + end for line, end in lines)
+                if lines and not final:
+                    text = text[: -len(lines[-1][1])]
+                (root / f"d{i}.txt").write_text(text, encoding="utf-8", newline="")
+            loaded = load_corpus(root, "EN", mapping)
+            assert loaded == oracle_load_corpus(root, "EN", mapping)
+        assert_coding_equal(loaded.coding, corpus_module._code_tokens(loaded))
+        # Equal token lines share one token, and only equal lines do.
+        token_lines = {line for lines, _ in files for line, _ in lines if line.strip()}
+        assert len(loaded.coding.distinct) == len(token_lines)
+        if loaded.coding.lengths.size:
+            split = sentence_documents(loaded)
+            assert_coding_equal(split.coding, corpus_module._code_tokens(split))
+
+    @pytest.mark.parametrize(
+        "files, bad",
+        [
+            # New good lines, then a bad one, then a bad one seen before.
+            ({"a.txt": b"dog\tdog\tNOUN\ncat\tcat\tNOUN\n\ncat cat\ndog\n"}, "a.txt:4"),
+            ({"a.txt": b"dog\tdog\tNOUN\n", "b.txt": b"fish\tfish\tNOUN\ndog\n"}, "b.txt:2"),
+            # A format error in the first file before bad UTF-8 in the second.
+            ({"a.txt": b"dog\tdog\tNOUN\ncat\tcat\n", "b.txt": b"\xffdog\tdog\tNOUN\n"}, "a.txt:2"),
+            ({"a.txt": b"dog\tdog\tNOUN\n\xff\n", "b.txt": b"cat\tcat\n"}, "a.txt:2"),
+        ],
+        ids=["after-new-lines", "second-file", "format-before-utf8", "utf8-before-format"],
+    )
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path, files, bad):
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(tmp_path / bad))}: "):
+            load_corpus(tmp_path, "EN")
+
+    def test_lists_regular_files_as_path_iterdir_does(self, tmp_path):
+        root, elsewhere = tmp_path / "corpus", tmp_path / "elsewhere"
+        (root / "sub").mkdir(parents=True)
+        elsewhere.mkdir()
+        for path, body in [
+            (root / "b.txt", "cat\tcat\tNOUN\n"),
+            (root / "a.txt", "dog\tdog\tNOUN\n"),
+            (root / ".hidden", "bad line\n"),
+            (root / "sub" / "c.txt", "fish\tfish\tNOUN\n"),
+            (elsewhere / "linked.txt", "bird\tbird\tNOUN\n"),
+        ]:
+            path.write_text(body, encoding="utf-8")
+        os.symlink(elsewhere / "linked.txt", root / "link.txt")
+        os.symlink(elsewhere, root / "dir-link")
+        os.symlink(tmp_path / "missing.txt", root / "dangling.txt")
+        loaded = load_corpus(root, "EN")
+        assert loaded == oracle_load_corpus(root, "EN")
+        assert [d.id for d in loaded.documents] == ["a.txt", "b.txt", "link.txt"]
 
     def test_empty_directory_is_an_error(self, tmp_path):
         with pytest.raises(CorpusFormatError):

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import taxorel
 from taxorel.evaluation import (
     common_relations,
     complementarity,
@@ -284,6 +289,33 @@ class TestComplementarity:
             direct, inverse = complementarity(a, b)
             assert 0.0 <= direct <= 1.0 and 0.0 <= inverse <= 1.0
             assert (direct * len(a)) == pytest.approx(round(direct * len(a)))
+
+    def test_imports_no_masked_arrays(self):
+        # b's keys span far more than six times the two sizes, so np.isin
+        # sorts rather than tables; importing numpy.ma on that path would
+        # take longer than a small complementarity matrix.
+        script = (
+            "import sys\n"
+            "from taxorel.evaluation import complementarity_matrix\n"
+            "from taxorel.gold import GoldTaxonomy, Synset\n"
+            "from taxorel.relations import RelationSet\n"
+            "t = [f't{i:02d}' for i in range(41)]\n"
+            "a = RelationSet('a', [(t[i], t[i + 1]) for i in range(40)])\n"
+            "b = RelationSet('b', [(t[0], t[1]), (t[39], t[40])])\n"
+            "gold = GoldTaxonomy([Synset('1', frozenset({'t00'}), frozenset())])\n"
+            "complementarity_matrix([a, b], gold)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(taxorel.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestComplementarityProperty:

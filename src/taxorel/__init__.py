@@ -38,6 +38,7 @@ from .evaluation import (
 )
 from .extractors import (
     cluster_terms,
+    docsub_sweep,
     extract_df,
     extract_docsub,
     extract_dsim,

@@ -4,8 +4,10 @@ metrics -> evaluate -> complementarity.
 A run is driven by a declarative INI config (sections and key/value pairs);
 command-line flags may override config keys.  Runs are deterministic: the
 pipeline contains no randomness, every file is written in sorted order, and
-a manifest records the config digest and a content digest per output file,
-so identical inputs produce byte-identical outputs.
+a manifest records the config digest and the digest of the bytes written to
+each output file, so identical inputs produce byte-identical outputs.  Every
+verb writes a file under a ``.tmp`` name and renames it, so it is whole or
+absent.  The flags of ``extract`` and ``run`` are named as RunConfig fields.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .contexts import (
@@ -38,8 +40,7 @@ from .corpus import (
 from .evaluation import ComplementarityMatrix, EvalReport, complementarity_matrix, evaluate
 from .extractors import (
     MEASURES,
-    _docsub_counts,
-    _docsub_relations,
+    docsub_sweep,
     extract_df,
     extract_docsub,
     extract_dsim,
@@ -49,7 +50,7 @@ from .extractors import (
 )
 from .gold import GoldFormatError, GoldTaxonomy, load_gold
 from .patterns import default_patterns, extract_patterns, load_patterns
-from .relations import RelationSet, load_relations, relations_text, save_relations
+from .relations import RelationSet, load_relations, relations_text
 from .taxonomy import (
     Taxonomy,
     best_parent_filter,
@@ -301,6 +302,20 @@ def _eval_json(report: EvalReport, tax: Taxonomy) -> str:
     return _json_text({**report.to_dict(), "empty_relation_set": not tax.nodes})
 
 
+def _write(path: str | Path, text: str) -> str:
+    """Write ``text`` to ``path`` under the sibling name ``<path>.tmp``, then
+    rename it over ``path``; return the sha256 of the bytes written."""
+    data = text.encode("utf-8")
+    staged = Path(f"{path}.tmp")
+    try:
+        staged.write_bytes(data)
+        staged.replace(path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
+    return hashlib.sha256(data).hexdigest()
+
+
 def _remove_previous_outputs(outdir: Path) -> None:
     """Delete an earlier run's manifest, then the outputs it lists, so that
     none of them outlives this run.  Other files in ``outdir`` stay."""
@@ -328,16 +343,10 @@ def run(config: RunConfig) -> Path:
         raise StageError("validate", "; ".join(problems))
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    outputs: dict[str, str] = {}  # file name -> sha256 of its bytes
 
     def emit(name: str, text: str) -> None:
-        path, staged = outdir / name, outdir / f"{name}.tmp"
-        try:
-            staged.write_text(text, encoding="utf-8")
-            staged.replace(path)
-        finally:
-            staged.unlink(missing_ok=True)
-        written.append(path)
+        outputs[name] = _write(outdir / name, text)
 
     stage = "clean"
     try:
@@ -397,26 +406,21 @@ def run(config: RunConfig) -> Path:
         digest = hashlib.sha256(
             json.dumps(config_dict, sort_keys=True).encode("utf-8")
         ).hexdigest()
-        outputs = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written
-        }
         manifest = {"config": config_dict, "config_digest": digest, "outputs": outputs}
         emit("manifest.json", _json_text(manifest))
         return outdir / "manifest.json"
     except Exception as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for name in outputs:
+            (outdir / name).unlink(missing_ok=True)
         raise StageError(stage, str(exc)) from exc
 
 
 def _docsub_sweep(config: RunConfig, inputs: _Inputs, emit):
-    """Evaluate every lambda on one count of shared documents; keep the
-    best-F one as canonical."""
-    counts = _docsub_counts(inputs["documents"], inputs["vocab"])
-    best = None
+    """Evaluate every lambda of one docsub sweep; keep the best-F one as
+    canonical."""
+    relsets = docsub_sweep(inputs["documents"], inputs["vocab"], config.docsub_lambdas)
     summary = []
-    for lam in config.docsub_lambdas:
-        relset = _docsub_relations(*counts, lam)
+    for lam, relset in zip(config.docsub_lambdas, relsets):
         report = _evaluate(build_taxonomy(relset), inputs["gold"])
         emit(f"eval_docsub_{lam:g}.json", _json_text(report.to_dict()))
         summary.append(
@@ -428,9 +432,8 @@ def _docsub_sweep(config: RunConfig, inputs: _Inputs, emit):
                 "fmeasure": report.fmeasure,
             }
         )
-        if best is None or (report.fmeasure, -lam) > (best[0], -best[1]):
-            best = (report.fmeasure, lam, relset)
-    return best[2], {"best_lambda": best[1], "sweep": summary}
+    best, relset = max(zip(summary, relsets), key=lambda b: (b[0]["fmeasure"], -b[0]["lambda"]))
+    return relset, {"best_lambda": best["lambda"], "sweep": summary}
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +444,23 @@ def _add_corpus_args(parser) -> None:
     parser.add_argument(
         "corpus_path", metavar="corpus", help="corpus file or directory (vertical format)"
     )
-    parser.add_argument("--language", required=True, choices=("EN", "PT", "en", "pt"))
+    parser.add_argument("--language", required=True, type=str.upper, choices=("EN", "PT"))
     parser.add_argument("--pos-mapping", help="finePOS<TAB>coarsePOS mapping file")
     parser.add_argument(
         "--pseudo-documents",
         action="store_true",
         help="treat every sentence as its own document",
     )
+
+
+def _one_lambda(text: str) -> tuple[float]:
+    return (float(text),)
+
+
+def _config_fields(args) -> dict:
+    """The parsed arguments that set RunConfig fields, by field name."""
+    names = {field.name for field in fields(RunConfig)}
+    return {name: value for name, value in vars(args).items() if name in names}
 
 
 def _cmd_stats(args) -> int:
@@ -467,25 +480,10 @@ def _cmd_contexts(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    config = RunConfig(
-        corpus_path=args.corpus_path,
-        language=args.language.upper(),
-        gold_path=args.gold,
-        output_dir="",
-        vocabulary_size=args.n,
-        window_size=args.window_size,
-        methods=(args.method,),
-        pseudo_documents=args.pseudo_documents,
-        pos_mapping=args.pos_mapping,
-        patterns_path=args.patterns,
-        dsim_measure=args.measure,
-        slqs_contexts=args.top_contexts,
-        docsub_lambdas=(args.lam,),
-        hclust_clusters=args.clusters,
-    )
+    config = RunConfig(output_dir="", methods=(args.method,), **_config_fields(args))
     inputs = _Inputs(config, _load_run_corpus(config), load_gold(config.gold_path))
     relset = _extract(args.method, config, inputs)
-    save_relations(relset, args.out)
+    _write(args.out, relations_text(relset))
     print(f"wrote {args.out} ({len(relset)} relations)")
     return 0
 
@@ -494,7 +492,7 @@ def _cmd_filter_parent(args) -> int:
     corpus = _load_run_corpus(args)
     relset = load_relations(args.relations)
     tax = best_parent_filter(build_taxonomy(relset), extract_document_contexts(corpus))
-    save_relations(taxonomy_relations(tax, relset.method), args.out)
+    _write(args.out, relations_text(taxonomy_relations(tax, relset.method)))
     print(f"wrote {args.out} ({tax.num_edges} relations kept)")
     return 0
 
@@ -502,9 +500,9 @@ def _cmd_filter_parent(args) -> int:
 def _cmd_metrics(args) -> int:
     metrics = _reduced_metrics(build_taxonomy(load_relations(args.relations)))
     if args.out_json:
-        Path(args.out_json).write_text(_json_text(metrics), encoding="utf-8")
+        _write(args.out_json, _json_text(metrics))
     if args.out_text:
-        Path(args.out_text).write_text(_metrics_text(metrics), encoding="utf-8")
+        _write(args.out_text, _metrics_text(metrics))
     if not args.out_json and not args.out_text:
         sys.stdout.write(_metrics_text(metrics))
     return 0
@@ -514,7 +512,7 @@ def _cmd_evaluate(args) -> int:
     tax = build_taxonomy(load_relations(args.relations))
     report = _evaluate(tax, load_gold(args.gold))
     if args.out:
-        Path(args.out).write_text(_eval_json(report, tax), encoding="utf-8")
+        _write(args.out, _eval_json(report, tax))
     print(
         f"precision={report.precision:.4f} recall={report.recall:.4f} "
         f"fmeasure={report.fmeasure:.4f}"
@@ -528,24 +526,13 @@ def _cmd_complement(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in _matrix_files(matrix):
-        (outdir / name).write_text(text, encoding="utf-8")
+        _write(outdir / name, text)
     print(f"wrote 3 matrices under {outdir}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    overrides = {}
-    if args.output_dir:
-        overrides["output_dir"] = args.output_dir
-    if args.methods is not None:
-        overrides["methods"] = _split_list(args.methods)
-    if args.n is not None:
-        overrides["vocabulary_size"] = args.n
-    if args.best_parent:
-        overrides["best_parent"] = True
-    if args.pseudo_documents:
-        overrides["pseudo_documents"] = True
-    manifest = run(load_config(args.config, overrides))
+    manifest = run(load_config(args.config, _config_fields(args)))
     print(f"wrote {manifest}")
     return 0
 
@@ -569,17 +556,24 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_contexts)
 
-    p = sub.add_parser("extract", help="run one extraction method")
+    # In extract and run, an absent flag sets no RunConfig field.
+    unset = argparse.SUPPRESS
+    p = sub.add_parser("extract", help="run one extraction method", argument_default=unset)
     _add_corpus_args(p)
-    p.add_argument("--gold", required=True)
+    p.add_argument("--gold", dest="gold_path", metavar="GOLD", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--n", type=int, default=RunConfig.vocabulary_size, help="vocabulary size")
-    p.add_argument("--window-size", type=int, default=RunConfig.window_size)
-    p.add_argument("--measure", default=RunConfig.dsim_measure, choices=MEASURES)
-    p.add_argument("--lam", type=float, default=0.5, help="docsub threshold")
-    p.add_argument("--clusters", type=int, default=RunConfig.hclust_clusters)
-    p.add_argument("--top-contexts", type=int, default=RunConfig.slqs_contexts)
-    p.add_argument("--patterns", help="pattern template file")
+    p.add_argument("--n", dest="vocabulary_size", metavar="N", type=int, help="vocabulary size")
+    p.add_argument("--window-size", type=int)
+    p.add_argument("--measure", dest="dsim_measure", choices=MEASURES)
+    p.add_argument(
+        "--lam", dest="docsub_lambdas", metavar="LAM", type=_one_lambda, default=(0.5,),
+        help="docsub threshold",
+    )
+    p.add_argument("--clusters", dest="hclust_clusters", metavar="CLUSTERS", type=int)
+    p.add_argument("--top-contexts", dest="slqs_contexts", metavar="TOP_CONTEXTS", type=int)
+    p.add_argument(
+        "--patterns", dest="patterns_path", metavar="PATTERNS", help="pattern template file"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 
@@ -607,11 +601,11 @@ def main(argv=None) -> int:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_complement)
 
-    p = sub.add_parser("run", help="full pipeline from a config file")
+    p = sub.add_parser("run", help="full pipeline from a config file", argument_default=unset)
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir")
-    p.add_argument("--methods")
-    p.add_argument("--n", type=int)
+    p.add_argument("--methods", type=_split_list)
+    p.add_argument("--n", dest="vocabulary_size", metavar="N", type=int)
     p.add_argument("--best-parent", action="store_true")
     p.add_argument("--pseudo-documents", action="store_true")
     p.set_defaults(func=_cmd_run)

@@ -9,7 +9,7 @@ every extractor deterministic regardless of input ordering.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -110,24 +110,27 @@ def extract_docsub(docm: ContextMatrix, vocab: TermSet, lam: float) -> RelationS
     integers as |D_x| > |D_y|, which is the same test when they share a
     document.
     """
-    return _docsub_relations(*_docsub_counts(docm, vocab), lam)
+    return docsub_sweep(docm, vocab, (lam,))[0]
 
 
-def _docsub_counts(docm: ContextMatrix, vocab: TermSet):
-    """The sorted vocabulary, ``given[x, y]`` = P(x|y) (0 for a term without
-    documents) and each term's number of documents, for any lambda."""
+def docsub_sweep(
+    docm: ContextMatrix, vocab: TermSet, lambdas: Sequence[float]
+) -> list[RelationSet]:
+    """The :func:`extract_docsub` relations at each of ``lambdas``, in order,
+    from one count of the shared documents."""
+    for lam in lambdas:
+        if not 0 < lam <= 1:
+            raise ValueError(f"lambda must be in (0, 1], got {lam}")
     terms = sorted(vocab)
     docs = docm.rows_of(terms)
     sizes = np.diff(docs.indptr)
-    return terms, _gram(docs, lambda u, v: 1.0) / np.maximum(sizes, 1), sizes
-
-
-def _docsub_relations(terms, given, sizes, lam: float) -> RelationSet:
-    """The docsub relations at ``lam`` from :func:`_docsub_counts`."""
-    if not 0 < lam <= 1:
-        raise ValueError(f"lambda must be in (0, 1], got {lam}")
-    subsumes = (given >= lam) & (sizes[:, None] > sizes)
-    return RelationSet.from_mask("docsub", terms, subsumes.T, given.T)
+    # given[x, y] = P(x|y), 0 for a term without documents.
+    given = _gram(docs, lambda u, v: 1.0) / np.maximum(sizes, 1)
+    larger = sizes[:, None] > sizes
+    return [
+        RelationSet.from_mask("docsub", terms, ((given >= lam) & larger).T, given.T)
+        for lam in lambdas
+    ]
 
 
 def cluster_terms(ppmi: WeightedMatrix, vocab: TermSet, k: int) -> list[list[str]]:

@@ -1,8 +1,10 @@
+import builtins
+import io
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,20 @@ def write_fixture(tmp_path, gold_text=GOLD):
     gold_path = tmp_path / "gold.tsv"
     gold_path.write_text(gold_text, encoding="utf-8")
     return corpus_dir, gold_path
+
+
+def cut_writes_short(monkeypatch, prefix):
+    """Make every write to a file whose name starts with ``prefix`` stop
+    halfway with a full disk."""
+    write_bytes = Path.write_bytes
+
+    def cut_short(path, data):
+        if path.name.startswith(prefix):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("disk full")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", cut_short)
 
 
 def write_config(tmp_path, outdir="out", methods="tf, df, docsub", extra=""):
@@ -425,19 +441,31 @@ class TestRun:
     def test_write_cut_short_leaves_no_file_under_the_output_name(self, tmp_path, monkeypatch):
         config_path = write_config(tmp_path)
         outdir = tmp_path / "out"
-        write_text = Path.write_text
-
-        def cut_short(path, text, *args, **kwargs):
-            if path.name.startswith("eval_tf.json"):
-                write_text(path, text[: len(text) // 2], *args, **kwargs)
-                raise OSError("disk full")
-            return write_text(path, text, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", cut_short)
+        cut_writes_short(monkeypatch, "eval_tf.json")
         with pytest.raises(StageError) as err:
             run(load_config(config_path))
         assert err.value.stage == "evaluate:tf"
         assert not list(outdir.iterdir())
+
+    def test_a_run_reads_none_of_its_outputs_back(self, tmp_path, monkeypatch):
+        outdir = tmp_path / "out"
+        reads = []
+        real_open = io.open
+
+        def recording(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).parent == outdir:
+                if "r" in mode:
+                    reads.append(Path(file).name)
+            return real_open(file, mode, *args, **kwargs)
+
+        # pathlib opens through io.open, everything else through the builtin.
+        monkeypatch.setattr(io, "open", recording)
+        monkeypatch.setattr(builtins, "open", recording)
+        config = load_config(write_config(tmp_path, methods=",".join(METHODS)))
+        run(config)
+        # The manifest hashes the bytes it wrote; it does not read them again.
+        assert reads == []
+        assert len(json.loads((outdir / "manifest.json").read_text())["outputs"]) > 20
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path):
         config_path = write_config(tmp_path)
@@ -658,3 +686,139 @@ class TestCommandLine:
         bad.write_text("[corpus]\npath = /nope\n", encoding="utf-8")
         assert main(["run", "--config", str(bad)]) == 1
         assert "validate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, cut, whole",
+        [
+            ("complement", "complementarity_inverse.csv", ["complementarity_direct.csv"]),
+            ("metrics", "metrics.json", []),
+        ],
+    )
+    def test_verb_write_cut_short_leaves_no_file_under_the_output_name(
+        self, tmp_path, monkeypatch, capsys, verb, cut, whole
+    ):
+        outdir = run(load_config(write_config(tmp_path, methods="tf, df"))).parent
+        files = [str(outdir / f"relations_{method}.tsv") for method in ("tf", "df")]
+        target = tmp_path / "verb"
+        target.mkdir()
+        argv = (
+            ["complement", *files, "--gold", str(tmp_path / "gold.tsv"), "--out-dir", str(target)]
+            if verb == "complement"
+            else ["metrics", files[0], "--out-json", str(target / cut)]
+        )
+        cut_writes_short(monkeypatch, cut)
+        assert main(argv) == 1
+        assert "disk full" in capsys.readouterr().err
+        # The files written before the failed one are whole; it is absent.
+        assert sorted(p.name for p in target.iterdir()) == whole
+        for name in whole:
+            assert (target / name).read_bytes() == (outdir / name).read_bytes()
+
+    def test_extract_flags_set_their_run_config_fields(self, tmp_path, monkeypatch):
+        corpus_dir, gold_path = write_fixture(tmp_path)
+        mapping = tmp_path / "pos.map"
+        mapping.write_text("NN\tNOUN\n", encoding="utf-8")
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text("HYPER such as HYPO+\n", encoding="utf-8")
+        configs = []
+
+        def capturing(method, config, inputs):
+            configs.append(config)
+            return taxorel.RelationSet(method)
+
+        monkeypatch.setattr(cli_module, "_extract", capturing)
+        common = [
+            "extract", str(corpus_dir), "--gold", str(gold_path), "--method", "dsim",
+            "--out", str(tmp_path / "rel.tsv"),
+        ]
+        flags = [
+            "--language", "en", "--n", "7", "--window-size", "3", "--measure", "weedsprec",
+            "--lam", "0.25", "--clusters", "3", "--top-contexts", "9",
+            "--patterns", str(patterns), "--pos-mapping", str(mapping), "--pseudo-documents",
+        ]
+        assert main([*common, *flags]) == 0
+        assert main([*common, "--language", "PT"]) == 0
+        assert configs == [
+            RunConfig(
+                corpus_path=str(corpus_dir),
+                language="EN",
+                gold_path=str(gold_path),
+                output_dir="",
+                vocabulary_size=7,
+                window_size=3,
+                methods=("dsim",),
+                pseudo_documents=True,
+                pos_mapping=str(mapping),
+                patterns_path=str(patterns),
+                dsim_measure="weedsprec",
+                slqs_contexts=9,
+                docsub_lambdas=(0.25,),
+                hclust_clusters=3,
+            ),
+            # Absent flags leave RunConfig's defaults, but for --lam's 0.5.
+            RunConfig(
+                str(corpus_dir), "PT", str(gold_path), "", methods=("dsim",),
+                docsub_lambdas=(0.5,),
+            ),
+        ]
+        # Every field the flags can set differs from its default.
+        default = RunConfig(str(corpus_dir), "EN", str(gold_path), "")
+        changed = {k for k, v in configs[0].to_dict().items() if v != default.to_dict()[k]}
+        assert changed == {
+            field.name for field in fields(RunConfig)
+        } - {"corpus_path", "language", "gold_path", "output_dir", "best_parent"}
+
+    @pytest.mark.parametrize(
+        "flags, field, value",
+        [
+            ([], None, None),
+            (["--output-dir", "elsewhere"], "output_dir", "elsewhere"),
+            # An empty directory is the working directory, as `dir =` is.
+            (["--output-dir", ""], "output_dir", ""),
+            (["--methods", "df, tf,"], "methods", ("df", "tf")),
+            (["--n", "7"], "vocabulary_size", 7),
+            (["--best-parent"], "best_parent", True),
+            (["--pseudo-documents"], "pseudo_documents", True),
+        ],
+        ids=["none", "output-dir", "output-dir-empty", "methods", "n", "best-parent",
+             "pseudo-documents"],
+    )
+    def test_run_flag_overrides_exactly_its_field(
+        self, tmp_path, monkeypatch, capsys, flags, field, value
+    ):
+        config_path = write_config(tmp_path)
+        configs = []
+        monkeypatch.setattr(cli_module, "run", lambda config: configs.append(config))
+        assert main(["run", "--config", str(config_path), *flags]) == 0
+        [config] = configs
+        base = load_config(config_path).to_dict()
+        changed = {k: v for k, v in config.to_dict().items() if v != base[k]}
+        assert changed == ({} if field is None else {field: value})
+
+    @pytest.mark.parametrize(
+        "verb, spellings",
+        [
+            ("stats", ["corpus", "--language {EN,PT}", "--pos-mapping POS_MAPPING",
+                       "--pseudo-documents"]),
+            ("contexts", ["--model {window,document}", "--window-size WINDOW_SIZE",
+                          "--out OUT"]),
+            ("extract", ["--gold GOLD", "--method {patt,dsim,slqs,tf,df,docsub,hclust}",
+                         "--n N", "--window-size WINDOW_SIZE", "--measure {clarkede,weedsprec}",
+                         "--lam LAM", "--clusters CLUSTERS", "--top-contexts TOP_CONTEXTS",
+                         "--patterns PATTERNS", "--out OUT", "--pseudo-documents"]),
+            ("filter-parent", ["relations", "corpus", "--language {EN,PT}", "--out OUT"]),
+            ("metrics", ["relations", "--out-json OUT_JSON", "--out-text OUT_TEXT"]),
+            ("evaluate", ["relations", "--gold GOLD", "--out OUT"]),
+            ("complement", ["relations", "--gold GOLD", "--out-dir OUT_DIR"]),
+            ("run", ["--config CONFIG", "--output-dir OUTPUT_DIR", "--methods METHODS",
+                     "--n N", "--best-parent", "--pseudo-documents"]),
+        ],
+    )
+    def test_verb_help_keeps_its_flag_spellings(self, capsys, verb, spellings):
+        with pytest.raises(SystemExit) as exit_:
+            main([verb, "--help"])
+        assert exit_.value.code == 0
+        usage = " ".join(capsys.readouterr().out.split())
+        assert usage.startswith(f"usage: taxorel {verb} [-h]")
+        for spelling in spellings:
+            assert f" {spelling} " in f"{usage} "

@@ -4,10 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from taxorel import extractors
 from taxorel.contexts import TermSet, extract_document_contexts, extract_window_contexts
 from taxorel.corpus import sentence_documents
 from taxorel.extractors import (
     cluster_terms,
+    docsub_sweep,
     extract_df,
     extract_docsub,
     extract_dsim,
@@ -253,6 +255,15 @@ class TestDocSub:
         for lam in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 extract_docsub(m, TermSet(["x"]), lam)
+
+    def test_a_bad_lambda_anywhere_in_a_sweep_raises_before_the_count(self, monkeypatch):
+        counts = []
+        monkeypatch.setattr(extractors, "_gram", lambda *args: counts.append(args))
+        m = doc_matrix({"x": ["d1", "d2"], "y": ["d1"]})
+        for lams in ([0.0, 0.5], [0.5, 0.9, 1.5], [0.2, float("nan")]):
+            with pytest.raises(ValueError, match="lambda must be in"):
+                docsub_sweep(m, TermSet(["x", "y"]), lams)
+        assert counts == []
 
 
 class TestClustering:

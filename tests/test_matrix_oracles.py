@@ -9,6 +9,7 @@ from taxorel.cli import DEFAULT_LAMBDAS
 from taxorel.contexts import ContextMatrix, TermSet
 from taxorel.extractors import (
     cluster_terms,
+    docsub_sweep,
     extract_df,
     extract_docsub,
     extract_dsim,
@@ -130,3 +131,31 @@ def test_extractor_pairs_match_the_oracles(rows):
         clusters = cluster_terms(ppmi_matrix, vocab, k)
         got = extract_hclust(ppmi_matrix, docm, vocab, k).pair_set()
         assert got == oracle_hclust_pairs(rows, vocab, clusters)
+
+
+# Lambdas at the shares that counts of 1 to 5 documents make, where ">="
+# decides, and any other value in (0, 1].
+lambdas = st.lists(
+    st.sampled_from([1 / 5, 1 / 4, 1 / 3, 0.4, 1 / 2, 0.6, 2 / 3, 3 / 4, 0.8, 1.0])
+    | st.floats(0, 1, exclude_min=True),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=matrices, lams=lambdas)
+@example(rows=EXACT_TIES, lams=[0.5, 1.0, 0.5])
+@example(rows=EMPTY_ROWS, lams=[1.0, 0.1])
+@example(rows=EMPTY_ROWS, lams=[])
+def test_docsub_sweep_equals_each_lambda_alone_and_the_oracle(rows, lams):
+    docm, vocab = ContextMatrix("document", rows), TermSet(TERMS)
+    sweep = docsub_sweep(docm, vocab, lams)
+    assert len(sweep) == len(lams)
+    for lam, relset in zip(lams, sweep):
+        alone = extract_docsub(docm, vocab, lam)
+        assert relset == alone and relset.scores == alone.scores
+        assert relset.pair_set() == oracle_docsub_pairs(rows, vocab, lam)
+        terms = relset.terms
+        for i, j, score in zip(relset.hypo.tolist(), relset.hyper.tolist(), relset.scores):
+            hypo_docs, hyper_docs = set(rows[terms[i]]), set(rows[terms[j]])
+            assert score == len(hypo_docs & hyper_docs) / len(hypo_docs)

@@ -17,7 +17,8 @@ from scipy.spatial.distance import squareform
 
 from taxorel import contexts
 from taxorel.contexts import ContextMatrix, TermSet, _gram
-from taxorel.extractors import _SHARED, _docsub_counts, cluster_terms
+from taxorel.extractors import _SHARED, cluster_terms, docsub_sweep
+from taxorel.relations import RelationSet
 from taxorel.weighting import WeightedMatrix
 
 TERMS = [f"t{i}" for i in range(7)]
@@ -98,10 +99,15 @@ def test_shared_document_counts_equal_scipys(rows):
     shared = (docs @ docs.T).toarray()
     # As docsub and the best-parent filter count shared documents.
     assert np.array_equal(_gram(docm.rows_of(TERMS), lambda u, v: 1.0), shared)
-    terms, given_, sizes = _docsub_counts(docm, TermSet(TERMS))
-    assert terms == TERMS
-    assert np.array_equal(sizes, np.diff(docs.indptr))
-    assert np.array_equal(given_, shared / np.maximum(sizes, 1))
+    sizes = np.diff(docs.indptr)
+    given_ = shared / np.maximum(sizes, 1)  # P(x|y) at [x, y]
+    lambdas = (0.1, 1 / 3, 0.5, 1.0)
+    for lam, relset in zip(lambdas, docsub_sweep(docm, TermSet(TERMS), lambdas)):
+        x, y = np.nonzero((given_ >= lam) & (sizes[:, None] > sizes))
+        expected = RelationSet(
+            "docsub", [(TERMS[j], TERMS[i]) for i, j in zip(x, y)], given_[x, y]
+        )
+        assert relset == expected and relset.scores == expected.scores
 
 
 def scipy_clusters(rows: dict, terms: list[str], k: int) -> list[list[str]]:

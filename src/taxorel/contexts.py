@@ -232,7 +232,7 @@ def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatr
 def extract_document_contexts(corpus: Corpus) -> ContextMatrix:
     """Count, for every noun/proper-noun lemma, its frequency per document."""
     coding, terms, term = _tokens(corpus)
-    ids, doc = _codes([d.id for d in corpus.documents])
+    ids, doc = _codes(corpus.ids)
     document = np.repeat(doc[coding.documents], coding.lengths)
     hit = term >= 0
     return _count("document", terms, ids, [term[hit] * len(ids) + document[hit]])

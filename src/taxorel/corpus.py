@@ -11,10 +11,12 @@ sentence boundary, and one file per document.
 
 :attr:`Corpus.coding` is the corpus's token coding: the distinct token
 objects, each token's index among them, and each sentence's start, length
-and document number.  A loaded corpus is coded as it is parsed, a split one
-shares the coding of its source, and a corpus built by hand is coded on
-first use.  The statistics, both context models and the pattern prefilter
-count on it with numpy.
+and document number.  A loaded corpus is coded as it is parsed and holds
+only its coding and document ids; a split one shares the coding of its
+source.  Both build ``documents`` from the coding on first access, which
+nothing in ``taxorel run`` does: the statistics, both context models and
+the patterns read the coding.  A corpus built by hand holds the documents
+it was given and is coded on first use.
 """
 
 from __future__ import annotations
@@ -84,25 +86,25 @@ class Document:
             raise ValueError(f"document {self.id!r} contains an empty sentence")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Corpus:
-    language: str
-    documents: tuple[Document, ...]
+    """A language and its documents; ``ids`` are the document ids, in order.
 
-    def __post_init__(self) -> None:
-        if self.language not in LANGUAGES:
-            raise ValueError(f"language must be one of {LANGUAGES}, got {self.language!r}")
-        if not self.documents:
-            raise ValueError("corpus must contain at least one document")
-        ids = [d.id for d in self.documents]
-        if len(set(ids)) != len(ids):
-            raise ValueError("document ids must be unique within a corpus")
+    ``documents`` is a field, so ``==``, hash and repr are those of
+    ``(language, documents)``, and a cached property: a corpus built by
+    hand holds the documents it was given, and a loaded or split one holds
+    only its ids and coding and builds its documents on first read."""
+
+    language: str
+    documents: tuple[Document, ...] = cached_property(lambda c: _documents(c.ids, c.coding))
+
+    def __init__(self, language: str, documents: tuple[Document, ...]) -> None:
+        ids = _checked(language, tuple(d.id for d in documents))
+        vars(self).update(language=language, documents=documents, ids=ids)
 
     def tokens(self):
-        """Yield every token in document, sentence, position order."""
-        for doc in self.documents:
-            for sentence in doc.sentences:
-                yield from sentence
+        """Iterate over every token in document, sentence, position order."""
+        return map(self.coding.distinct.__getitem__, self.coding.token.tolist())
 
     @cached_property
     def coding(self) -> TokenCoding:
@@ -111,22 +113,58 @@ class Corpus:
         return _code_tokens(self)
 
 
+def _checked(language: str, ids: tuple[str, ...]) -> tuple[str, ...]:
+    """``ids``, once ``language`` and they are fit for a corpus."""
+    if language not in LANGUAGES:
+        raise ValueError(f"language must be one of {LANGUAGES}, got {language!r}")
+    if not ids:
+        raise ValueError("corpus must contain at least one document")
+    if "" in ids:
+        raise ValueError("document id must be non-empty")
+    if len(set(ids)) != len(ids):
+        raise ValueError("document ids must be unique within a corpus")
+    return ids
+
+
+def _coded(language: str, ids: tuple[str, ...], coding: TokenCoding) -> Corpus:
+    """A corpus that holds only ``ids`` and ``coding``."""
+    corpus = Corpus.__new__(Corpus)
+    vars(corpus).update(language=language, ids=_checked(language, ids), coding=coding)
+    if not coding.lengths.all():
+        empty = ids[coding.documents[coding.lengths.argmin()]]
+        raise ValueError(f"document {empty!r} contains an empty sentence")
+    return corpus
+
+
+def _coding(distinct: list, token: np.ndarray, lengths: np.ndarray, per_document) -> TokenCoding:
+    """The coding of the tokens ``distinct[token]`` in sentences of
+    ``lengths`` tokens, ``per_document[d]`` of them in document ``d``."""
+    documents = np.repeat(np.arange(len(per_document)), per_document)
+    return TokenCoding(distinct, token, np.cumsum(lengths) - lengths, lengths, documents)
+
+
+def _documents(ids: tuple[str, ...], coding: TokenCoding) -> tuple[Document, ...]:
+    """The documents ``ids`` of ``coding``, holding its very token objects."""
+    toks = np.fromiter(coding.distinct, object, len(coding.distinct))[coding.token].tolist()
+    stops = (coding.starts + coding.lengths).tolist()
+    sentences = list(map(tuple, map(toks.__getitem__, map(slice, coding.starts.tolist(), stops))))
+    bounds = np.searchsorted(coding.documents, np.arange(len(ids) + 1)).tolist()
+    return tuple(Document(i, tuple(sentences[a:b])) for i, a, b in zip(ids, bounds, bounds[1:]))
+
+
 def _code_tokens(corpus: Corpus) -> TokenCoding:
-    """:attr:`Corpus.coding` of a corpus not coded as it was loaded, from its
-    token objects; distinct tokens in order of first occurrence."""
+    """:attr:`Corpus.coding` of a corpus built by hand, from its token
+    objects; distinct tokens in order of first occurrence."""
     sentences = [s for d in corpus.documents for s in d.sentences]
     tokens = list(chain.from_iterable(sentences))
     ids = np.fromiter(map(id, tokens), np.uintp, len(tokens))
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
-    per_document = [len(d.sentences) for d in corpus.documents]
-    return TokenCoding(
+    return _coding(
         [tokens[i] for i in first[order].tolist()],
         np.argsort(order)[inverse],
-        np.cumsum(lengths) - lengths,
-        lengths,
-        np.repeat(np.arange(len(per_document)), per_document),
+        np.fromiter(map(len, sentences), np.int64, len(sentences)),
+        [len(d.sentences) for d in corpus.documents],
     )
 
 
@@ -176,7 +214,8 @@ def coarse_pos(tag: str, mapping: Mapping[str, str] | None = None) -> str:
 def _code_lines(path: Path, mapping: Mapping | None, codes: dict, distinct: list) -> list:
     """Each line's code: its token's index in ``distinct``, or -1 for a blank
     line.  Only a line not yet in ``codes`` is split, mapped and checked."""
-    data = path.read_bytes()
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -227,6 +266,8 @@ def load_corpus(
         files = [path / name for name in names]
     else:
         files = [path]
+    language, ids = language.upper(), tuple(f.name for f in files)
+    _checked(language, ids)  # before any file is read
     codes: dict[str, int] = {"": -1}
     distinct: list[TaggedToken] = []
     coded, ends = [], [0]
@@ -237,21 +278,9 @@ def load_corpus(
     line = np.fromiter(coded, np.int64, len(coded))
     # Each run of token lines is a sentence; [begin, end) are its lines.
     begin, end = np.flatnonzero(np.diff(line >= 0, prepend=False)).reshape(-1, 2).T
-    lengths = end - begin
-    stops = np.cumsum(lengths)
-    starts = stops - lengths
-    bounds = np.searchsorted(begin, ends).tolist()  # each file's first sentence
-    token = line[line >= 0]
-    toks = np.fromiter(distinct, object, len(distinct))[token].tolist()
-    sentences = list(map(tuple, map(toks.__getitem__, map(slice, starts.tolist(), stops.tolist()))))
-    documents = tuple(
-        Document(f.name, tuple(sentences[a:b])) for f, a, b in zip(files, bounds, bounds[1:])
-    )
-    corpus = Corpus(language.upper(), documents)
-    vars(corpus)["coding"] = TokenCoding(
-        distinct, token, starts, lengths, np.repeat(np.arange(len(files)), np.diff(bounds))
-    )
-    return corpus
+    bounds = np.searchsorted(begin, ends)  # each file's first sentence
+    coding = _coding(distinct, line[line >= 0], end - begin, np.diff(bounds))
+    return _coded(language, ids, coding)
 
 
 def sentence_documents(corpus: Corpus) -> Corpus:
@@ -262,15 +291,12 @@ def sentence_documents(corpus: Corpus) -> Corpus:
     from the source document id and the 1-based sentence index.  The split
     corpus shares the token coding of ``corpus``.
     """
-    documents = []
-    for doc in corpus.documents:
-        for i, sentence in enumerate(doc.sentences, 1):
-            documents.append(Document(id=f"{doc.id}#s{i}", sentences=(sentence,)))
-    if not documents:
+    coding = corpus.coding
+    if not coding.lengths.size:
         raise ValueError("corpus has no sentences to split into pseudo-documents")
-    split = Corpus(language=corpus.language, documents=tuple(documents))
-    vars(split)["coding"] = corpus.coding._replace(documents=np.arange(len(documents)))
-    return split
+    counts = np.bincount(coding.documents, minlength=len(corpus.ids)).tolist()
+    ids = tuple(f"{d}#s{i}" for d, n in zip(corpus.ids, counts) for i in range(1, n + 1))
+    return _coded(corpus.language, ids, coding._replace(documents=np.arange(len(ids))))
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
@@ -282,7 +308,7 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     coding = corpus.coding
     content = np.fromiter((t.is_content for t in coding.distinct), bool, len(coding.distinct))
     return CorpusStats(
-        num_documents=len(corpus.documents),
+        num_documents=len(corpus.ids),
         num_sentences=len(coding.lengths),
         num_content_words=int(content[coding.token].sum()),
         vocabulary_size=len({t.lemma.casefold() for t in coding.distinct if t.is_content}),

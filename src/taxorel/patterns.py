@@ -248,12 +248,14 @@ def extract_patterns(corpus: Corpus, patterns: PatternSet, vocab: TermSet) -> Re
     for literal in set().union(*(t.required for t in templates)):
         present = np.logical_or.reduceat((surfaces == literal)[coding.token], coding.starts)
         live[[literal in t.required for t in templates]] &= present
-    sentences = [s for d in corpus.documents for s in d.sentences]
+    starts, stops = coding.starts, coding.starts + coding.lengths
     pairs = [
         (hypo, hyper)
         for i in np.flatnonzero(live.any(axis=0)).tolist()
         for hypo, hyper in _matches(
-            sentences[i], [t for t, ok in zip(templates, live[:, i]) if ok], patterns
+            tuple(map(coding.distinct.__getitem__, coding.token[starts[i] : stops[i]].tolist())),
+            [t for t, ok in zip(templates, live[:, i]) if ok],
+            patterns,
         )
         if hypo in vocab and hyper in vocab
     ]

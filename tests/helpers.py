@@ -523,6 +523,16 @@ def oracle_load_corpus(path, language: str, pos_mapping=None) -> Corpus:
     return Corpus(language=language.upper(), documents=tuple(documents))
 
 
+def oracle_sentence_documents(corpus: Corpus) -> Corpus:
+    """Each sentence of ``corpus`` as a document of its own, built by hand."""
+    documents = [
+        Document(f"{d.id}#s{i}", (sentence,))
+        for d in corpus.documents
+        for i, sentence in enumerate(d.sentences, 1)
+    ]
+    return Corpus(corpus.language, tuple(documents))
+
+
 def assert_coding_equal(coding: TokenCoding, expected: TokenCoding) -> None:
     """``distinct`` holds the very same token objects, and every array is
     equal, dtype included."""
@@ -531,10 +541,15 @@ def assert_coding_equal(coding: TokenCoding, expected: TokenCoding) -> None:
         assert (got.dtype, got.tolist()) == (want.dtype, want.tolist()), name
 
 
+def oracle_tokens(corpus: Corpus) -> list:
+    """Every token of ``corpus.documents``, in order."""
+    return [t for d in corpus.documents for s in d.sentences for t in s]
+
+
 def oracle_corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Every token of ``corpus.tokens()`` tested and counted on its own."""
+    """Every token of every sentence tested and counted on its own."""
     content, lemmas = 0, set()
-    for token in corpus.tokens():
+    for token in oracle_tokens(corpus):
         if token.is_content:
             content += 1
             lemmas.add(token.lemma.casefold())

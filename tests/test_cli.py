@@ -16,7 +16,7 @@ from taxorel import taxonomy as taxonomy_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
 from taxorel.gold import GoldTaxonomy
 
-from helpers import assert_coding_equal
+from helpers import assert_coding_equal, oracle_load_corpus, oracle_sentence_documents
 
 GOLD = (
     "1\tanimal\t\n"
@@ -362,25 +362,35 @@ class TestRun:
 
     @pytest.mark.parametrize("pseudo", [False, True], ids=["documents", "pseudo-documents"])
     def test_one_run_codes_its_corpus_once(self, tmp_path, monkeypatch, pseudo):
-        coded, loaded = [], []
+        coded, loaded, built = [], [], []
         real_code, real_load = corpus_module._code_tokens, cli_module._load_run_corpus
+        real_documents = corpus_module._documents
 
         def counting(c):
             coded.append(c)
             return real_code(c)
+
+        def building(ids, coding):
+            built.append(ids)
+            return real_documents(ids, coding)
 
         def keeping(source):
             loaded.append(real_load(source))
             return loaded[-1]
 
         monkeypatch.setattr(corpus_module, "_code_tokens", counting)
+        monkeypatch.setattr(corpus_module, "_documents", building)
         monkeypatch.setattr(cli_module, "_load_run_corpus", keeping)
         config = load_config(write_config(tmp_path, methods=",".join(METHODS)))
         run(replace(config, pseudo_documents=pseudo, best_parent=True))
         # Stats, both context models and the patterns all read the coding
-        # the loader built while parsing, and a split corpus shares it.
+        # the loader built while parsing, and a split corpus shares it; no
+        # step of the run builds a Document or a sentence tuple.
         assert coded == []
+        assert built == []
         [c] = loaded
+        expected = oracle_load_corpus(tmp_path / "corpus", "EN")
+        assert c == (oracle_sentence_documents(expected) if pseudo else expected)
         assert len(c.documents) == (9 if pseudo else 4)
         assert_coding_equal(c.coding, real_code(c))
 

@@ -3,6 +3,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,8 @@ from helpers import (
     doc,
     oracle_corpus_stats,
     oracle_load_corpus,
+    oracle_sentence_documents,
+    oracle_tokens,
     random_corpus,
     tok,
     write_vertical,
@@ -135,15 +138,26 @@ class TestLoadCorpus:
                 if lines and not final:
                     text = text[: -len(lines[-1][1])]
                 (root / f"d{i}.txt").write_text(text, encoding="utf-8", newline="")
-            loaded = load_corpus(root, "EN", mapping)
-            assert loaded == oracle_load_corpus(root, "EN", mapping)
+            loaded, again = (load_corpus(root, "EN", mapping) for _ in range(2))
+            oracle = oracle_load_corpus(root, "EN", mapping)
+        assert list(loaded.tokens()) == oracle_tokens(oracle)
+        # Equal from either side, before and after the documents are built.
+        assert loaded == oracle and oracle == loaded
+        assert oracle == again and again == oracle
+        assert hash(loaded) == hash(again) == hash(oracle)
+        assert loaded.ids == tuple(d.id for d in oracle.documents)
         assert_coding_equal(loaded.coding, corpus_module._code_tokens(loaded))
         # Equal token lines share one token, and only equal lines do.
         token_lines = {line for lines, _ in files for line, _ in lines if line.strip()}
         assert len(loaded.coding.distinct) == len(token_lines)
         if loaded.coding.lengths.size:
             split = sentence_documents(loaded)
+            assert split == sentence_documents(oracle) == oracle_sentence_documents(oracle)
+            assert split.ids == tuple(d.id for d in split.documents)
             assert_coding_equal(split.coding, corpus_module._code_tokens(split))
+        else:
+            with pytest.raises(ValueError, match="no sentences"):
+                sentence_documents(loaded)
 
     @pytest.mark.parametrize(
         "files, bad",
@@ -181,6 +195,14 @@ class TestLoadCorpus:
         loaded = load_corpus(root, "EN")
         assert loaded == oracle_load_corpus(root, "EN")
         assert [d.id for d in loaded.documents] == ["a.txt", "b.txt", "link.txt"]
+
+    def test_unknown_language_is_rejected_before_any_file_is_read(self, tmp_path, monkeypatch):
+        (tmp_path / "a.txt").write_text("dog\tdog\tNOUN\n", encoding="utf-8")
+        read = []
+        monkeypatch.setattr(corpus_module, "_code_lines", lambda *args: read.append(args))
+        with pytest.raises(ValueError, match=r"^language must be one of \('EN', 'PT'\), got 'DE'$"):
+            load_corpus(tmp_path, "de")
+        assert read == []
 
     def test_empty_directory_is_an_error(self, tmp_path):
         with pytest.raises(CorpusFormatError):
@@ -304,7 +326,8 @@ class TestTokenCoding:
             c = sentence_documents(c)
         coding = c.coding
         assert c.coding is coding
-        tokens = list(c.tokens())
+        tokens = oracle_tokens(c)
+        assert list(map(id, c.tokens())) == list(map(id, tokens))
         assert len(coding.token) == len(tokens)
         assert all(coding.distinct[k] is t for k, t in zip(coding.token.tolist(), tokens))
         # Each token object once, in order of first occurrence.
@@ -342,6 +365,29 @@ class TestInvariants:
 
         with pytest.raises(ValueError):
             Document("a", (tuple(),))
+
+    @pytest.mark.parametrize(
+        "language, documents",
+        [
+            ("DE", [("a", [1])]),
+            ("EN", []),
+            ("EN", [("a", [1]), ("", [2])]),
+            ("EN", [("a", [1]), ("a", [])]),
+            ("EN", [("a", [2]), ("b", [1, 0])]),
+        ],
+        ids=["language", "no-documents", "empty-id", "duplicate-ids", "empty-sentence"],
+    )
+    def test_a_coded_corpus_is_checked_as_a_built_one(self, language, documents):
+        token = TaggedToken("dog", "dog", "NOUN")
+        with pytest.raises(ValueError) as built:
+            Corpus(language, tuple(Document(i, tuple((token,) * n for n in s)) for i, s in documents))
+        lengths = np.array([n for _, s in documents for n in s], dtype=np.int64)
+        coding = corpus_module._coding(
+            [token], np.zeros(lengths.sum(), np.int64), lengths, [len(s) for _, s in documents]
+        )
+        with pytest.raises(ValueError) as coded:
+            corpus_module._coded(language, tuple(i for i, _ in documents), coding)
+        assert str(coded.value) == str(built.value)
 
     def test_duplicate_document_ids_rejected(self):
         with pytest.raises(ValueError):

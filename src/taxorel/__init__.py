@@ -13,7 +13,7 @@ from .contexts import (
     extract_document_contexts,
     extract_window_contexts,
     load_matrix,
-    save_matrix,
+    matrix_text,
     select_vocabulary,
 )
 from .corpus import (
@@ -56,7 +56,7 @@ from .patterns import (
     load_patterns,
     match_sentence,
 )
-from .relations import RelationSet, load_relations, save_relations
+from .relations import RelationSet, load_relations, relations_text
 from .taxonomy import (
     HierarchyMetrics,
     Taxonomy,

@@ -25,7 +25,7 @@ from pathlib import Path
 from .contexts import (
     extract_document_contexts,
     extract_window_contexts,
-    save_matrix,
+    matrix_text,
     select_vocabulary,
 )
 from .corpus import (
@@ -62,23 +62,19 @@ from .taxonomy import (
 )
 from .weighting import DEFAULT_TOP_CONTEXTS, context_entropies, weight_lmi, weight_ppmi
 
-# Method name -> (the inputs (see _Inputs) that are its extractor's leading
-# arguments, in order; the extractor call, given the config and those inputs).
-# The entries call the extractors through their module-global names, so that
-# rebinding a name, as a tracer does, reaches every call.
+# Method name -> its extractor call, given the config and the inputs (see
+# _Inputs).  The entries call the extractors through their module-global
+# names, so that rebinding a name, as a tracer does, reaches every call.
 _METHODS = {
-    "patt": (("corpus", "patterns", "vocab"), lambda c, *a: extract_patterns(*a)),
-    "dsim": (("ppmi", "vocab"), lambda c, *a: extract_dsim(*a, c.dsim_measure)),
-    "slqs": (("lmi", "entropies", "vocab"), lambda c, *a: extract_slqs(*a, c.slqs_contexts)),
-    "tf": (("documents", "vocab"), lambda c, *a: extract_tf(*a)),
-    "df": (("documents", "vocab"), lambda c, *a: extract_df(*a)),
+    "patt": lambda c, i: extract_patterns(i["corpus"], i["patterns"], i["vocab"]),
+    "dsim": lambda c, i: extract_dsim(i["ppmi"], i["vocab"], c.dsim_measure),
+    "slqs": lambda c, i: extract_slqs(i["lmi"], i["entropies"], i["vocab"], c.slqs_contexts),
+    "tf": lambda c, i: extract_tf(i["documents"], i["vocab"]),
+    "df": lambda c, i: extract_df(i["documents"], i["vocab"]),
     # The first lambda; run() sweeps them all in _docsub_sweep.
-    "docsub": (("documents", "vocab"), lambda c, *a: extract_docsub(*a, c.docsub_lambdas[0])),
-    "hclust": (
-        ("ppmi", "documents", "vocab"),
-        lambda c, ppmi, docs, vocab: extract_hclust(
-            ppmi, docs, vocab, min(c.hclust_clusters, len(vocab))
-        ),
+    "docsub": lambda c, i: extract_docsub(i["documents"], i["vocab"], c.docsub_lambdas[0]),
+    "hclust": lambda c, i: extract_hclust(
+        i["ppmi"], i["documents"], i["vocab"], min(c.hclust_clusters, len(i["vocab"]))
     ),
 }
 METHODS = tuple(_METHODS)
@@ -246,8 +242,7 @@ class _Inputs(dict):
 
 
 def _extract(method: str, config: RunConfig, inputs: _Inputs) -> RelationSet:
-    needs, build = _METHODS[method]
-    return build(config, *(inputs[name] for name in needs))
+    return _METHODS[method](config, inputs)
 
 
 def _json_text(data) -> str:
@@ -474,7 +469,7 @@ def _cmd_contexts(args) -> int:
         matrix = extract_window_contexts(corpus, args.window_size)
     else:
         matrix = extract_document_contexts(corpus)
-    save_matrix(matrix, args.out)
+    _write(args.out, matrix_text(matrix))
     print(f"wrote {args.out} ({len(matrix)} terms)")
     return 0
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _text
 
 POS_LETTER = {"NOUN": "n", "PROPN": "p", "VERB": "v", "ADJ": "j", "OTHER": "o"}
 
@@ -283,18 +283,19 @@ def select_vocabulary(matrix: ContextMatrix, gold, n: int) -> TermSet:
     return TermSet(candidates[:n])
 
 
-def save_matrix(matrix: ContextMatrix, path: str | Path) -> None:
-    """Persist a matrix as sorted ``term<TAB>context<TAB>count`` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for term in matrix.terms():
-            for label, count in matrix.row(term).items():
-                fh.write(f"{term}\t{label}\t{count}\n")
+def matrix_text(matrix: TermContextMatrix) -> str:
+    """Sorted ``term<TAB>context<TAB>value`` lines, one per stored value."""
+    x, terms, labels = matrix.csr, matrix.term_labels, matrix.context_labels
+    return "".join(
+        f"{terms[i]}\t{labels[j]}\t{v}\n"
+        for i, j, v in zip(x.rows().tolist(), x.indices.tolist(), x.data.tolist())
+    )
 
 
 def load_matrix(
     path: str | Path, model: str, window_size: int | None = None
 ) -> ContextMatrix:
-    """Read a matrix written by :func:`save_matrix`.
+    """Read the :func:`matrix_text` of a count matrix.
 
     The model (and window size, for the window model) is not stored in the
     file and must be supplied by the caller.  A window context label must
@@ -302,23 +303,20 @@ def load_matrix(
     side of ``l`` or ``r``.
     """
     rows: dict[str, dict[str, int]] = {}
-    path = Path(path)
     window_label = re.compile(f".*-[{''.join(POS_LETTER.values())}]-[lr]")
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-            term, label, count = fields
-            if model == "window" and not window_label.fullmatch(label):
-                raise ValueError(f"{path}:{lineno}: bad window context label {label!r}")
-            if not count.isdecimal() or int(count) < 1:
-                raise ValueError(f"{path}:{lineno}: count must be a positive integer, got {count!r}")
-            row = rows.setdefault(term, {})
-            if label in row:
-                raise ValueError(f"{path}:{lineno}: duplicate term and context {term!r} {label!r}")
-            row[label] = int(count)
+    for lineno, line in enumerate(_text(path).split("\n"), 1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+        term, label, count = fields
+        if model == "window" and not window_label.fullmatch(label):
+            raise ValueError(f"{path}:{lineno}: bad window context label {label!r}")
+        if not count.isdecimal() or int(count) < 1:
+            raise ValueError(f"{path}:{lineno}: count must be a positive integer, got {count!r}")
+        row = rows.setdefault(term, {})
+        if label in row:
+            raise ValueError(f"{path}:{lineno}: duplicate term and context {term!r} {label!r}")
+        row[label] = int(count)
     return ContextMatrix(model, rows, window_size=window_size)

@@ -182,24 +182,19 @@ def load_pos_mapping(path: str | Path) -> dict[str, str]:
     The coarse side must be one of the five coarse tags.
     """
     mapping: dict[str, str] = {}
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            fine, coarse = fields
-            coarse = coarse.strip().upper()
-            if coarse not in COARSE_TAGS:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: {coarse!r} is not a coarse POS tag"
-                )
-            mapping[fine.strip()] = coarse
+    for lineno, line in enumerate(_text(path, CorpusFormatError).split("\n"), 1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
+            )
+        fine, coarse = fields
+        coarse = coarse.strip().upper()
+        if coarse not in COARSE_TAGS:
+            raise CorpusFormatError(f"{path}:{lineno}: {coarse!r} is not a coarse POS tag")
+        mapping[fine.strip()] = coarse
     return mapping
 
 
@@ -211,20 +206,24 @@ def coarse_pos(tag: str, mapping: Mapping[str, str] | None = None) -> str:
     return tag if tag in COARSE_TAGS else "OTHER"
 
 
-def _code_lines(path: Path, mapping: Mapping | None, codes: dict, distinct: list) -> list:
-    """Each line's code: its token's index in ``distinct``, or -1 for a blank
-    line.  Only a line not yet in ``codes`` is split, mapped and checked."""
+def _text(path: str | Path, error: type[ValueError] = ValueError) -> str:
+    r"""The UTF-8 text of the file ``path``, each line end read as text mode
+    reads it: "\r\n" and a lone "\r" become "\n".  Bytes that are not UTF-8
+    raise ``error`` naming ``path:line``."""
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len((data[: exc.start] + b".").splitlines())
-        raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
-    # Line ends as in text mode: "\r\n" and a lone "\r" both end a line.
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+        raise error(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _code_lines(path: Path, mapping: Mapping | None, codes: dict, distinct: list) -> list:
+    """Each line's code: its token's index in ``distinct``, or -1 for a blank
+    line.  Only a line not yet in ``codes`` is split, mapped and checked."""
+    lines = _text(path, CorpusFormatError).split("\n")
     coded = list(map(codes.get, lines))
     i = 0
     for _ in range(coded.count(None)):

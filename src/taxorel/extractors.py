@@ -146,11 +146,6 @@ def cluster_terms(ppmi: WeightedMatrix, vocab: TermSet, k: int) -> list[list[str
     n = len(terms)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if k == n:
-        return [[t] for t in terms]
-    if k == 1:
-        return [terms]
-
     sims = _gram(ppmi.rows_of(terms))
     norms = np.sqrt(np.diag(sims))
     denom = np.outer(norms, norms)

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import _text
+
 
 class GoldFormatError(ValueError):
     """Malformed synset-lines input; the message carries file and line."""
@@ -133,36 +135,33 @@ def load_gold(path: str | Path) -> GoldTaxonomy:
     An empty third field marks a root synset.  Self-cycles are dropped;
     duplicate ids and dangling hypernym references are errors.
     """
-    path = Path(path)
     synsets: list[Synset] = []
     seen_ids: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise GoldFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            try:
-                sid = int(fields[0])
-            except ValueError:
-                raise GoldFormatError(f"{path}:{lineno}: bad synset id {fields[0]!r}") from None
-            if sid in seen_ids:
-                raise GoldFormatError(f"{path}:{lineno}: duplicate synset id {sid}")
-            seen_ids.add(sid)
-            lemmas = frozenset(x for x in fields[1].split("|") if x)
-            if not lemmas:
-                raise GoldFormatError(f"{path}:{lineno}: synset {sid} has no lemmas")
-            try:
-                hypernyms = frozenset(int(x) for x in fields[2].split(",") if x)
-            except ValueError:
-                raise GoldFormatError(
-                    f"{path}:{lineno}: bad hypernym id list {fields[2]!r}"
-                ) from None
-            synsets.append(Synset(sid, lemmas, hypernyms))
+    for lineno, line in enumerate(_text(path, GoldFormatError).split("\n"), 1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise GoldFormatError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+            )
+        try:
+            sid = int(fields[0])
+        except ValueError:
+            raise GoldFormatError(f"{path}:{lineno}: bad synset id {fields[0]!r}") from None
+        if sid in seen_ids:
+            raise GoldFormatError(f"{path}:{lineno}: duplicate synset id {sid}")
+        seen_ids.add(sid)
+        lemmas = frozenset(x for x in fields[1].split("|") if x)
+        if not lemmas:
+            raise GoldFormatError(f"{path}:{lineno}: synset {sid} has no lemmas")
+        try:
+            hypernyms = frozenset(int(x) for x in fields[2].split(",") if x)
+        except ValueError:
+            raise GoldFormatError(
+                f"{path}:{lineno}: bad hypernym id list {fields[2]!r}"
+            ) from None
+        synsets.append(Synset(sid, lemmas, hypernyms))
     try:
         return GoldTaxonomy(synsets)
     except ValueError as exc:

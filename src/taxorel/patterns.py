@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .contexts import TARGET_TAGS, TermSet
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, _text
 from .relations import RelationSet
 
 _LANG_CONJUNCTIONS = {"EN": frozenset({"and", "or"}), "PT": frozenset({"e", "ou"})}
@@ -79,18 +79,23 @@ def parse_template(line: str) -> PatternTemplate:
     return PatternTemplate(source=line, elements=tuple(elements), required=required)
 
 
-def _build(language: str, lines) -> PatternSet:
+def _build(language: str, lines, source) -> PatternSet:
+    """The pattern set of the numbered ``lines`` of ``source``; a bad
+    template raises ValueError naming ``source:line``."""
     language = language.upper()
     if language not in _LANG_CONJUNCTIONS:
         raise ValueError(f"no pattern support for language {language!r}")
     templates = []
-    for raw in lines:
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        templates.append(parse_template(line))
+        try:
+            templates.append(parse_template(line))
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
     if not templates:
-        raise ValueError("pattern file contains no templates")
+        raise ValueError(f"{source}: pattern file contains no templates")
     return PatternSet(
         language=language,
         templates=tuple(templates),
@@ -101,17 +106,16 @@ def _build(language: str, lines) -> PatternSet:
 
 def load_patterns(path: str | Path, language: str) -> PatternSet:
     """Read one template per line; blank lines and ``#`` comments are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        return _build(language, fh)
+    return _build(language, enumerate(_text(path).split("\n"), 1), path)
 
 
 def default_patterns(language: str) -> PatternSet:
     """The packaged template set for EN or PT."""
     if language.upper() not in _LANG_CONJUNCTIONS:
         raise ValueError(f"no pattern support for language {language!r}")
-    name = f"patterns_{language.lower()}.txt"
-    text = resources.files("taxorel.data").joinpath(name).read_text(encoding="utf-8")
-    return _build(language, text.splitlines())
+    resource = resources.files("taxorel.data").joinpath(f"patterns_{language.lower()}.txt")
+    lines = resource.read_text(encoding="utf-8").splitlines()
+    return _build(language, enumerate(lines, 1), resource)
 
 
 def _np_at(tokens: Sentence, pos: int, pset: PatternSet) -> tuple[int, str] | None:

@@ -102,11 +102,6 @@ def relations_text(relset: RelationSet) -> str:
     )
 
 
-def save_relations(relset: RelationSet, path: str | Path) -> None:
-    """Write :func:`relations_text` of ``relset`` to ``path``."""
-    Path(path).write_text(relations_text(relset), encoding="utf-8")
-
-
 def load_relations(path: str | Path, method: str | None = None) -> RelationSet:
     """Read a relations TSV; the method tag must be uniform across lines.
 

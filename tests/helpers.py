@@ -557,6 +557,16 @@ def oracle_corpus_stats(corpus: Corpus) -> CorpusStats:
     return CorpusStats(len(corpus.documents), sentences, content, len(lemmas))
 
 
+def oracle_matrix_text(matrix) -> str:
+    """``term<TAB>context<TAB>value`` lines, term by term and, within a
+    term, in the order of its ``row``."""
+    return "".join(
+        f"{term}\t{label}\t{value}\n"
+        for term in matrix.terms()
+        for label, value in matrix.row(term).items()
+    )
+
+
 def oracle_window_contexts(corpus: Corpus, window_size: int) -> ContextMatrix:
     """Each target's window contexts counted into a per-term Counter."""
     half = (window_size - 1) // 2

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import io
 import json
@@ -702,6 +703,7 @@ class TestCommandLine:
         [
             ("complement", "complementarity_inverse.csv", ["complementarity_direct.csv"]),
             ("metrics", "metrics.json", []),
+            ("contexts", "m.tsv", []),
         ],
     )
     def test_verb_write_cut_short_leaves_no_file_under_the_output_name(
@@ -711,13 +713,16 @@ class TestCommandLine:
         files = [str(outdir / f"relations_{method}.tsv") for method in ("tf", "df")]
         target = tmp_path / "verb"
         target.mkdir()
-        argv = (
-            ["complement", *files, "--gold", str(tmp_path / "gold.tsv"), "--out-dir", str(target)]
-            if verb == "complement"
-            else ["metrics", files[0], "--out-json", str(target / cut)]
-        )
+        argv = {
+            "complement": [*files, "--gold", str(tmp_path / "gold.tsv"), "--out-dir", str(target)],
+            "metrics": [files[0], "--out-json", str(target / cut)],
+            "contexts": [
+                str(tmp_path / "corpus"), "--language", "EN", "--model", "window",
+                "--out", str(target / cut),
+            ],
+        }[verb]
         cut_writes_short(monkeypatch, cut)
-        assert main(argv) == 1
+        assert main([verb, *argv]) == 1
         assert "disk full" in capsys.readouterr().err
         # The files written before the failed one are whole; it is absent.
         assert sorted(p.name for p in target.iterdir()) == whole
@@ -832,3 +837,33 @@ class TestCommandLine:
         assert usage.startswith(f"usage: taxorel {verb} [-h]")
         for spelling in spellings:
             assert f" {spelling} " in f"{usage} "
+
+
+def _file_writes(tree: ast.AST):
+    """The calls under ``tree`` that write a file: ``open(file, mode)`` and
+    ``path.open(mode)`` with a mode that writes, appends, creates or updates
+    (or one that is not a literal), ``.write_text`` and ``.write_bytes``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            yield node
+        elif name == "open":
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += [k.value for k in node.keywords if k.arg == "mode"]
+            if any(
+                not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes
+            ):
+                yield node
+
+
+def test_only_cli_write_writes_files():
+    """Every output goes through ``cli._write``, which stages and renames."""
+    writes = []
+    for path in sorted(Path(taxorel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:  # a module-level function or class, or a statement
+            writes += [(path.name, getattr(top, "name", None), n.lineno) for n in _file_writes(top)]
+    assert [(file, name) for file, name, _ in writes] == [("cli.py", "_write")], writes

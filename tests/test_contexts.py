@@ -11,16 +11,18 @@ from taxorel.contexts import (
     extract_document_contexts,
     extract_window_contexts,
     load_matrix,
-    save_matrix,
+    matrix_text,
     select_vocabulary,
 )
 from taxorel.corpus import Corpus, Document
+from taxorel.weighting import weight_lmi, weight_ppmi
 
 from helpers import (
     corpus,
     doc,
     gold_from,
     oracle_document_contexts,
+    oracle_matrix_text,
     oracle_window_contexts,
     random_corpus,
     tok,
@@ -256,7 +258,7 @@ class TestMatrixPersistence:
     def test_window_round_trip(self, tmp_path):
         c = corpus(doc("a", "big:J dog:N barked:V", "dog:N bites:V"))
         m = extract_window_contexts(c, 5)
-        save_matrix(m, tmp_path / "m.tsv")
+        (tmp_path / "m.tsv").write_text(matrix_text(m), encoding="utf-8")
         again = load_matrix(tmp_path / "m.tsv", "window", 5)
         assert {t: dict(m.row(t)) for t in m.terms()} == {
             t: dict(again.row(t)) for t in again.terms()
@@ -264,15 +266,21 @@ class TestMatrixPersistence:
 
     def test_document_round_trip(self, tmp_path):
         m = extract_document_contexts(corpus(doc("d1", "dog:N dog:N cat:N")))
-        save_matrix(m, tmp_path / "m.tsv")
+        (tmp_path / "m.tsv").write_text(matrix_text(m), encoding="utf-8")
         again = load_matrix(tmp_path / "m.tsv", "document")
         assert dict(again.row("dog")) == {"d1": 2}
 
-    def test_output_is_sorted(self, tmp_path):
+    def test_output_is_sorted(self):
         m = ContextMatrix("document", {"b": {"d2": 1, "d1": 1}, "a": {"d9": 2}})
-        save_matrix(m, tmp_path / "m.tsv")
-        lines = (tmp_path / "m.tsv").read_text().splitlines()
+        lines = matrix_text(m).splitlines()
         assert lines == sorted(lines)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_text_equals_the_row_by_row_oracle(self, seed):
+        c = random_corpus(random.Random(seed))
+        window = extract_window_contexts(c, 5)
+        for m in (window, extract_document_contexts(c), weight_ppmi(window), weight_lmi(window)):
+            assert matrix_text(m) == oracle_matrix_text(m)
 
     @pytest.mark.parametrize(
         "line",
@@ -283,11 +291,12 @@ class TestMatrixPersistence:
             "dog\tbig-j-l\tmany",  # not an integer
             "dog\tbig-j-l\t0",  # not positive
             "dog\tbarked-v-r\t5",  # same term and context as line 1
+            "dog\tb\udcffig-j-l\t1",  # byte 0xff: not UTF-8
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "m.tsv"
-        path.write_text(f"dog\tbarked-v-r\t2\n{line}\n", encoding="utf-8")
+        path.write_text(f"dog\tbarked-v-r\t2\n{line}\n", "utf-8", "surrogateescape")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             load_matrix(path, "window", 5)
 

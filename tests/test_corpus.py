@@ -229,9 +229,12 @@ class TestLoadCorpus:
         assert [t.pos for t in c.documents[0].sentences[0]] == ["NOUN", "VERB"]
 
     def test_bad_mapping_coarse_tag(self, tmp_path):
-        (tmp_path / "map.tsv").write_text("NN\tNOUNISH\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError):
-            load_pos_mapping(tmp_path / "map.tsv")
+        path = tmp_path / "map.tsv"
+        # Not a coarse tag; one field; byte 0xff, which is not UTF-8.
+        for line in ("NN\tNOUNISH", "NN", "N\udcffN\tNOUN"):
+            path.write_text(f"VBD\tVERB\n{line}\n", "utf-8", "surrogateescape")
+            with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: "):
+                load_pos_mapping(path)
 
     def test_round_trip(self, tmp_path):
         original = corpus(

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,10 +45,11 @@ class TestLoadGold:
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "gold.tsv"
-        path.write_text("1\tdog\t\nnot a line\n", encoding="utf-8")
-        with pytest.raises(GoldFormatError) as err:
-            load_gold(path)
-        assert ":2" in str(err.value)
+        # One field; then byte 0xff, which is not UTF-8.
+        for line in ("not a line", "2\td\udcffg\t1"):
+            path.write_text(f"1\tdog\t\n{line}\n", "utf-8", "surrogateescape")
+            with pytest.raises(GoldFormatError, match=f"^{re.escape(str(path))}:2: "):
+                load_gold(path)
 
     def test_synset_without_lemmas_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -231,6 +233,25 @@ class TestTemplateParsing:
             tok("dogs", "dog", "NOUN"),
         )
         assert set(match_sentence(tokens, pset)) == {("dog", "animal")}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "HYPER like",  # no HYPO+ slot
+            "HYPER li\udcffke HYPO+",  # byte 0xff: not UTF-8
+        ],
+    )
+    def test_bad_template_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "patterns.txt"
+        path.write_text(f"# comment\nHYPER such as HYPO+\n{line}\n", "utf-8", "surrogateescape")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+            load_patterns(path, "EN")
+
+    def test_file_without_templates_names_the_file(self, tmp_path):
+        path = tmp_path / "patterns.txt"
+        path.write_text("# comment\n\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_patterns(path, "EN")
 
     def test_default_sets_have_six_templates_each(self):
         assert len(EN.templates) == 6

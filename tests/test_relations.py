@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taxorel.relations import RelationSet, load_relations, relations_text, save_relations
+from taxorel.relations import RelationSet, load_relations, relations_text
 
 
 TERMS = "abcd"
@@ -107,7 +107,7 @@ class TestPersistence:
     def test_round_trip_with_scores(self, tmp_path):
         rs = RelationSet("dsim", [("dog", "animal"), ("cat", "animal")], [0.75, None])
         path = tmp_path / "rels.tsv"
-        save_relations(rs, path)
+        path.write_text(relations_text(rs), encoding="utf-8")
         again = load_relations(path)
         assert again.method == "dsim"
         assert again == rs
@@ -121,15 +121,14 @@ class TestPersistence:
         )
         assert all(type(score) is float for score in rs.scores)
         path = tmp_path / "rels.tsv"
-        save_relations(rs, path)
+        path.write_text(relations_text(rs), encoding="utf-8")
         assert path.read_text().splitlines()[0] == "ant\tanimal\tdsim\t1.0"
         again = load_relations(path)
         assert again == rs and again.scores == rs.scores == (1.0, 0.25, 0.5)
 
-    def test_file_is_sorted(self, tmp_path):
+    def test_file_is_sorted(self):
         rs = RelationSet("tf", [("z", "a"), ("b", "a")])
-        save_relations(rs, tmp_path / "rels.tsv")
-        lines = (tmp_path / "rels.tsv").read_text().splitlines()
+        lines = relations_text(rs).splitlines()
         assert lines == sorted(lines)
 
     def test_mixed_methods_rejected(self, tmp_path):

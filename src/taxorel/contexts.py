@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, _text
+from .corpus import Corpus, _records
 
 POS_LETTER = {"NOUN": "n", "PROPN": "p", "VERB": "v", "ADJ": "j", "OTHER": "o"}
 
@@ -304,19 +304,16 @@ def load_matrix(
     """
     rows: dict[str, dict[str, int]] = {}
     window_label = re.compile(f".*-[{''.join(POS_LETTER.values())}]-[lr]")
-    for lineno, line in enumerate(_text(path).split("\n"), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-        term, label, count = fields
+
+    def row(term: str, label: str, count: str) -> None:
         if model == "window" and not window_label.fullmatch(label):
-            raise ValueError(f"{path}:{lineno}: bad window context label {label!r}")
+            raise ValueError(f"bad window context label {label!r}")
         if not count.isdecimal() or int(count) < 1:
-            raise ValueError(f"{path}:{lineno}: count must be a positive integer, got {count!r}")
-        row = rows.setdefault(term, {})
-        if label in row:
-            raise ValueError(f"{path}:{lineno}: duplicate term and context {term!r} {label!r}")
-        row[label] = int(count)
+            raise ValueError(f"count must be a positive integer, got {count!r}")
+        counts = rows.setdefault(term, {})
+        if label in counts:
+            raise ValueError(f"duplicate term and context {term!r} {label!r}")
+        counts[label] = int(count)
+
+    _records(path, 3, row)
     return ContextMatrix(model, rows, window_size=window_size)

@@ -182,19 +182,14 @@ def load_pos_mapping(path: str | Path) -> dict[str, str]:
     The coarse side must be one of the five coarse tags.
     """
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(_text(path, CorpusFormatError).split("\n"), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-            )
-        fine, coarse = fields
+
+    def row(fine: str, coarse: str) -> None:
         coarse = coarse.strip().upper()
         if coarse not in COARSE_TAGS:
-            raise CorpusFormatError(f"{path}:{lineno}: {coarse!r} is not a coarse POS tag")
+            raise ValueError(f"{coarse!r} is not a coarse POS tag")
         mapping[fine.strip()] = coarse
+
+    _records(path, 2, row, CorpusFormatError)
     return mapping
 
 
@@ -218,6 +213,28 @@ def _text(path: str | Path, error: type[ValueError] = ValueError) -> str:
         lineno = len((data[: exc.start] + b".").splitlines())
         raise error(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _records(path: str | Path, width: int, row, error: type[ValueError] = ValueError) -> None:
+    r"""Call ``row(*fields)`` on the ``width`` tab-separated fields of each
+    line of the UTF-8 file ``path`` that is not blank, streamed in text mode,
+    which reads "\r\n" and a lone "\r" as line ends as :func:`_text` does.  A
+    wrong field count, a ValueError from ``row`` and bytes that are not UTF-8
+    raise ``error`` naming ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} tab-separated fields, got {len(fields)}")
+                row(*fields)
+        except UnicodeDecodeError:
+            _text(path, error)  # raises, naming the line of the first bad byte
+            raise
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from None
 
 
 def _code_lines(path: Path, mapping: Mapping | None, codes: dict, distinct: list) -> list:

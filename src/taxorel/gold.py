@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _text
+from .corpus import _records
 
 
 class GoldFormatError(ValueError):
@@ -135,34 +135,23 @@ def load_gold(path: str | Path) -> GoldTaxonomy:
     An empty third field marks a root synset.  Self-cycles are dropped;
     duplicate ids and dangling hypernym references are errors.
     """
-    synsets: list[Synset] = []
-    seen_ids: set[int] = set()
-    for lineno, line in enumerate(_text(path, GoldFormatError).split("\n"), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise GoldFormatError(
-                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
+    synsets: dict[int, Synset] = {}
+
+    def row(sid: str, lemmas: str, hypernyms: str) -> None:
         try:
-            sid = int(fields[0])
+            sid = int(sid)
         except ValueError:
-            raise GoldFormatError(f"{path}:{lineno}: bad synset id {fields[0]!r}") from None
-        if sid in seen_ids:
-            raise GoldFormatError(f"{path}:{lineno}: duplicate synset id {sid}")
-        seen_ids.add(sid)
-        lemmas = frozenset(x for x in fields[1].split("|") if x)
-        if not lemmas:
-            raise GoldFormatError(f"{path}:{lineno}: synset {sid} has no lemmas")
+            raise ValueError(f"bad synset id {sid!r}") from None
+        if sid in synsets:
+            raise ValueError(f"duplicate synset id {sid}")
         try:
-            hypernyms = frozenset(int(x) for x in fields[2].split(",") if x)
+            hypernym_ids = frozenset(int(x) for x in hypernyms.split(",") if x)
         except ValueError:
-            raise GoldFormatError(
-                f"{path}:{lineno}: bad hypernym id list {fields[2]!r}"
-            ) from None
-        synsets.append(Synset(sid, lemmas, hypernyms))
+            raise ValueError(f"bad hypernym id list {hypernyms!r}") from None
+        synsets[sid] = Synset(sid, frozenset(x for x in lemmas.split("|") if x), hypernym_ids)
+
+    _records(path, 3, row, GoldFormatError)
     try:
-        return GoldTaxonomy(synsets)
+        return GoldTaxonomy(synsets.values())
     except ValueError as exc:
         raise GoldFormatError(f"{path}: {exc}") from None

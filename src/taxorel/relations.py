@@ -8,9 +8,12 @@ with its name, each with an optional method-specific score.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
+
+from .corpus import _records
 
 Pair = tuple[str, str]  # (hyponym, hypernym)
 
@@ -28,24 +31,21 @@ class RelationSet:
         """The set of ``pairs``, each scored by the item of ``scores`` at
         its position (None throughout when ``scores`` is None), held as a
         Python float or None.  Repeats keep the first score; a self-relation
-        raises ValueError."""
+        and scores of another length than the pairs raise ValueError."""
         pairs = list(pairs)
-        scores = [None] * len(pairs) if scores is None else list(scores)
-        first: dict[Pair, float | None] = {}
-        for pair, score in zip(pairs, scores, strict=True):
-            if pair[0] == pair[1]:
-                raise ValueError(f"self-relation not allowed: {pair[0]!r}")
-            first.setdefault(pair, score)
-        ordered = sorted(first)
-        terms = sorted({term for pair in ordered for term in pair})
+        scores = np.full(len(pairs), None) if scores is None else np.fromiter(scores, object)
+        if len(scores) != len(pairs):
+            raise ValueError(f"{len(scores)} scores for {len(pairs)} pairs")
+        terms = sorted({term for pair in pairs for term in pair})
         index = {term: i for i, term in enumerate(terms)}
-        self._set(
-            method,
-            terms,
-            [index[hypo] for hypo, _ in ordered],
-            [index[hyper] for _, hyper in ordered],
-            [None if first[pair] is None else float(first[pair]) for pair in ordered],
-        )
+        codes = np.fromiter(map(index.__getitem__, chain.from_iterable(pairs)), np.int64)
+        hypo, hyper = codes.reshape(-1, 2).T
+        if (hypo == hyper).any():
+            raise ValueError(f"self-relation not allowed: {terms[hypo[hypo == hyper][0]]!r}")
+        # The sorted keys are the sorted pairs; each keeps its first score.
+        _, first = np.unique(hypo * len(terms) + hyper, return_index=True)
+        scores = [None if score is None else float(score) for score in scores[first].tolist()]
+        self._set(method, terms, hypo[first], hyper[first], scores)
 
     @classmethod
     def from_mask(cls, method: str, terms, mask: np.ndarray, scores=None) -> "RelationSet":
@@ -109,32 +109,22 @@ def load_relations(path: str | Path, method: str | None = None) -> RelationSet:
     term, a self-relation, a repeated pair, a non-numeric score) name
     ``file:line``.
     """
-    path = Path(path)
     pairs: dict[Pair, float | None] = {}
-    first_tag = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-            hypo, hyper, tag, score = fields
-            if first_tag is None:
-                first_tag = tag
-            elif tag != first_tag:
-                raise ValueError(f"{path}:{lineno}: mixed method tags in one file")
-            try:
-                if not hypo or not hyper:
-                    raise ValueError("empty hyponym or hypernym")
-                if hypo == hyper:
-                    raise ValueError(f"self-relation not allowed: {hypo!r}")
-                if (hypo, hyper) in pairs:
-                    raise ValueError(f"duplicate relation {hypo!r} {hyper!r}")
-                pairs[(hypo, hyper)] = float(score) if score else None
-            except ValueError as exc:  # the checks above, or a non-numeric score
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if first_tag is None and method is None:
+    tags: set[str] = set()
+
+    def row(hypo: str, hyper: str, tag: str, score: str) -> None:
+        tags.add(tag)
+        if len(tags) > 1:
+            raise ValueError("mixed method tags in one file")
+        if not hypo or not hyper:
+            raise ValueError("empty hyponym or hypernym")
+        if hypo == hyper:
+            raise ValueError(f"self-relation not allowed: {hypo!r}")
+        if (hypo, hyper) in pairs:
+            raise ValueError(f"duplicate relation {hypo!r} {hyper!r}")
+        pairs[(hypo, hyper)] = float(score) if score else None
+
+    _records(path, 4, row)
+    if not (tags or method):
         raise ValueError(f"{path}: empty relations file and no method given")
-    return RelationSet(method or first_tag, pairs, pairs.values())
+    return RelationSet(method or tags.pop(), pairs, pairs.values())

@@ -867,3 +867,17 @@ def test_only_cli_write_writes_files():
         for top in tree.body:  # a module-level function or class, or a statement
             writes += [(path.name, getattr(top, "name", None), n.lineno) for n in _file_writes(top)]
     assert [(file, name) for file, name, _ in writes] == [("cli.py", "_write")], writes
+
+
+def test_only_three_functions_open_files():
+    """Every ``open`` call is in ``cli._write``, ``corpus._text`` (whole
+    files) or ``corpus._records`` (tab-separated rows)."""
+    opens = set()
+    for path in sorted(Path(taxorel.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "open":
+                    opens.add((path.name, getattr(top, "name", None)))
+    assert opens <= {("cli.py", "_write"), ("corpus.py", "_text"), ("corpus.py", "_records")}, opens

@@ -20,6 +20,9 @@ from taxorel.corpus import (
     load_pos_mapping,
     sentence_documents,
 )
+from taxorel.contexts import load_matrix, matrix_text
+from taxorel.gold import GoldFormatError, load_gold
+from taxorel.relations import load_relations, relations_text
 
 from helpers import (
     assert_coding_equal,
@@ -401,3 +404,61 @@ class TestInvariants:
             TaggedToken("", "dog", "NOUN")
         with pytest.raises(ValueError):
             TaggedToken("dog", "", "NOUN")
+
+
+# Each tab-separated loader: its call, its error class, its field count,
+# two valid lines, and a comparable view of what it loads.
+TAB_SEPARATED_LOADERS = {
+    "pos-mapping": (load_pos_mapping, CorpusFormatError, 2, ("NN\tNOUN", "VBD\tVERB"), dict),
+    "gold": (
+        load_gold,
+        GoldFormatError,
+        3,
+        ("1\tanimal\t", "2\tdog|hound\t1"),
+        lambda gold: gold.synsets,
+    ),
+    "matrix": (
+        lambda path: load_matrix(path, "document"),
+        ValueError,
+        3,
+        ("dog\td1\t2", "cat\td1\t1"),
+        matrix_text,
+    ),
+    "relations": (
+        load_relations,
+        ValueError,
+        4,
+        ("dog\tanimal\tpatt\t0.5", "cat\tanimal\tpatt\t"),
+        relations_text,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TAB_SEPARATED_LOADERS)
+class TestTabSeparatedLoaders:
+    """The one contract of :func:`taxorel.corpus._records` for every loader."""
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path, name):
+        load, _, _, (first, second), view = TAB_SEPARATED_LOADERS[name]
+        plain, spaced = tmp_path / "plain.tsv", tmp_path / "spaced.tsv"
+        plain.write_text(f"{first}\n{second}\n", encoding="utf-8")
+        spaced.write_text(f" \n{first}\n\t\t\t\n \t \n\n{second}\n\t\n", encoding="utf-8")
+        assert view(load(spaced)) == view(load(plain)) and view(load(plain))
+
+    def test_wrong_field_count_names_file_and_line(self, tmp_path, name):
+        load, error, width, (first, second), _ = TAB_SEPARATED_LOADERS[name]
+        path = tmp_path / "bad.tsv"
+        for line in (f"{second}\textra", second.split("\t", 1)[1]):  # one field more, one less
+            path.write_text(f"{first}\n{line}\n", encoding="utf-8")
+            expected = f"^{re.escape(str(path))}:2: expected {width} tab-separated fields, got "
+            with pytest.raises(error, match=expected) as caught:
+                load(path)
+            assert type(caught.value) is error
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_load_as_newlines(self, tmp_path, name, end):
+        load, _, _, lines, view = TAB_SEPARATED_LOADERS[name]
+        unix, other = tmp_path / "unix.tsv", tmp_path / "other.tsv"
+        unix.write_bytes("".join(f"{line}\n" for line in lines).encode())
+        other.write_bytes("".join(f"{line}{end}" for line in lines).encode())
+        assert view(load(other)) == view(load(unix)) and view(load(unix))

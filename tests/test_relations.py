@@ -81,6 +81,13 @@ class TestRelationSet:
     def test_self_relation_rejected(self):
         with pytest.raises(ValueError):
             RelationSet("tf", [("dog", "dog")])
+        with pytest.raises(ValueError, match="^self-relation not allowed: 'dog'$"):
+            RelationSet("tf", [("dog", "cat"), ("dog", "dog"), ("ant", "ant")])
+
+    def test_scores_of_another_length_rejected(self):
+        for scores in ([0.5], [0.5, 0.25, None]):
+            with pytest.raises(ValueError):
+                RelationSet("tf", [("dog", "animal"), ("cat", "animal")], scores)
 
     def test_iteration_is_sorted(self):
         rs = RelationSet("tf", [("z", "a"), ("b", "a")])
@@ -160,10 +167,11 @@ class TestPersistence:
             "a\tb\ttf\t",  # method tag differs from line 1
             "x\ty\tpatt\t0.7",  # repeats the pair of line 1
             "\tb\tpatt\t",  # empty hyponym
+            "a\tb\udcff\tpatt\t",  # byte 0xff, which is not UTF-8
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "rels.tsv"
-        path.write_text(f"x\ty\tpatt\t0.5\n{line}\n", encoding="utf-8")
+        path.write_text(f"x\ty\tpatt\t0.5\n{line}\n", "utf-8", "surrogateescape")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             load_relations(path)

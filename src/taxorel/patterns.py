@@ -4,12 +4,19 @@ Templates are token sequences over POS-tagged sentences with two slots:
 ``HYPER`` matches one noun phrase (the hypernym) and ``HYPO+`` a list of
 noun phrases separated by commas and/or conjunctions (the hyponyms).
 Literal tokens match the token surface case-insensitively; a trailing
-``?`` marks an optional literal.  A sentence is matched only against the
-templates whose non-optional literals all occur in it, compared
-case-insensitively; a template lacking one can never match, so this
-prefilter does not change the pairs found.  :func:`extract_patterns`
-decides it once per corpus, with numpy over the corpus's token coding;
-:func:`match_sentence` decides it for its one sentence.
+``?`` marks an optional literal.
+
+A two-part prefilter spares the matcher sentences that cannot yield a
+pair; neither part changes the pairs found.  The literal part tries a
+sentence only against the templates whose non-optional literals all occur
+in it, compared case-insensitively: a template lacking one can never match.
+The vocabulary part, in :func:`extract_patterns` only, skips a sentence
+unless it holds two distinct casefolded NOUN/PROPN lemmas of the
+vocabulary: every head is such a lemma, and a kept pair needs two distinct
+heads.  :func:`extract_patterns` decides both once per corpus, with numpy
+over the corpus's token coding (one literal bitmask per distinct token);
+:func:`match_sentence`, which has no vocabulary, decides the literal part
+for its one sentence.
 
 Noun phrases are approximated as noun runs with adjectives on the
 language's modifier side (before the noun in English, after it in
@@ -173,9 +180,9 @@ def _hypo_list(tokens: Sentence, pos: int, pset: PatternSet):
                 continue
             if width == 1 and not (seps[0] == "," or seps[0] in pset.conjunctions):
                 continue
-            np = _np_at(tokens, cur + width, pset)
-            if np is not None:
-                nxt = np
+            phrase = _np_at(tokens, cur + width, pset)
+            if phrase is not None:
+                nxt = phrase
                 break
         if nxt is None:
             return checkpoints
@@ -202,10 +209,10 @@ def _match_template(
                 return rec(ei + 1, pos, hyper, hypos)
             return None
         if el.kind == "hyper":
-            np = _np_at(tokens, pos, pset)
-            if np is None:
+            phrase = _np_at(tokens, pos, pset)
+            if phrase is None:
                 return None
-            return rec(ei + 1, np[0], np[1], hypos)
+            return rec(ei + 1, phrase[0], phrase[1], hypos)
         # HYPO+ list: prefer the longest parse, backtracking on failure.
         for end, heads in reversed(_hypo_list(tokens, pos, pset)):
             found = rec(ei + 1, end, hyper, heads)
@@ -239,26 +246,55 @@ def match_sentence(tokens: Sentence, pset: PatternSet) -> list[tuple[str, str]]:
 
 
 def extract_patterns(corpus: Corpus, patterns: PatternSet, vocab: TermSet) -> RelationSet:
-    """Scan every sentence with the template set; keep in-vocabulary pairs."""
+    """Match the sentences that pass both parts of the prefilter (some
+    template's required literals, and two distinct vocabulary lemmas of
+    NOUN/PROPN tokens), decided for all sentences at once over the corpus's
+    token coding; keep the in-vocabulary pairs."""
     if corpus.language != patterns.language:
         raise ValueError(
             f"corpus language {corpus.language} does not match "
             f"pattern language {patterns.language}"
         )
     templates, coding = patterns.templates, corpus.coding
-    # live[k, s]: sentence s holds every required literal of template k.
-    surfaces = np.array([t.surface.casefold() for t in coding.distinct], dtype=object)
-    live = np.ones((len(templates), len(coding.starts)), dtype=bool)
-    for literal in set().union(*(t.required for t in templates)):
-        present = np.logical_or.reduceat((surfaces == literal)[coding.token], coding.starts)
-        live[[literal in t.required for t in templates]] &= present
+    literals = set().union(*(t.required for t in templates))
+    bit = {literal: 1 << i for i, literal in enumerate(literals)}
+    needs = [sum(map(bit.__getitem__, t.required)) for t in templates]
+    # Each distinct token's bitmask holds the bit of the literal its surface
+    # equals, in the narrowest dtype that holds every bit (object past 64).
+    masks = np.array(
+        [bit.get(t.surface.casefold(), 0) for t in coding.distinct],
+        dtype=np.min_scalar_type(1 << len(literals) >> 1),
+    )
+    held = np.bitwise_or.reduceat(masks[coding.token], coding.starts)
+    # A live sentence holds every required literal of some template.
+    live = np.zeros(len(held), dtype=bool)
+    for need in set(needs):
+        live |= (held & need) == need
+    rows = np.flatnonzero(live)
+    # Each distinct token's vocabulary term, numbered as met, or -1; a live
+    # sentence whose smallest and largest term differ holds two distinct ones.
+    terms: dict[str, int] = {}
+    term = np.array(
+        [
+            terms.setdefault(t.lemma.casefold(), len(terms))
+            if t.pos in TARGET_TAGS and t.lemma.casefold() in vocab
+            else -1
+            for t in coding.distinct
+        ]
+    )
+    lengths = coding.lengths[rows]
+    offsets = np.cumsum(lengths) - lengths
+    shift = np.repeat(coding.starts[rows] - offsets, lengths)
+    found = term[coding.token[np.arange(lengths.sum()) + shift]]
+    least = np.minimum.reduceat(np.where(found < 0, len(terms), found), offsets)
+    rows = rows[least < np.maximum.reduceat(found, offsets)]
     starts, stops = coding.starts, coding.starts + coding.lengths
     pairs = [
         (hypo, hyper)
-        for i in np.flatnonzero(live.any(axis=0)).tolist()
+        for i in rows.tolist()
         for hypo, hyper in _matches(
             tuple(map(coding.distinct.__getitem__, coding.token[starts[i] : stops[i]].tolist())),
-            [t for t, ok in zip(templates, live[:, i]) if ok],
+            [t for t, need in zip(templates, needs) if (held[i] & need) == need],
             patterns,
         )
         if hypo in vocab and hyper in vocab

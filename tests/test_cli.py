@@ -95,6 +95,30 @@ def write_config(tmp_path, outdir="out", methods="tf, df, docsub", extra=""):
     return config
 
 
+def modules_after_runs(config, *changes) -> list[str]:
+    """The modules loaded in a fresh interpreter that runs ``config`` once
+    with each dict of RunConfig field ``changes``."""
+    script = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "import taxorel.cli as cli\n"
+        f"config = cli.load_config({str(config)!r})\n"
+        f"for changes in {changes!r}:\n"
+        "    cli.run(replace(config, **changes))\n"
+        "print(*sorted(sys.modules), sep='\\n')\n"
+    )
+    src = str(Path(taxorel.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 # sha256 of every file an all-methods run of the fixture writes, manifest
 # excepted (it names the output directory), keyed by ``best_parent``.  A
 # change that alters an output updates its digest only together with a
@@ -341,25 +365,17 @@ class TestRun:
     def test_a_run_loads_no_scipy(self, tmp_path):
         # Importing scipy would take longer than a small run; nothing needs it.
         config = write_config(tmp_path, methods=",".join(METHODS))
-        script = (
-            "import sys\n"
-            "from dataclasses import replace\n"
-            "import taxorel, taxorel.cli as cli\n"
-            f"config = cli.load_config({str(config)!r})\n"
-            "for best_parent in (False, True):\n"
-            "    cli.run(replace(config, best_parent=best_parent))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        modules = modules_after_runs(config, {}, {"best_parent": True})
+        assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+    def test_a_run_loads_no_numpy_ma(self, tmp_path):
+        # A bare ``np.unique`` imports numpy.ma, which costs a small run tens
+        # of milliseconds and about 1 MB of peak RSS; nothing needs it.
+        config = write_config(tmp_path, methods=",".join(METHODS))
+        modules = modules_after_runs(
+            config, {}, {"best_parent": True}, {"pseudo_documents": True}
         )
-        src = str(Path(taxorel.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert "numpy.ma" not in modules
 
     @pytest.mark.parametrize("pseudo", [False, True], ids=["documents", "pseudo-documents"])
     def test_one_run_codes_its_corpus_once(self, tmp_path, monkeypatch, pseudo):

@@ -404,6 +404,15 @@ class TestCorpusPrefilter:
         documents=st.lists(st.lists(SENTENCES, max_size=3), min_size=1, max_size=4),
         vocab=VOCABULARIES,
     )
+    # A Portuguese phrase heads on its leftmost noun ("animals gatos" on
+    # animal; gato is out of the vocabulary); a lemma in another case than
+    # its vocabulary term.
+    @example(name="PT", documents=[[words("animals gatos tais como cão")]], vocab={"animal", "cão"})
+    @example(
+        name="EN",
+        documents=[[(*words("animals such as"), tok("Dogs", "Dog", "NOUN"))]],
+        vocab={"animal", "dog"},
+    )
     def test_matches_the_oracle_on_every_sentence(self, user_sets, name, documents, vocab):
         pset = user_sets[name]
         c = corpus(
@@ -430,16 +439,53 @@ class TestCorpusPrefilter:
         )
         vocab = TermSet(["animal", "cat", "dog"])
         assert extract_patterns(c, EN, vocab).pair_set() == oracle_pairs(c, EN, vocab)
-        assert matched == [
-            (ends_a, ["HYPO+ ,? or other HYPER"]),
-            (ends_corpus, ["HYPO+ ,? or other HYPER"]),
-        ]
+        # ``ends_corpus`` holds only one vocabulary term, so no pair is kept.
+        assert matched == [(ends_a, ["HYPO+ ,? or other HYPER"])]
 
-    def test_template_without_required_literals_is_live_everywhere(self, user_sets, matched):
+    def test_template_without_required_literals_needs_two_terms(self, user_sets, matched):
         pset = user_sets["optional"]
         sentences = [words("animals , cats"), words("big"), words("cão outros gatos")]
         c = corpus(doc("a.txt", *sentences[:2]), doc("b.txt", sentences[2]), language="PT")
         vocab = {"animal", "cat", "cão", "gato"}
         assert extract_patterns(c, pset, TermSet(vocab)).pair_set() == oracle_pairs(c, pset, vocab)
         sources = [t.source for t in pset.templates]
-        assert matched == [(sentence, sources) for sentence in sentences]
+        # Every sentence holds every required literal; "big" holds no term.
+        assert matched == [(sentences[0], sources), (sentences[2], sources)]
+
+    @pytest.mark.parametrize("width", [8, 9, 70])
+    def test_template_sets_of_any_width(self, tmp_path, matched, width):
+        # 8 literals fit one byte per token, 9 need two, and 70 more than 64.
+        fillers = " ".join(f"w{i}:O" for i in range(width - 2))
+        path = tmp_path / "wide.txt"
+        path.write_text(f"HYPER such as HYPO+\nHYPER {fillers.replace(':O', '')} HYPO+\n")
+        pset = load_patterns(path, "EN")
+        sentences = [
+            sent("animal:N such:J as:O dog:N"),
+            sent(f"cat:N {fillers} dog:N"),
+            sent(f"cat:N {fillers.rpartition(' ')[0]} dog:N such:J"),
+        ]
+        c = corpus(doc("a.txt", *sentences))
+        vocab = {"animal", "cat", "dog"}
+        assert extract_patterns(c, pset, TermSet(vocab)).pair_set() == {
+            ("dog", "animal"),
+            ("dog", "cat"),
+        }
+        assert oracle_pairs(c, pset, vocab) == {("dog", "animal"), ("dog", "cat")}
+        first, second = (t.source for t in pset.templates)
+        assert matched == [(sentences[0], [first]), (sentences[1], [second])]
+
+    def test_one_distinct_term_never_reaches_the_matcher(self, matched):
+        c = corpus(doc("a.txt", words("animals such as animals"), words("Dogs , such as Dogs")))
+        assert len(extract_patterns(c, EN, TermSet(["animal", "dog"]))) == 0
+        assert matched == []
+
+    @pytest.mark.parametrize("tag", ["J", "V"])
+    def test_terms_count_only_as_nouns(self, matched, tag):
+        vocab = TermSet(["animal", "dog"])
+        c = corpus(doc("a.txt", f"animal:N such:J as:O dog:{tag}"))
+        assert len(extract_patterns(c, EN, vocab)) == 0
+        assert matched == []
+        # Control: the same lemma as a proper noun does reach it.
+        c = corpus(doc("a.txt", "animal:N such:J as:O dog:P"))
+        assert extract_patterns(c, EN, vocab).pair_set() == {("dog", "animal")}
+        assert len(matched) == 1

@@ -331,7 +331,8 @@ def run(config: RunConfig) -> Path:
     first, and the manifest is written last.  Each file is written under a
     sibling ``.tmp`` name and then renamed, so that it is either whole or
     absent.  Any stage failure removes the files already written and raises
-    StageError naming the stage.
+    StageError naming the stage; an interrupt (KeyboardInterrupt, SystemExit)
+    removes them too and propagates unchanged.
     """
     problems = validate(config)
     if problems:
@@ -404,9 +405,11 @@ def run(config: RunConfig) -> Path:
         manifest = {"config": config_dict, "config_digest": digest, "outputs": outputs}
         emit("manifest.json", _json_text(manifest))
         return outdir / "manifest.json"
-    except Exception as exc:
+    except BaseException as exc:
         for name in outputs:
             (outdir / name).unlink(missing_ok=True)
+        if not isinstance(exc, Exception):
+            raise
         raise StageError(stage, str(exc)) from exc
 
 

@@ -4,24 +4,22 @@ Templates are token sequences over POS-tagged sentences with two slots:
 ``HYPER`` matches one noun phrase (the hypernym) and ``HYPO+`` a list of
 noun phrases separated by commas and/or conjunctions (the hyponyms).
 Literal tokens match the token surface case-insensitively; a trailing
-``?`` marks an optional literal.
+``?`` marks an optional literal.  A noun phrase is an optional article and
+a noun run with adjectives on the language's modifier side (before the
+noun in English, after it in Portuguese); its term is the head-noun lemma.
+
+A template is tried from every start position in one forward pass over
+its elements.  Of several parses the first in backtracking order wins: a
+literal is taken before it is skipped, the longest hyponym list first.
 
 A two-part prefilter spares the matcher sentences that cannot yield a
-pair; neither part changes the pairs found.  The literal part tries a
-sentence only against the templates whose non-optional literals all occur
-in it, compared case-insensitively: a template lacking one can never match.
-The vocabulary part, in :func:`extract_patterns` only, skips a sentence
-unless it holds two distinct casefolded NOUN/PROPN lemmas of the
-vocabulary: every head is such a lemma, and a kept pair needs two distinct
-heads.  :func:`extract_patterns` decides both once per corpus, with numpy
-over the corpus's token coding (one literal bitmask per distinct token);
-:func:`match_sentence`, which has no vocabulary, decides the literal part
-for its one sentence.
-
-Noun phrases are approximated as noun runs with adjectives on the
-language's modifier side (before the noun in English, after it in
-Portuguese); the emitted term is the run's head-noun lemma.  An article
-may precede a noun phrase and is skipped.
+pair without changing the pairs found.  The literal part tries a sentence
+only against the templates whose non-optional literals (casefolded) all
+occur in it.  The vocabulary part, in :func:`extract_patterns` only, skips
+a sentence unless it holds two distinct casefolded NOUN/PROPN lemmas of
+the vocabulary, since each head is such a lemma and a pair needs two.
+:func:`extract_patterns` decides both once per corpus with numpy over the
+corpus's token coding; :func:`match_sentence` decides the literal part.
 """
 
 from __future__ import annotations
@@ -128,115 +126,80 @@ def default_patterns(language: str) -> PatternSet:
 def _np_at(tokens: Sentence, pos: int, pset: PatternSet) -> tuple[int, str] | None:
     """Match a noun phrase starting at ``pos``; return (end, head lemma).
 
-    An optional leading article is consumed.  English: ADJ* NOUN+ with the
-    rightmost noun as head; Portuguese: NOUN+ ADJ* with the leftmost noun
-    as head.
-    """
-    n = len(tokens)
-    i = pos
+    An optional leading article is consumed, then a noun run with adjectives
+    on the modifier side: English ADJ* NOUN+ heads on the rightmost noun,
+    Portuguese NOUN+ ADJ* on the leftmost."""
+    n, i = len(tokens), pos
+    en = pset.language == "EN"
     if i < n and tokens[i].pos == "OTHER" and tokens[i].surface.casefold() in pset.articles:
         i += 1
-    if pset.language == "EN":
-        while i < n and tokens[i].pos == "ADJ":
-            i += 1
-        start = i
-        while i < n and tokens[i].pos in TARGET_TAGS:
-            i += 1
-        if i == start:
-            return None
-        return i, tokens[i - 1].lemma.casefold()
+    while en and i < n and tokens[i].pos == "ADJ":
+        i += 1
     start = i
     while i < n and tokens[i].pos in TARGET_TAGS:
         i += 1
     if i == start:
         return None
-    head = tokens[start].lemma.casefold()
-    while i < n and tokens[i].pos == "ADJ":
+    head = tokens[i - 1 if en else start].lemma.casefold()
+    while not en and i < n and tokens[i].pos == "ADJ":
         i += 1
     return i, head
 
 
-def _hypo_list(tokens: Sentence, pos: int, pset: PatternSet):
-    """All parses of ``NP (SEP NP)*`` from ``pos``, shortest to longest.
-
-    SEP is a comma, a conjunction, or a comma followed by a conjunction.
-    Returns (end, heads) checkpoints so the caller can backtrack.
-    """
-    first = _np_at(tokens, pos, pset)
-    if first is None:
-        return []
-    end, head = first
-    checkpoints = [(end, [head])]
-    heads = [head]
-    n = len(tokens)
-    while True:
-        cur = checkpoints[-1][0]
-        nxt = None
-        for width in (2, 1):
-            if cur + width > n:
-                continue
-            seps = [t.surface.casefold() for t in tokens[cur : cur + width]]
-            if width == 2 and not (seps[0] == "," and seps[1] in pset.conjunctions):
-                continue
-            if width == 1 and not (seps[0] == "," or seps[0] in pset.conjunctions):
-                continue
-            phrase = _np_at(tokens, cur + width, pset)
-            if phrase is not None:
-                nxt = phrase
-                break
-        if nxt is None:
-            return checkpoints
-        heads = heads + [nxt[1]]
-        checkpoints.append((nxt[0], heads))
+def _hypo_list(tokens: Sentence, pos: int, pset: PatternSet) -> list[tuple[int, list[str]]]:
+    """All parses of ``NP (SEP NP)*`` from ``pos`` as (end, heads), shortest
+    to longest.  SEP is a comma and a conjunction, else a comma or a
+    conjunction: the list grows by the first that a noun phrase follows."""
+    parses, heads = [], []
+    phrase = _np_at(tokens, pos, pset)
+    while phrase is not None:
+        end, head = phrase
+        heads = [*heads, head]
+        parses.append((end, heads))
+        after = [t.surface.casefold() for t in tokens[end : end + 2]] + [None, None]
+        phrase = None
+        if after[0] == "," and after[1] in pset.conjunctions:
+            phrase = _np_at(tokens, end + 2, pset)
+        if phrase is None and (after[0] == "," or after[0] in pset.conjunctions):
+            phrase = _np_at(tokens, end + 1, pset)
+    return parses
 
 
 def _match_template(
     template: PatternTemplate, tokens: Sentence, start: int, pset: PatternSet
 ) -> tuple[str, list[str]] | None:
-    elements = template.elements
+    """The (hypernym, hyponym heads) of ``template`` matched from ``start``,
+    or None.  Parse states (pos, hyper, hypos) advance one element at a time
+    in the order backtracking would try them: a literal is taken before it
+    is skipped, hyponym lists go longest first.  So the first state past the
+    last element is the parse that backtracking would find."""
     n = len(tokens)
-
-    def rec(ei: int, pos: int, hyper: str | None, hypos: list[str] | None):
-        if ei == len(elements):
-            return (hyper, hypos)
-        el = elements[ei]
-        if el.kind == "lit":
-            if pos < n and tokens[pos].surface.casefold() == el.text:
-                found = rec(ei + 1, pos + 1, hyper, hypos)
-                if found:
-                    return found
-            if el.optional:
-                return rec(ei + 1, pos, hyper, hypos)
-            return None
-        if el.kind == "hyper":
-            phrase = _np_at(tokens, pos, pset)
-            if phrase is None:
-                return None
-            return rec(ei + 1, phrase[0], phrase[1], hypos)
-        # HYPO+ list: prefer the longest parse, backtracking on failure.
-        for end, heads in reversed(_hypo_list(tokens, pos, pset)):
-            found = rec(ei + 1, end, hyper, heads)
-            if found:
-                return found
-        return None
-
-    return rec(0, start, None, None)
+    states = [(start, None, None)]
+    for el in template.elements:
+        advanced = []
+        for pos, hyper, hypos in states:
+            if el.kind == "lit":
+                if pos < n and tokens[pos].surface.casefold() == el.text:
+                    advanced.append((pos + 1, hyper, hypos))
+                if el.optional:
+                    advanced.append((pos, hyper, hypos))
+            elif el.kind == "hyper":
+                phrase = _np_at(tokens, pos, pset)
+                if phrase is not None:
+                    advanced.append((phrase[0], phrase[1], hypos))
+            else:
+                advanced += [(end, hyper, h) for end, h in reversed(_hypo_list(tokens, pos, pset))]
+        states = advanced
+    return (states[0][1], states[0][2]) if states else None
 
 
 def _matches(tokens: Sentence, templates, pset: PatternSet) -> list[tuple[str, str]]:
     """All (hyponym, hypernym) lemma pairs that ``templates`` match anywhere
     in the sentence."""
-    pairs: list[tuple[str, str]] = []
-    for start in range(len(tokens)):
-        for template in templates:
-            found = _match_template(template, tokens, start, pset)
-            if found is None:
-                continue
-            hyper, hypos = found
-            for hypo in hypos:
-                if hypo != hyper:
-                    pairs.append((hypo, hyper))
-    return pairs
+    found = (_match_template(t, tokens, i, pset) for i in range(len(tokens)) for t in templates)
+    return [
+        (hypo, hyper) for hyper, hypos in filter(None, found) for hypo in hypos if hypo != hyper
+    ]
 
 
 def match_sentence(tokens: Sentence, pset: PatternSet) -> list[tuple[str, str]]:

@@ -21,12 +21,13 @@ from taxorel.corpus import (
     CorpusFormatError,
     CorpusStats,
     Document,
+    Sentence,
     TaggedToken,
     TokenCoding,
     coarse_pos,
 )
 from taxorel.gold import GoldTaxonomy, Synset
-from taxorel.patterns import PatternSet, _match_template
+from taxorel.patterns import PatternSet, PatternTemplate
 from taxorel.relations import RelationSet
 from taxorel.taxonomy import Taxonomy
 
@@ -475,12 +476,115 @@ def oracle_hclust_pairs(rows: dict[str, dict[str, int]], vocab, clusters) -> set
     return _ranked_pairs(df, lambda u, v: cluster_of[u] == cluster_of[v])
 
 
+# The recursive backtracking matcher as ``taxorel.patterns`` first had it,
+# kept verbatim (only ``_match_template`` renamed) as a reference for the
+# forward matcher that replaced it.
+
+
+def _np_at(tokens: Sentence, pos: int, pset: PatternSet) -> tuple[int, str] | None:
+    """Match a noun phrase starting at ``pos``; return (end, head lemma).
+
+    An optional leading article is consumed.  English: ADJ* NOUN+ with the
+    rightmost noun as head; Portuguese: NOUN+ ADJ* with the leftmost noun
+    as head.
+    """
+    n = len(tokens)
+    i = pos
+    if i < n and tokens[i].pos == "OTHER" and tokens[i].surface.casefold() in pset.articles:
+        i += 1
+    if pset.language == "EN":
+        while i < n and tokens[i].pos == "ADJ":
+            i += 1
+        start = i
+        while i < n and tokens[i].pos in TARGET_TAGS:
+            i += 1
+        if i == start:
+            return None
+        return i, tokens[i - 1].lemma.casefold()
+    start = i
+    while i < n and tokens[i].pos in TARGET_TAGS:
+        i += 1
+    if i == start:
+        return None
+    head = tokens[start].lemma.casefold()
+    while i < n and tokens[i].pos == "ADJ":
+        i += 1
+    return i, head
+
+
+def _hypo_list(tokens: Sentence, pos: int, pset: PatternSet):
+    """All parses of ``NP (SEP NP)*`` from ``pos``, shortest to longest.
+
+    SEP is a comma, a conjunction, or a comma followed by a conjunction.
+    Returns (end, heads) checkpoints so the caller can backtrack.
+    """
+    first = _np_at(tokens, pos, pset)
+    if first is None:
+        return []
+    end, head = first
+    checkpoints = [(end, [head])]
+    heads = [head]
+    n = len(tokens)
+    while True:
+        cur = checkpoints[-1][0]
+        nxt = None
+        for width in (2, 1):
+            if cur + width > n:
+                continue
+            seps = [t.surface.casefold() for t in tokens[cur : cur + width]]
+            if width == 2 and not (seps[0] == "," and seps[1] in pset.conjunctions):
+                continue
+            if width == 1 and not (seps[0] == "," or seps[0] in pset.conjunctions):
+                continue
+            phrase = _np_at(tokens, cur + width, pset)
+            if phrase is not None:
+                nxt = phrase
+                break
+        if nxt is None:
+            return checkpoints
+        heads = heads + [nxt[1]]
+        checkpoints.append((nxt[0], heads))
+
+
+def oracle_match_template(
+    template: PatternTemplate, tokens: Sentence, start: int, pset: PatternSet
+) -> tuple[str, list[str]] | None:
+    elements = template.elements
+    n = len(tokens)
+
+    def rec(ei: int, pos: int, hyper: str | None, hypos: list[str] | None):
+        if ei == len(elements):
+            return (hyper, hypos)
+        el = elements[ei]
+        if el.kind == "lit":
+            if pos < n and tokens[pos].surface.casefold() == el.text:
+                found = rec(ei + 1, pos + 1, hyper, hypos)
+                if found:
+                    return found
+            if el.optional:
+                return rec(ei + 1, pos, hyper, hypos)
+            return None
+        if el.kind == "hyper":
+            phrase = _np_at(tokens, pos, pset)
+            if phrase is None:
+                return None
+            return rec(ei + 1, phrase[0], phrase[1], hypos)
+        # HYPO+ list: prefer the longest parse, backtracking on failure.
+        for end, heads in reversed(_hypo_list(tokens, pos, pset)):
+            found = rec(ei + 1, end, hyper, heads)
+            if found:
+                return found
+        return None
+
+    return rec(0, start, None, None)
+
+
 def oracle_match_sentence(tokens, pset: PatternSet) -> list[tuple[str, str]]:
     """Every template tried at every start position, with no literal prefilter."""
     pairs = []
     for start in range(len(tokens)):
         for template in pset.templates:
-            found = _match_template(template, tokens, start, pset)
+            found = oracle_match_template(template, tokens, start, pset)
             if found is not None:
                 hyper, hypos = found
                 pairs.extend((hypo, hyper) for hypo in hypos if hypo != hyper)

@@ -474,6 +474,21 @@ class TestRun:
         assert err.value.stage == "evaluate:tf"
         assert not list(outdir.iterdir())
 
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupted_run_removes_its_outputs(self, tmp_path, monkeypatch, interrupt):
+        config_path = write_config(tmp_path, methods="tf, df")
+        outdir = tmp_path / "out"
+        run(load_config(config_path))
+
+        def interrupted(*args):
+            raise interrupt()
+
+        monkeypatch.setattr(cli_module, "complementarity_matrix", interrupted)
+        # The interrupt propagates as it is, and no output of either run stays.
+        with pytest.raises(interrupt):
+            run(load_config(config_path))
+        assert not list(outdir.iterdir())
+
     def test_a_run_reads_none_of_its_outputs_back(self, tmp_path, monkeypatch):
         outdir = tmp_path / "out"
         reads = []
@@ -897,3 +912,19 @@ def test_only_three_functions_open_files():
                 if name == "open":
                     opens.add((path.name, getattr(top, "name", None)))
     assert opens <= {("cli.py", "_write"), ("corpus.py", "_text"), ("corpus.py", "_records")}, opens
+
+
+def test_no_nested_function_refers_to_itself():
+    """A nested function that names itself holds its own closure cell, so each
+    call of the function around it leaves a cycle for the garbage collector."""
+    found = set()
+    for path in sorted(Path(taxorel.__file__).parent.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                    found.add(f"{path.stem}.{outer.name}.{inner.name}")
+    assert found == set(), found

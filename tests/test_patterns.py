@@ -1,3 +1,4 @@
+import gc
 import re
 
 import pytest
@@ -14,7 +15,7 @@ from taxorel.patterns import (
     parse_template,
 )
 
-from helpers import corpus, doc, oracle_match_sentence, sent, tok
+from helpers import corpus, doc, oracle_match_sentence, oracle_match_template, sent, tok
 
 
 EN = default_patterns("EN")
@@ -368,6 +369,51 @@ class TestPrefilterAgainstOracle:
         assert relset.pair_set() == {
             (hypo, hyper) for hypo, hyper in expected if hypo in vocab and hyper in vocab
         }
+
+
+class TestMatcherAgainstOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["EN", "PT", *USER_TEMPLATES]), tokens=SENTENCES)
+    # The longest hyponym list fails where a shorter one succeeds.
+    @example(name="EN", tokens=words("Dogs , cats , and other animals"))
+    # An optional literal present in the sentence.
+    @example(name="EN", tokens=words("animals , such as cats"))
+    # A Portuguese phrase with trailing adjectives.
+    @example(name="PT", tokens=words("os gatos pequeno , cão e outros animals"))
+    # An article before each slot.
+    @example(name="EN", tokens=words("the big Dogs , a cats and other the animals"))
+    # A comma and a conjunction together separate two hyponyms.
+    @example(name="PT", tokens=words("animals tais como cão , e gatos"))
+    def test_every_template_at_every_start(self, user_sets, name, tokens):
+        pset = user_sets[name]
+        for template in pset.templates:
+            for start in range(len(tokens)):
+                assert patterns._match_template(
+                    template, tokens, start, pset
+                ) == oracle_match_template(template, tokens, start, pset)
+
+    def test_an_optional_literal_is_taken_before_it_is_skipped(self):
+        # Taken, ``gatos`` leaves the phrase ``animals``; skipped, it heads
+        # the Portuguese phrase ``gatos animals``.
+        template = parse_template("gatos? HYPER como HYPO+")
+        tokens = words("gatos animals como cão")
+        assert patterns._match_template(template, tokens, 0, PT) == ("animal", ["cão"])
+        assert oracle_match_template(template, tokens, 0, PT) == ("animal", ["cão"])
+
+
+def test_matching_leaves_no_garbage_cycles():
+    """Matching frees everything it makes by reference counting alone."""
+    tokens = words("animals , such as Dogs , cats and the big Dogs")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert match_sentence(tokens, EN)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture

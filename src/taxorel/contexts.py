@@ -5,7 +5,8 @@ proper-noun token collects the content words within a fixed window around
 it, labelled by lemma, coarse-POS letter and side of the target (e.g.
 ``energetic-j-l`` for an adjective on the left).  In the *document* model a
 term's contexts are the ids of the documents it occurs in, with its
-per-document frequency.
+per-document frequency.  Both count over the target tokens only, through
+the int32 token codes, into int64 keys: terms times contexts can pass 2**31.
 """
 
 from __future__ import annotations
@@ -169,30 +170,31 @@ class ContextMatrix(TermContextMatrix):
         return ContextMatrix._from_csr(csr, *labels, model=self.model, window_size=self.window_size)
 
 
-def _tokens(corpus: Corpus):
-    """The corpus's token coding (:attr:`Corpus.coding`, shared by both
-    models), the sorted target terms (case-folded noun lemmas) and each
-    token's term index or -1 in corpus order; the terms are coded once per
-    distinct token."""
+def _targets(corpus: Corpus):
+    """The corpus's token coding, the sorted target terms (case-folded noun
+    lemmas), and each target token's position, sentence and term index in
+    corpus order; the terms are coded once per distinct token."""
     coding = corpus.coding
     terms, term = _codes(
         [t.lemma.casefold() if t.pos in TARGET_TAGS else None for t in coding.distinct]
     )
-    return coding, terms, term[coding.token]
+    pos = np.flatnonzero((term >= 0)[coding.token])
+    sentence = np.searchsorted(coding.starts, pos, "right") - 1
+    return coding, terms, pos, sentence, term[coding.token[pos]]
 
 
 def _codes(labels: list) -> tuple[list[str], np.ndarray]:
     """The sorted distinct labels other than None, and each label's index
-    in them (-1 for None) as an int64 array."""
+    in them (-1 for None) as an int32 array."""
     table = sorted({label for label in labels if label is not None})
     index = {label: i for i, label in enumerate(table)}
-    return table, np.array([index.get(label, -1) for label in labels], dtype=np.int64)
+    return table, np.array([index.get(label, -1) for label in labels], dtype=np.int32)
 
 
 def _count(model, terms, contexts, keys, window_size=None) -> ContextMatrix:
     """The matrix counting each ``term * len(contexts) + context`` key;
     only the terms and contexts that occur in a key are stored."""
-    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    keys, counts = np.unique(keys, return_counts=True)
     rows, row = np.unique(keys // max(len(contexts), 1), return_inverse=True)
     columns, column = np.unique(keys % max(len(contexts), 1), return_inverse=True)
     indptr = np.searchsorted(row, np.arange(len(rows) + 1))
@@ -211,31 +213,30 @@ def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatr
     """
     if window_size < 3 or window_size % 2 == 0:
         raise ValueError("window_size must be an odd integer >= 3")
-    coding, terms, term = _tokens(corpus)
+    coding, terms, pos, sentence, term = _targets(corpus)
     stems = [
         f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.is_content else None
         for t in coding.distinct
     ]
     labels, code = _codes([s and s + side for side in "lr" for s in stems])
-    left, right = code[: len(stems)][coding.token], code[len(stems) :][coding.token]
-    sentence = np.repeat(np.arange(len(coding.lengths)), coding.lengths)
-    keys = []
+    before = pos - coding.starts[sentence]  # the tokens before the target in its sentence
+    after = coding.lengths[sentence] - 1 - before
+    width, keys = np.int64(len(labels)), []
     for d in range(1, (window_size - 1) // 2 + 1):
-        same = sentence[d:] == sentence[:-d]
         # The context d tokens left of the target, then the one d tokens right.
-        for target, context in ((term[d:], left[:-d]), (term[:-d], right[d:])):
-            hit = same & (target >= 0) & (context >= 0)
-            keys.append(target[hit] * len(labels) + context[hit])
-    return _count("window", terms, labels, keys, window_size)
+        for room, side, step in ((before, code[: len(stems)], -d), (after, code[len(stems) :], d)):
+            inside = room >= d
+            context = side[coding.token[pos[inside] + step]]
+            keys.append((term[inside] * width + context)[context >= 0])
+    return _count("window", terms, labels, np.concatenate(keys), window_size)
 
 
 def extract_document_contexts(corpus: Corpus) -> ContextMatrix:
     """Count, for every noun/proper-noun lemma, its frequency per document."""
-    coding, terms, term = _tokens(corpus)
+    coding, terms, pos, sentence, term = _targets(corpus)
     ids, doc = _codes(corpus.ids)
-    document = np.repeat(doc[coding.documents], coding.lengths)
-    hit = term >= 0
-    return _count("document", terms, ids, [term[hit] * len(ids) + document[hit]])
+    doc = doc[coding.documents]  # each sentence's document
+    return _count("document", terms, ids, term * np.int64(len(ids)) + doc[sentence])
 
 
 class TermSet:

@@ -9,14 +9,13 @@ The on-disk format is vertical text: one token per line with three
 tab-separated fields ``surface<TAB>lemma<TAB>pos``, a blank line as
 sentence boundary, and one file per document.
 
-:attr:`Corpus.coding` is the corpus's token coding: the distinct token
-objects, each token's index among them, and each sentence's start, length
-and document number.  A loaded corpus is coded as it is parsed and holds
-only its coding and document ids; a split one shares the coding of its
-source.  Both build ``documents`` from the coding on first access, which
-nothing in ``taxorel run`` does: the statistics, both context models and
-the patterns read the coding.  A corpus built by hand holds the documents
-it was given and is coded on first use.
+:attr:`Corpus.coding` is the corpus's token coding (:class:`TokenCoding`).
+A loaded corpus is coded as it is parsed, one table lookup per line, and
+holds only its coding and document ids; a split one shares the tokens of
+its source.  Both build ``documents`` from the coding on first access,
+which nothing in ``taxorel run`` does: the statistics, both context models
+and the patterns read the coding.  A corpus built by hand holds the
+documents it was given and is coded on first use.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -65,7 +63,7 @@ class TokenCoding(NamedTuple):
     holds ``lengths[s]`` tokens from ``starts[s]`` on, in document number
     ``documents[s]``.  Equal tokens that are not one object stay apart; a
     loaded corpus, coded as it is parsed, has one object per distinct token
-    line.  Every reader of the corpus shares one view, so none may write to it."""
+    line.  ``token`` is int32, the sentence arrays int64, and all read-only."""
 
     distinct: list[TaggedToken]
     token: np.ndarray
@@ -137,10 +135,13 @@ def _coded(language: str, ids: tuple[str, ...], coding: TokenCoding) -> Corpus:
 
 
 def _coding(distinct: list, token: np.ndarray, lengths: np.ndarray, per_document) -> TokenCoding:
-    """The coding of the tokens ``distinct[token]`` in sentences of
+    """The read-only coding of the tokens ``distinct[token]`` in sentences of
     ``lengths`` tokens, ``per_document[d]`` of them in document ``d``."""
     documents = np.repeat(np.arange(len(per_document)), per_document)
-    return TokenCoding(distinct, token, np.cumsum(lengths) - lengths, lengths, documents)
+    coding = TokenCoding(distinct, token, np.cumsum(lengths) - lengths, lengths, documents)
+    for array in coding[1:]:
+        array.flags.writeable = False
+    return coding
 
 
 def _documents(ids: tuple[str, ...], coding: TokenCoding) -> tuple[Document, ...]:
@@ -156,16 +157,12 @@ def _code_tokens(corpus: Corpus) -> TokenCoding:
     """:attr:`Corpus.coding` of a corpus built by hand, from its token
     objects; distinct tokens in order of first occurrence."""
     sentences = [s for d in corpus.documents for s in d.sentences]
-    tokens = list(chain.from_iterable(sentences))
-    ids = np.fromiter(map(id, tokens), np.uintp, len(tokens))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return _coding(
-        [tokens[i] for i in first[order].tolist()],
-        np.argsort(order)[inverse],
-        np.fromiter(map(len, sentences), np.int64, len(sentences)),
-        [len(d.sentences) for d in corpus.documents],
-    )
+    distinct = {id(t): t for s in sentences for t in s}  # by identity, first occurrences first
+    code = {key: i for i, key in enumerate(distinct)}
+    token = np.array([code[id(t)] for s in sentences for t in s], np.int32)
+    lengths = np.array([len(s) for s in sentences], np.int64)
+    per_document = [len(d.sentences) for d in corpus.documents]
+    return _coding(list(distinct.values()), token, lengths, per_document)
 
 
 @dataclass(frozen=True)
@@ -237,28 +234,35 @@ def _records(path: str | Path, width: int, row, error: type[ValueError] = ValueE
             raise error(f"{path}:{lineno}: {exc}") from None
 
 
-def _code_lines(path: Path, mapping: Mapping | None, codes: dict, distinct: list) -> list:
+class _LineCodes(dict):
     """Each line's code: its token's index in ``distinct``, or -1 for a blank
-    line.  Only a line not yet in ``codes`` is split, mapped and checked."""
-    lines = _text(path, CorpusFormatError).split("\n")
-    coded = list(map(codes.get, lines))
-    i = 0
-    for _ in range(coded.count(None)):
-        i = coded.index(None, i)
-        line = lines[i]
-        if line not in codes and line.strip():
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise CorpusFormatError(
-                    f"{path}:{i + 1}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            surface, lemma, tag = fields
-            if not surface or not lemma or not tag:
-                raise CorpusFormatError(f"{path}:{i + 1}: empty field in token line")
-            codes[line] = len(distinct)
-            distinct.append(TaggedToken(surface, lemma, coarse_pos(tag, mapping)))
-        coded[i] = codes.setdefault(line, -1)
-    return coded
+    or whitespace-only line.  A new line is split, mapped and checked on its
+    first lookup; a bad one raises ``CorpusFormatError(message, line)``."""
+
+    def __init__(self, mapping: Mapping | None) -> None:
+        self.mapping, self.distinct = mapping, []
+
+    def __missing__(self, line: str) -> int:
+        if not line.strip():
+            return self.setdefault(line, -1)
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise CorpusFormatError(f"expected 3 tab-separated fields, got {len(fields)}", line)
+        if "" in fields:
+            raise CorpusFormatError("empty field in token line", line)
+        self.distinct.append(TaggedToken(*fields[:2], coarse_pos(fields[2], self.mapping)))
+        return self.setdefault(line, len(self.distinct) - 1)
+
+
+def _code_lines(path: Path, codes: _LineCodes) -> np.ndarray:
+    """Each line's code in ``codes``, and a -1 that ends the file's last
+    sentence; the first bad line raises, naming ``path:line``."""
+    lines = _text(path, CorpusFormatError).split("\n") + [""]
+    try:
+        return np.fromiter(map(codes.__getitem__, lines), np.int32, len(lines))
+    except CorpusFormatError as exc:
+        message, line = exc.args  # its first occurrence: every earlier line is in ``codes``
+        raise CorpusFormatError(f"{path}:{lines.index(line) + 1}: {message}") from None
 
 
 def load_corpus(
@@ -284,19 +288,14 @@ def load_corpus(
         files = [path]
     language, ids = language.upper(), tuple(f.name for f in files)
     _checked(language, ids)  # before any file is read
-    codes: dict[str, int] = {"": -1}
-    distinct: list[TaggedToken] = []
-    coded, ends = [], [0]
-    for f in files:
-        coded += _code_lines(f, pos_mapping, codes, distinct)
-        coded.append(-1)  # a file's last sentence ends with the file
-        ends.append(len(coded))
-    line = np.fromiter(coded, np.int64, len(coded))
+    codes = _LineCodes(pos_mapping)
+    coded = [_code_lines(f, codes) for f in files]
+    ends = np.cumsum([0, *map(len, coded)])  # each file's first line
+    coded = np.concatenate(coded)
     # Each run of token lines is a sentence; [begin, end) are its lines.
-    begin, end = np.flatnonzero(np.diff(line >= 0, prepend=False)).reshape(-1, 2).T
-    bounds = np.searchsorted(begin, ends)  # each file's first sentence
-    coding = _coding(distinct, line[line >= 0], end - begin, np.diff(bounds))
-    return _coded(language, ids, coding)
+    begin, end = np.flatnonzero(np.diff(coded >= 0, prepend=False)).reshape(-1, 2).T
+    per_file = np.diff(np.searchsorted(begin, ends))  # sentences in each file
+    return _coded(language, ids, _coding(codes.distinct, coded[coded >= 0], end - begin, per_file))
 
 
 def sentence_documents(corpus: Corpus) -> Corpus:
@@ -305,14 +304,15 @@ def sentence_documents(corpus: Corpus) -> Corpus:
     Useful for corpora without document borders, where the effective
     document size is a single sentence.  Pseudo-document ids are derived
     from the source document id and the 1-based sentence index.  The split
-    corpus shares the token coding of ``corpus``.
+    corpus shares the tokens of ``corpus``.
     """
     coding = corpus.coding
     if not coding.lengths.size:
         raise ValueError("corpus has no sentences to split into pseudo-documents")
     counts = np.bincount(coding.documents, minlength=len(corpus.ids)).tolist()
     ids = tuple(f"{d}#s{i}" for d, n in zip(corpus.ids, counts) for i in range(1, n + 1))
-    return _coded(corpus.language, ids, coding._replace(documents=np.arange(len(ids))))
+    coding = _coding(coding.distinct, coding.token, coding.lengths, np.ones(len(ids), np.int64))
+    return _coded(corpus.language, ids, coding)
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contexts import TARGET_TAGS, TermSet
+from .contexts import TARGET_TAGS, TermSet, _ranges
 from .corpus import Corpus, Sentence, _text
 from .relations import RelationSet
 
@@ -247,8 +247,7 @@ def extract_patterns(corpus: Corpus, patterns: PatternSet, vocab: TermSet) -> Re
     )
     lengths = coding.lengths[rows]
     offsets = np.cumsum(lengths) - lengths
-    shift = np.repeat(coding.starts[rows] - offsets, lengths)
-    found = term[coding.token[np.arange(lengths.sum()) + shift]]
+    found = term[coding.token[_ranges(coding.starts[rows], lengths)]]
     least = np.minimum.reduceat(np.where(found < 0, len(terms), found), offsets)
     rows = rows[least < np.maximum.reduceat(found, offsets)]
     starts, stops = coding.starts, coding.starts + coding.lengths

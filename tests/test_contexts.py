@@ -14,7 +14,7 @@ from taxorel.contexts import (
     matrix_text,
     select_vocabulary,
 )
-from taxorel.corpus import Corpus, Document
+from taxorel.corpus import Corpus, Document, sentence_documents
 from taxorel.weighting import weight_lmi, weight_ppmi
 
 from helpers import (
@@ -23,6 +23,7 @@ from helpers import (
     gold_from,
     oracle_document_contexts,
     oracle_matrix_text,
+    oracle_sentence_documents,
     oracle_window_contexts,
     random_corpus,
     tok,
@@ -195,10 +196,19 @@ class TestContextOracles:
     )
     @example(c=corpus(doc("a.txt", "dog:N big:J the:O cat:N", "fish:N", "cat:N dog:N")))
     @example(c=corpus(doc("d#s3", "dog:N cat:N"), doc("d#s10", "dog:N"), doc("d#s1", "cat:N")))
+    @example(c=corpus(doc("a.txt", "dog:N big:J run:V the:O")))  # a target first in its sentence
+    @example(c=corpus(doc("a.txt", "the:O big:J run:V dog:N")))  # a target last in its sentence
+    @example(c=corpus(doc("a.txt", "big:J run:V", "dog:N", "run:V big:J")))  # a one-token target
+    @example(c=corpus(doc("a.txt", "big:J dog:N cat:N run:V")))  # two adjacent targets
+    @example(c=corpus(doc("a.txt", "big:J dog:N run:V the:O cat:N fish:N")))  # shorter than 7 and 9
     def test_counts_equal_the_counter_loops(self, c):
-        for window in (3, 5, 7):
-            same_matrix(extract_window_contexts(c, window), oracle_window_contexts(c, window))
-        same_matrix(extract_document_contexts(c), oracle_document_contexts(c))
+        pairs = [(c, c)]
+        if c.coding.lengths.size:
+            pairs.append((sentence_documents(c), oracle_sentence_documents(c)))
+        for got, oracle in pairs:
+            for w in (3, 5, 7, 9):
+                same_matrix(extract_window_contexts(got, w), oracle_window_contexts(oracle, w))
+            same_matrix(extract_document_contexts(got), oracle_document_contexts(oracle))
 
 
 class TestSelectVocabulary:

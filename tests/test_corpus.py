@@ -171,8 +171,23 @@ class TestLoadCorpus:
             # A format error in the first file before bad UTF-8 in the second.
             ({"a.txt": b"dog\tdog\tNOUN\ncat\tcat\n", "b.txt": b"\xffdog\tdog\tNOUN\n"}, "a.txt:2"),
             ({"a.txt": b"dog\tdog\tNOUN\n\xff\n", "b.txt": b"cat\tcat\n"}, "a.txt:2"),
+            # A bad line repeated within one file: its first line is named.
+            ({"a.txt": b"dog\tdog\tNOUN\n\ncat cat\nfish\tfish\tNOUN\ncat cat\n"}, "a.txt:3"),
+            ({"a.txt": b"dog\tdog\tNOUN\n", "b.txt": b"x\tx\n\ndog\tdog\tNOUN\nx\tx\n"}, "b.txt:1"),
+            # Whitespace-only lines stay sentence breaks before the bad line.
+            ({"a.txt": b"dog\tdog\tNOUN\n \n\t\ncat\tcat\tNOUN\n\t\n \ncat\t\tNOUN\n"}, "a.txt:7"),
+            ({"a.txt": b" \n\t\n", "b.txt": b"\t\n \ndog\tdog\n"}, "b.txt:3"),
         ],
-        ids=["after-new-lines", "second-file", "format-before-utf8", "utf8-before-format"],
+        ids=[
+            "after-new-lines",
+            "second-file",
+            "format-before-utf8",
+            "utf8-before-format",
+            "repeated-bad-line",
+            "repeated-bad-line-second-file",
+            "whitespace-breaks",
+            "whitespace-only-file",
+        ],
     )
     def test_first_bad_line_in_file_order_is_reported(self, tmp_path, files, bad):
         for name, data in files.items():
@@ -344,6 +359,16 @@ class TestTokenCoding:
         for start, (_, sentence) in zip(coding.starts.tolist(), sentences):
             assert tokens[start : start + len(sentence)] == list(sentence)
         assert corpus_stats(c) == oracle_corpus_stats(c)
+
+    @pytest.mark.parametrize("kind", ["loaded", "split", "built"])
+    def test_every_array_is_read_only(self, tmp_path, kind):
+        write_vertical(corpus(doc("a.txt", "dog:N big:J", "cat:N")), tmp_path)
+        c = load_corpus(tmp_path, "EN")
+        c = {"loaded": c, "split": sentence_documents(c), "built": corpus(*c.documents)}[kind]
+        assert c.coding.token.dtype == np.int32
+        for array in c.coding[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_mixed_case_lemmas_and_proper_nouns_counted(self):
         dogs, straße = [(0, True), (1, False), (2, True)], [(5, False), (6, True), (10, True)]

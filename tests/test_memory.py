@@ -1,0 +1,70 @@
+"""Memory guard for the corpus-sized stages.
+
+Ingest and the two context models are the only stages whose memory grows
+with the corpus.  On a generated corpus of over 100,000 tokens, the
+tracemalloc peak of each, per token, must stay under a fixed bound.  Each
+bound sits between what int32 codes counted over the target positions take
+(15.5, 67.7 and 25.8 bytes per token for ingest, window and document
+contexts) and what int64 arrays over every token took (32.8, 89.7, 36.6).
+"""
+
+import random
+import tracemalloc
+
+import pytest
+
+from taxorel.contexts import extract_document_contexts, extract_window_contexts
+from taxorel.corpus import load_corpus
+
+DOCUMENTS = 400
+NOUNS = [f"noun{i}" for i in range(300)]
+OTHERS = [(f"verb{i}", "VERB") for i in range(100)] + [(f"adj{i}", "ADJ") for i in range(150)]
+FUNCTION = [("the", "OTHER"), ("of", "OTHER"), ("a", "OTHER"), (",", "OTHER"), (".", "OTHER")]
+# Peak bytes per token that each stage may reach.
+BOUNDS = {"load_corpus": 24.0, "extract_window_contexts": 78.0, "extract_document_contexts": 31.0}
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    """400 vertical files of 20 sentences, 13 tokens each on average, with one
+    noun (a target) in three tokens."""
+    root = tmp_path_factory.mktemp("corpus")
+    rng = random.Random(1)
+    for d in range(DOCUMENTS):
+        sentences = []
+        for _ in range(20):
+            tokens = []
+            for _ in range(rng.randint(5, 21)):
+                kind = rng.random()
+                if kind < 0.3:
+                    tokens.append((rng.choice(NOUNS), "NOUN"))
+                elif kind < 0.7:
+                    tokens.append(rng.choice(OTHERS))
+                else:
+                    tokens.append(rng.choice(FUNCTION))
+            sentences.append("".join(f"{w}\t{w}\t{tag}\n" for w, tag in tokens))
+        (root / f"d{d:03d}.txt").write_text("\n".join(sentences), encoding="utf-8")
+    return root
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_corpus_sized_stages_stay_within_their_bytes_per_token(corpus_dir):
+    corpus, peak = traced_peak(load_corpus, corpus_dir, "EN")
+    tokens = len(corpus.coding.token)
+    assert tokens > 100_000
+    peaks = {"load_corpus": peak / tokens}
+    for stage, args in (
+        (extract_window_contexts, (corpus, 5)),
+        (extract_document_contexts, (corpus,)),
+    ):
+        peaks[stage.__name__] = traced_peak(stage, *args)[1] / tokens
+    assert all(peaks[name] < bound for name, bound in BOUNDS.items()), peaks

@@ -520,6 +520,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_complement(args) -> int:
     relsets = [load_relations(path) for path in args.relations]
+    if untagged := [path for path, rs in zip(args.relations, relsets) if not rs.method]:
+        raise ValueError(f"{untagged[0]}: no method tag to name its row")
     matrix = complementarity_matrix(relsets, load_gold(args.gold))
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -121,28 +121,24 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
 
 def _encode(relsets: list[RelationSet]) -> tuple[list[str], list[np.ndarray]]:
     """The sorted union of the sets' term tables, and each set's pairs as a
-    sorted int64 array of keys ``hyponym * N + hypernym`` over its N terms."""
+    boolean (hypernym, hyponym) adjacency over it, as in :attr:`Taxonomy.adj`."""
     terms = sorted({t for rs in relsets for t in rs.terms})
     index = {term: i for i, term in enumerate(terms)}
-    keys = []
+    masks = []
     for rs in relsets:
-        at = np.array([index[term] for term in rs.terms], dtype=np.int64)  # increasing
-        keys.append(at[rs.hypo] * len(terms) + at[rs.hyper])
-    return terms, keys
+        at = np.array([index[term] for term in rs.terms], dtype=np.intp)
+        adj = np.zeros((len(terms),) * 2, dtype=bool)
+        adj[at[rs.hyper], at[rs.hypo]] = True
+        masks.append(adj)
+    return terms, masks
 
 
-def _precision(terms: list[str], keys: np.ndarray, gold: GoldTaxonomy) -> float:
-    """Precision of the taxonomy of the pairs of ``keys``; 0 for no pair."""
-    if not len(keys):
+def _precision(terms: list[str], adj: np.ndarray, gold: GoldTaxonomy) -> float:
+    """Precision of the taxonomy of ``adj``'s edges over the terms they use; 0 for none."""
+    used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
+    if not len(used):
         return 0.0
-    hypo, hyper = np.divmod(keys, len(terms))
-    used = np.zeros(len(terms), dtype=bool)
-    used[hypo] = used[hyper] = True
-    at = np.cumsum(used) - 1
-    adj = np.zeros((at[-1] + 1,) * 2, dtype=bool)
-    adj[at[hyper], at[hypo]] = True
-    terms = [term for term, u in zip(terms, used.tolist()) if u]
-    return evaluate(Taxonomy._of(terms, adj), gold).precision
+    return evaluate(Taxonomy._of([terms[i] for i in used], adj[used][:, used]), gold).precision
 
 
 def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
@@ -153,9 +149,8 @@ def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     """
     if len(a) == 0:
         raise ValueError("complementarity of an empty relation set is undefined")
-    terms, (ka, kb) = _encode([a, b])
-    crossed = np.isin(ka, kb % len(terms) * len(terms) + kb // len(terms), assume_unique=True)
-    return int(np.isin(ka, kb, assume_unique=True).sum()) / len(a), int(crossed.sum()) / len(a)
+    _, (ma, mb) = _encode([a, b])
+    return int(np.count_nonzero(ma & mb)) / len(a), int(np.count_nonzero(ma & mb.T)) / len(a)
 
 
 def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
@@ -165,11 +160,11 @@ def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> fl
     empty intersection yields 0; an empty or zero-precision A makes the
     ratio undefined and raises ValueError.
     """
-    terms, (ka, kb) = _encode([a, b])
-    p_a = _precision(terms, ka, gold)
+    terms, (ma, mb) = _encode([a, b])
+    p_a = _precision(terms, ma, gold)
     if p_a == 0:
         raise ValueError("relative precision undefined: base model is empty or has zero precision")
-    return _precision(terms, ka[np.isin(ka, kb, assume_unique=True)], gold) / p_a
+    return _precision(terms, ma & mb, gold) / p_a
 
 
 @dataclass(frozen=True)
@@ -193,18 +188,17 @@ def complementarity_matrix(
     methods = tuple(rs.method for rs in relsets)
     if len(set(methods)) != len(methods):
         raise ValueError("relation sets must have distinct method tags")
-    terms, keys = _encode(relsets)
-    swapped = [k % len(terms) * len(terms) + k // len(terms) for k in keys]  # pairs reversed
-    base = [_precision(terms, k, gold) for k in keys]
+    terms, masks = _encode(relsets)
+    base = [_precision(terms, m, gold) for m in masks]
     direct, inverse, relative = {}, {}, {}
     # Each unordered pair {A, B} is taken once: |A n B| and |A n B^T| are
     # symmetric counts, and A n B is one taxonomy whichever row it serves.
     # A n B is a subset of A, so its common relations are a subset of A's:
     # a zero base leaves the intersection's precision at 0, unevaluated.
-    for x, (a, ka, p_a) in enumerate(zip(relsets, keys, base)):
-        for b, kb, kb_t, p_b in zip(relsets[x:], keys[x:], swapped[x:], base[x:]):
-            both = ka[np.isin(ka, kb, assume_unique=True)]
-            held, crossed = len(both), int(np.isin(ka, kb_t, assume_unique=True).sum())
+    for x, (a, ma, p_a) in enumerate(zip(relsets, masks, base)):
+        for b, mb, p_b in zip(relsets[x:], masks[x:], base[x:]):
+            both = ma & mb
+            held, crossed = int(np.count_nonzero(both)), int(np.count_nonzero(ma & mb.T))
             p_ab = (p_a if b is a else _precision(terms, both, gold)) if p_a and p_b else 0.0
             for row, col, p_row in ((a, b, p_a), (b, a, p_b)):
                 key = (row.method, col.method)

@@ -105,9 +105,9 @@ def relations_text(relset: RelationSet) -> str:
 def load_relations(path: str | Path, method: str | None = None) -> RelationSet:
     """Read a relations TSV; the method tag must be uniform across lines.
 
-    ``method``, when given, replaces the file's tag.  Bad lines (an empty
-    term, a self-relation, a repeated pair, a non-numeric score) name
-    ``file:line``.
+    ``method``, when given, replaces the file's tag, which is ``""`` for a
+    file without lines.  Bad lines (an empty term, a self-relation, a
+    repeated pair, a non-numeric score) name ``file:line``.
     """
     pairs: dict[Pair, float | None] = {}
     tags: set[str] = set()
@@ -125,6 +125,4 @@ def load_relations(path: str | Path, method: str | None = None) -> RelationSet:
         pairs[(hypo, hyper)] = float(score) if score else None
 
     _records(path, 4, row)
-    if not (tags or method):
-        raise ValueError(f"{path}: empty relations file and no method given")
-    return RelationSet(method or tags.pop(), pairs, pairs.values())
+    return RelationSet(method or next(iter(tags), ""), pairs, pairs.values())

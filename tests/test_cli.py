@@ -95,6 +95,16 @@ def write_config(tmp_path, outdir="out", methods="tf, df, docsub", extra=""):
     return config
 
 
+def empty_hclust_run(tmp_path) -> Path:
+    """The output dir of an hclust run with as many clusters as vocabulary
+    terms, which writes an empty relation file."""
+    config = load_config(write_config(tmp_path, methods="hclust"),
+                         {"vocabulary_size": 5, "hclust_clusters": 5})
+    outdir = run(config).parent
+    assert (outdir / "relations_hclust.tsv").read_bytes() == b""
+    return outdir
+
+
 def modules_after_runs(config, *changes) -> list[str]:
     """The modules loaded in a fresh interpreter that runs ``config`` once
     with each dict of RunConfig field ``changes``."""
@@ -709,6 +719,52 @@ class TestCommandLine:
         assert code == 0
         assert out_file.read_bytes() == (manifest_path.parent / "eval_tf.json").read_bytes()
         assert json.loads(out_file.read_text())["empty_relation_set"] is False
+
+    def test_metrics_verb_writes_the_metrics_of_run_for_an_empty_file(self, tmp_path):
+        outdir = empty_hclust_run(tmp_path)
+        out_json, out_text = tmp_path / "verb.json", tmp_path / "verb.txt"
+        code = main(
+            ["metrics", str(outdir / "relations_hclust.tsv"),
+             "--out-json", str(out_json), "--out-text", str(out_text)]
+        )
+        assert code == 0
+        assert out_json.read_bytes() == (outdir / "metrics_hclust.json").read_bytes()
+        assert out_text.read_bytes() == (outdir / "metrics_hclust.txt").read_bytes()
+
+    def test_evaluate_verb_writes_the_eval_file_of_run_for_an_empty_file(self, tmp_path):
+        outdir = empty_hclust_run(tmp_path)
+        out_file = tmp_path / "verb.json"
+        code = main(
+            ["evaluate", str(outdir / "relations_hclust.tsv"), "--gold",
+             str(tmp_path / "gold.tsv"), "--out", str(out_file)]
+        )
+        assert code == 0
+        assert out_file.read_bytes() == (outdir / "eval_hclust.json").read_bytes()
+
+    def test_filter_parent_verb_writes_an_empty_file_for_an_empty_file(self, tmp_path):
+        outdir = empty_hclust_run(tmp_path)
+        out_file = tmp_path / "verb.tsv"
+        code = main(
+            [
+                "filter-parent", str(outdir / "relations_hclust.tsv"),
+                str(tmp_path / "corpus"), "--language", "EN", "--out", str(out_file),
+            ]
+        )
+        assert code == 0
+        assert out_file.read_bytes() == b""
+
+    def test_complement_verb_names_an_empty_file_it_cannot_tag(self, tmp_path, capsys):
+        outdir = empty_hclust_run(tmp_path)
+        tagged = tmp_path / "tf.tsv"
+        tagged.write_text("dog\tanimal\ttf\t\n", encoding="utf-8")
+        empty = outdir / "relations_hclust.tsv"
+        code = main(
+            ["complement", str(tagged), str(empty), "--gold", str(tmp_path / "gold.tsv"),
+             "--out-dir", str(tmp_path / "comp")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: no method tag to name its row\n"
+        assert not (tmp_path / "comp").exists()
 
     def test_run_verb_rejects_zero_n(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import taxorel
 from taxorel.evaluation import (
+    ComplementarityMatrix,
     common_relations,
     complementarity,
     complementarity_matrix,
@@ -291,9 +292,9 @@ class TestComplementarity:
             assert (direct * len(a)) == pytest.approx(round(direct * len(a)))
 
     def test_imports_no_masked_arrays(self):
-        # b's keys span far more than six times the two sizes, so np.isin
-        # sorts rather than tables; importing numpy.ma on that path would
-        # take longer than a small complementarity matrix.
+        # Importing numpy.ma takes longer than a small complementarity
+        # matrix, so no step of one may load it: not the union table, the
+        # masks' counts, nor the closures of the evaluated intersections.
         script = (
             "import sys\n"
             "from taxorel.evaluation import complementarity_matrix\n"
@@ -336,6 +337,8 @@ class TestComplementarityProperty:
     @example({("c", "d"), ("d", "e"), ("a", "c")}, {("d", "c"), ("c", "d"), ("f", "g")})
     @example({("b", "a"), ("a", "b"), ("c", "b")}, {("b", "a"), ("c", "b")})  # cycle in a
     @example(set(), {("c", "d")})
+    @example({("b", "a")}, {("g", "f")})  # disjoint term tables
+    @example({("c", "d"), ("d", "e"), ("e", "c")}, {("d", "c"), ("e", "d"), ("c", "e")})  # b = a^T
     def test_matches_set_arithmetic_on_pairs(self, a_pairs, b_pairs):
         a, b = RelationSet("a", a_pairs), RelationSet("b", b_pairs)
         pa, pb = a.pair_set(), b.pair_set()
@@ -395,6 +398,7 @@ class TestRelativePrecision:
         assert matrix.direct[("tf", "df")] == 0.5
         assert matrix.direct[("patt", "tf")] is None  # empty base
         assert matrix.relative[("tf", "tf")] == 1.0
+        assert complementarity_matrix([], self.gold()) == ComplementarityMatrix((), {}, {}, {})
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -454,9 +458,13 @@ class TestMatrixOracles:
         )
     )
     # The first example's third set has zero precision and its fourth is
-    # empty; the second example's empty set sits between two others.
+    # empty; the second example's empty set sits between two others.  In the
+    # third every set is empty, and in the fourth a one-pair set shares no
+    # term with the two others.
     @example(({("b", "a"), ("c", "b"), ("A", "c")}, {("b", "A"), ("c", "b")}, {("a", "c")}, set()))
     @example(({("b", "a")}, set(), {("d", "a"), ("D", "a"), ("a", "c")}))
+    @example((set(), set(), set()))
+    @example(({("b", "a")}, {("d", "c"), ("c", "A")}, {("D", "c"), ("d", "D")}))
     def test_matches_pair_arithmetic_and_evaluate(self, pair_sets):
         gold = self.gold()
         sets = [RelationSet(f"m{i}", pairs) for i, pairs in enumerate(pair_sets)]

@@ -1,4 +1,4 @@
-"""Memory guard for the corpus-sized stages.
+"""Memory guards for the corpus-sized stages and the complementarity matrix.
 
 Ingest and the two context models are the only stages whose memory grows
 with the corpus.  On a generated corpus of over 100,000 tokens, the
@@ -6,6 +6,12 @@ tracemalloc peak of each, per token, must stay under a fixed bound.  Each
 bound sits between what int32 codes counted over the target positions take
 (15.5, 67.7 and 25.8 bytes per token for ingest, window and document
 contexts) and what int64 arrays over every token took (32.8, 89.7, 36.6).
+
+The complementarity matrix of seven tournament-like sets over 300 terms
+(299,670 pairs, 91-100% of the 44,850 term pairs each, as the paper's sets
+hold 456k-499k of 499,500) must peak under 16 bytes per pair.  One boolean
+adjacency per set over the union term table peaks at 8.5; one sorted int64
+key array per set and its swapped copy peaked at 24.9.
 """
 
 import random
@@ -13,8 +19,13 @@ import tracemalloc
 
 import pytest
 
+import numpy as np
+
 from taxorel.contexts import extract_document_contexts, extract_window_contexts
 from taxorel.corpus import load_corpus
+from taxorel.evaluation import complementarity_matrix
+from taxorel.gold import GoldTaxonomy, Synset
+from taxorel.relations import RelationSet
 
 DOCUMENTS = 400
 NOUNS = [f"noun{i}" for i in range(300)]
@@ -22,6 +33,8 @@ OTHERS = [(f"verb{i}", "VERB") for i in range(100)] + [(f"adj{i}", "ADJ") for i 
 FUNCTION = [("the", "OTHER"), ("of", "OTHER"), ("a", "OTHER"), (",", "OTHER"), (".", "OTHER")]
 # Peak bytes per token that each stage may reach.
 BOUNDS = {"load_corpus": 24.0, "extract_window_contexts": 78.0, "extract_document_contexts": 31.0}
+# Peak bytes per relation pair of the complementarity matrix.
+MATRIX_BOUND = 16.0
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +81,36 @@ def test_corpus_sized_stages_stay_within_their_bytes_per_token(corpus_dir):
     ):
         peaks[stage.__name__] = traced_peak(stage, *args)[1] / tokens
     assert all(peaks[name] < bound for name, bound in BOUNDS.items()), peaks
+
+
+def tournament_sets(terms: list[str], count: int) -> list[RelationSet]:
+    """``count`` sets that each keep 91-100% of the pairs of ``terms`` and
+    orient each pair by the terms' positions plus noise of the set's own:
+    a later term is the hyponym, more often the further apart the two are."""
+    rng = np.random.default_rng(2)
+    i, j = np.triu_indices(len(terms), 1)
+    sets = []
+    for k in range(count):
+        keep = rng.random(len(i)) < 0.91 + 0.09 * k / (count - 1)
+        score = np.arange(len(terms)) + rng.normal(0, 40, len(terms))
+        later = score[i] > score[j]
+        hypo, hyper = np.where(later, i, j)[keep], np.where(later, j, i)[keep]
+        pairs = [(terms[x], terms[y]) for x, y in zip(hypo.tolist(), hyper.tolist())]
+        sets.append(RelationSet(f"m{k}", pairs))
+    return sets
+
+
+def test_complementarity_matrix_stays_within_its_bytes_per_pair():
+    terms = [f"t{i:03d}" for i in range(300)]
+    sets = tournament_sets(terms, 7)
+    # A binary tree: term n is-a term (n - 1) // 2, so later terms lie deeper.
+    gold = GoldTaxonomy(
+        Synset(n, frozenset({term}), frozenset({(n - 1) // 2} if n else ()))
+        for n, term in enumerate(terms)
+    )
+    pairs = sum(map(len, sets))
+    assert pairs > 280_000
+    matrix, peak = traced_peak(complementarity_matrix, sets, gold)
+    # Every base precision is positive, so all 21 intersections are evaluated.
+    assert None not in matrix.relative.values()
+    assert peak / pairs < MATRIX_BOUND, peak / pairs

@@ -144,12 +144,14 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_relations(path)
 
-    def test_empty_file_needs_method(self, tmp_path):
+    def test_empty_file_is_untagged_without_a_method(self, tmp_path):
         path = tmp_path / "rels.tsv"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_relations(path)
-        assert len(load_relations(path, method="tf")) == 0
+        for text in ("", "\n\n"):
+            path.write_text(text, encoding="utf-8")
+            untagged = load_relations(path)
+            assert untagged.method == "" and len(untagged) == 0
+            tagged = load_relations(path, method="tf")
+            assert tagged.method == "tf" and len(tagged) == 0
 
     def test_method_argument_renames_a_uniform_file(self, tmp_path):
         path = tmp_path / "rels.tsv"

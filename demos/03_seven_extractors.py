@@ -51,9 +51,8 @@ DOCS = {
 
 
 def show(relset):
-    terms = relset.terms
-    pairs = zip(relset.hypo.tolist(), relset.hyper.tolist())
-    text = ", ".join(f"{terms[i]} is-a {terms[j]}" for i, j in pairs) or "(none)"
+    pairs = sorted(relset.pair_set())
+    text = ", ".join(f"{hypo} is-a {hyper}" for hypo, hyper in pairs) or "(none)"
     print(f"  {relset.method:7s} {text}")
 
 

@@ -235,8 +235,9 @@ def extract_document_contexts(corpus: Corpus) -> ContextMatrix:
     """Count, for every noun/proper-noun lemma, its frequency per document."""
     coding, terms, pos, sentence, term = _targets(corpus)
     ids, doc = _codes(corpus.ids)
-    doc = doc[coding.documents]  # each sentence's document
-    return _count("document", terms, ids, term * np.int64(len(ids)) + doc[sentence])
+    keys = term * np.int64(len(ids)) + doc[coding.documents][sentence]
+    del pos, sentence, term, doc  # counting needs only the keys
+    return _count("document", terms, ids, keys)
 
 
 class TermSet:

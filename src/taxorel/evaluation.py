@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gold import GoldTaxonomy
-from .relations import Pair, RelationSet
+from .relations import Pair, RelationSet, _used_block
 from .taxonomy import Taxonomy
 
 Ordered = Taxonomy | GoldTaxonomy  # anything with term_set/contains_term/reaches
@@ -119,26 +119,16 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     )
 
 
-def _encode(relsets: list[RelationSet]) -> tuple[list[str], list[np.ndarray]]:
-    """The sorted union of the sets' term tables, and each set's pairs as a
-    boolean (hypernym, hyponym) adjacency over it, as in :attr:`Taxonomy.adj`."""
-    terms = sorted({t for rs in relsets for t in rs.terms})
-    index = {term: i for i, term in enumerate(terms)}
-    masks = []
-    for rs in relsets:
-        at = np.array([index[term] for term in rs.terms], dtype=np.intp)
-        adj = np.zeros((len(terms),) * 2, dtype=bool)
-        adj[at[rs.hyper], at[rs.hypo]] = True
-        masks.append(adj)
-    return terms, masks
+def _encode(relsets: list[RelationSet]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The sorted union of the sets' term tables, and each set's adjacency over it."""
+    terms = tuple(sorted(set().union(*(rs.table for rs in relsets))))
+    return terms, [rs.adj_over(terms) for rs in relsets]
 
 
-def _precision(terms: list[str], adj: np.ndarray, gold: GoldTaxonomy) -> float:
+def _precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
     """Precision of the taxonomy of ``adj``'s edges over the terms they use; 0 for none."""
-    used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
-    if not len(used):
-        return 0.0
-    return evaluate(Taxonomy._of([terms[i] for i in used], adj[used][:, used]), gold).precision
+    terms, adj = _used_block(terms, adj)
+    return evaluate(Taxonomy._of(terms, adj), gold).precision if terms else 0.0
 
 
 def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
@@ -181,9 +171,7 @@ class ComplementarityMatrix:
     relative: dict[tuple[str, str], float | None]
 
 
-def complementarity_matrix(
-    relsets: list[RelationSet], gold: GoldTaxonomy
-) -> ComplementarityMatrix:
+def complementarity_matrix(relsets: list[RelationSet], gold: GoldTaxonomy) -> ComplementarityMatrix:
     """All ordered-pair ratios; rows are the base model of each ratio."""
     methods = tuple(rs.method for rs in relsets)
     if len(set(methods)) != len(methods):

@@ -15,12 +15,7 @@ import numpy as np
 
 from .contexts import ContextMatrix, TermSet, _gram
 from .relations import RelationSet
-from .weighting import (
-    DEFAULT_TOP_CONTEXTS,
-    EntropyTable,
-    WeightedMatrix,
-    word_generalities,
-)
+from .weighting import DEFAULT_TOP_CONTEXTS, EntropyTable, WeightedMatrix, word_generalities
 
 # Measure -> (what a shared context adds to u's inclusion in v, given their
 # weights there; whether swapping u and v keeps it).
@@ -47,9 +42,7 @@ def measure_clarke_de(u: Mapping, v: Mapping) -> float:
     return shared / total
 
 
-def extract_dsim(
-    ppmi: WeightedMatrix, vocab: TermSet, measure: str = "clarkede"
-) -> RelationSet:
+def extract_dsim(ppmi: WeightedMatrix, vocab: TermSet, measure: str = "clarkede") -> RelationSet:
     """Directional-similarity extractor over PPMI-weighted window contexts.
 
     For each pair with overlapping supports the inclusion is computed both
@@ -67,7 +60,7 @@ def extract_dsim(
     with np.errstate(divide="ignore", invalid="ignore"):
         inclusion = shared / totals[:, None]
     # A pair without shared contexts scores 0 both ways, a tie.
-    return RelationSet.from_mask("dsim", terms, inclusion > inclusion.T, inclusion)
+    return RelationSet.from_mask("dsim", terms, inclusion.T > inclusion, inclusion.T)
 
 
 def extract_slqs(
@@ -77,11 +70,11 @@ def extract_slqs(
     top_n: int = DEFAULT_TOP_CONTEXTS,
 ) -> RelationSet:
     """Entropy-generality extractor: the higher-generality term of a pair is
-    its hypernym.  Terms with undefined generality are skipped."""
+    its hypernym.  A term with undefined generality (NaN) is in no pair."""
     generality = word_generalities(lmi, entropies, vocab, top_n)
-    terms = sorted(generality)
-    g = np.array([generality[t] for t in terms])
-    return RelationSet.from_mask("slqs", terms, g > g[:, None], g - g[:, None])
+    terms = sorted(vocab)
+    g = np.array([generality.get(t, np.nan) for t in terms])
+    return RelationSet.from_mask("slqs", terms, g[:, None] > g, g[:, None] - g)
 
 
 def extract_tf(docm: ContextMatrix, vocab: TermSet) -> RelationSet:
@@ -90,14 +83,14 @@ def extract_tf(docm: ContextMatrix, vocab: TermSet) -> RelationSet:
     terms = sorted(vocab)
     x = docm.rows_of(terms)
     frequency = np.bincount(x.rows(), x.data, len(terms))
-    return RelationSet.from_mask("tf", terms, frequency > frequency[:, None])
+    return RelationSet.from_mask("tf", terms, frequency[:, None] > frequency)
 
 
 def extract_df(docm: ContextMatrix, vocab: TermSet) -> RelationSet:
     """The term occurring in more documents is taken as the hypernym."""
     terms = sorted(vocab)
     frequency = np.diff(docm.rows_of(terms).indptr)
-    return RelationSet.from_mask("df", terms, frequency > frequency[:, None])
+    return RelationSet.from_mask("df", terms, frequency[:, None] > frequency)
 
 
 def extract_docsub(docm: ContextMatrix, vocab: TermSet, lam: float) -> RelationSet:
@@ -128,7 +121,7 @@ def docsub_sweep(
     given = _gram(docs, lambda u, v: 1.0) / np.maximum(sizes, 1)
     larger = sizes[:, None] > sizes
     return [
-        RelationSet.from_mask("docsub", terms, ((given >= lam) & larger).T, given.T)
+        RelationSet.from_mask("docsub", terms, (given >= lam) & larger, given)
         for lam in lambdas
     ]
 
@@ -195,4 +188,4 @@ def extract_hclust(
     df = np.diff(docm.rows_of(terms).indptr)
     cluster = {t: i for i, members in enumerate(cluster_terms(ppmi, vocab, k)) for t in members}
     c = np.array([cluster[t] for t in terms])
-    return RelationSet.from_mask("hclust", terms, (c == c[:, None]) & (df > df[:, None]))
+    return RelationSet.from_mask("hclust", terms, (c[:, None] == c) & (df[:, None] > df))

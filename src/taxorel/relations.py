@@ -17,88 +17,110 @@ from .corpus import _records
 
 Pair = tuple[str, str]  # (hyponym, hypernym)
 
+# "No score": a NaN of its own payload (as R's NA_real_), distinct from nan.
+_NO_SCORE_BITS = 0x7FF8_0000_0000_07A2
+_NO_SCORE = np.array(_NO_SCORE_BITS, np.uint64).view(np.float64).item()
+
+
+def _used_block(table, adj: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The terms an edge of ``adj`` starts or ends at, and ``adj`` over them."""
+    used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
+    return tuple(table[i] for i in used.tolist()), adj[used][:, used]
+
 
 class RelationSet:
     """Immutable set of (hyponym, hypernym) pairs from one method.
 
-    ``terms`` is the sorted tuple of the terms the pairs use; ``hypo`` and
-    ``hyper`` are int32 index arrays into it, sorted by (hyponym, hypernym),
-    and ``scores`` holds each pair's score (a float, or None) in the same
-    order.  A pair set has only one such form, so sets compare by it.
+    ``table`` is a sorted tuple of terms and ``adj`` a read-only boolean
+    matrix over it, oriented (hypernym, hyponym) like :attr:`Taxonomy.adj`.
+    A scored set holds one float64 per pair in sorted pair order, the
+    row-major order of ``adj.T``.  ``terms`` (the sorted terms of the
+    pairs), ``scores``, ``len``, ``in`` and ``==`` are read from these.
     """
 
     def __init__(self, method: str, pairs=(), scores=None) -> None:
         """The set of ``pairs``, each scored by the item of ``scores`` at
-        its position (None throughout when ``scores`` is None), held as a
-        Python float or None.  Repeats keep the first score; a self-relation
-        and scores of another length than the pairs raise ValueError."""
+        its position (None throughout when ``scores`` is None).  Repeats
+        keep the first score; a self-relation and scores of another length
+        than the pairs raise ValueError."""
         pairs = list(pairs)
-        scores = np.full(len(pairs), None) if scores is None else np.fromiter(scores, object)
-        if len(scores) != len(pairs):
-            raise ValueError(f"{len(scores)} scores for {len(pairs)} pairs")
-        terms = sorted({term for pair in pairs for term in pair})
-        index = {term: i for i, term in enumerate(terms)}
+        if scores is not None:
+            scores = np.array([_NO_SCORE if s is None else float(s) for s in scores], float)
+            if len(scores) != len(pairs):
+                raise ValueError(f"{len(scores)} scores for {len(pairs)} pairs")
+        table = sorted({term for pair in pairs for term in pair})
+        index = {term: i for i, term in enumerate(table)}
         codes = np.fromiter(map(index.__getitem__, chain.from_iterable(pairs)), np.int64)
         hypo, hyper = codes.reshape(-1, 2).T
         if (hypo == hyper).any():
-            raise ValueError(f"self-relation not allowed: {terms[hypo[hypo == hyper][0]]!r}")
+            raise ValueError(f"self-relation not allowed: {table[hypo[hypo == hyper][0]]!r}")
+        adj = np.zeros((len(table), len(table)), dtype=bool)
+        adj[hyper, hypo] = True
+        scored = scores is not None and (scores.view(np.uint64) != _NO_SCORE_BITS).any()
         # The sorted keys are the sorted pairs; each keeps its first score.
-        _, first = np.unique(hypo * len(terms) + hyper, return_index=True)
-        scores = [None if score is None else float(score) for score in scores[first].tolist()]
-        self._set(method, terms, hypo[first], hyper[first], scores)
+        first = np.unique(hypo * len(table) + hyper, return_index=True)[1]
+        self._set(method, table, adj, scores[first] if scored else None)
 
     @classmethod
-    def from_mask(cls, method: str, terms, mask: np.ndarray, scores=None) -> "RelationSet":
-        """The pairs (terms[i] is-a terms[j]) where ``mask[i, j]``, scored
-        ``scores[i, j]`` when scores are given; ``terms`` must be sorted."""
-        hypo, hyper = np.nonzero(mask)
-        used = mask.any(axis=0) | mask.any(axis=1)
-        position = np.cumsum(used) - 1
+    def from_mask(cls, method: str, table, adj: np.ndarray, scores=None) -> "RelationSet":
+        """The pairs (table[v] is-a table[u]) where ``adj[u, v]`` over the sorted
+        ``table``, scored ``scores[u, v]`` if given; ``adj`` is kept, read-only."""
         out = cls.__new__(cls)
-        out._set(
-            method,
-            [term for term, keep in zip(terms, used.tolist()) if keep],
-            position[hypo],
-            position[hyper],
-            [None] * len(hypo) if scores is None else scores[hypo, hyper].tolist(),
-        )
+        out._set(method, table, adj, None if scores is None else scores.T[adj.T].astype(float))
         return out
 
-    def _set(self, method: str, terms, hypo, hyper, scores: list) -> None:
-        self.method = method
-        self.terms: tuple[str, ...] = tuple(terms)
-        self.hypo = np.asarray(hypo, dtype=np.int32)
-        self.hyper = np.asarray(hyper, dtype=np.int32)
-        self.hypo.flags.writeable = self.hyper.flags.writeable = False
-        self.scores: tuple[float | None, ...] = tuple(scores)
+    def _set(self, method: str, table, adj: np.ndarray, scores) -> None:
+        self.method, self.table, self.adj, self._scores = method, tuple(table), adj, scores
+        adj.flags.writeable = False
+
+    @property
+    def terms(self) -> tuple[str, ...]:
+        return _used_block(self.table, self.adj)[0]
+
+    @property
+    def scores(self) -> tuple[float | None, ...]:
+        if self._scores is None:
+            return (None,) * len(self)
+        none = self._scores.view(np.uint64) == _NO_SCORE_BITS
+        return tuple(np.where(none, None, self._scores.astype(object)))
+
+    def adj_over(self, table) -> np.ndarray:
+        """``adj`` over the sorted ``table``, which holds every term of this set's."""
+        if tuple(table) == self.table:
+            return self.adj
+        at = np.searchsorted(np.array(table, dtype=object), np.array(self.table, dtype=object))
+        adj = np.zeros((len(table), len(table)), dtype=bool)
+        adj[np.ix_(at, at)] = self.adj
+        return adj
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return int(np.count_nonzero(self.adj))
 
     def __contains__(self, pair: Pair) -> bool:
-        i, j = (bisect_left(self.terms, term) for term in pair)
-        found = self.terms[i : i + 1] + self.terms[j : j + 1] == tuple(pair)
-        return found and bool(((self.hypo == i) & (self.hyper == j)).any())
+        i, j = (bisect_left(self.table, term) for term in pair)
+        return self.table[i : i + 1] + self.table[j : j + 1] == tuple(pair) and self.adj[j, i]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, RelationSet) or self.terms != other.terms:
+        if not isinstance(other, RelationSet):
             return False
-        return np.array_equal(self.hypo, other.hypo) and np.array_equal(self.hyper, other.hyper)
+        (a, x), (b, y) = _used_block(self.table, self.adj), _used_block(other.table, other.adj)
+        return a == b and np.array_equal(x, y)
 
     def __repr__(self) -> str:
         return f"RelationSet({self.method!r}, {len(self)} relations)"
 
     def pair_set(self) -> set[Pair]:
-        terms = self.terms
-        return {(terms[i], terms[j]) for i, j in zip(self.hypo.tolist(), self.hyper.tolist())}
+        hyper, hypo = np.nonzero(self.adj)
+        return {(self.table[i], self.table[j]) for i, j in zip(hypo.tolist(), hyper.tolist())}
 
 
 def relations_text(relset: RelationSet) -> str:
     """Sorted ``hyponym<TAB>hypernym<TAB>method<TAB>score`` lines."""
-    terms, method = relset.terms, relset.method
+    table, method = relset.table, relset.method
+    hypo, hyper = np.nonzero(relset.adj.T)
     return "".join(
-        f"{terms[i]}\t{terms[j]}\t{method}\t{'' if score is None else repr(score)}\n"
-        for i, j, score in zip(relset.hypo.tolist(), relset.hyper.tolist(), relset.scores)
+        f"{table[i]}\t{table[j]}\t{method}\t{'' if score is None else repr(score)}\n"
+        for i, j, score in zip(hypo.tolist(), hyper.tolist(), relset.scores)
     )
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .contexts import ContextMatrix, _gram
-from .relations import RelationSet
+from .relations import RelationSet, _used_block
 
 Edge = tuple[str, str]  # (hypernym, hyponym)
 
@@ -54,12 +54,9 @@ class Taxonomy:
     """
 
     def __init__(self, edges: Iterable[Edge] = (), nodes: Iterable[str] = ()) -> None:
-        edges = [(u, v) for u, v in edges if u != v]
-        terms = sorted(set(nodes).union(*edges))
-        index = {term: i for i, term in enumerate(terms)}
-        adj = np.zeros((len(terms), len(terms)), dtype=bool)
-        adj[[index[u] for u, _ in edges], [index[v] for _, v in edges]] = True
-        self._set(terms, adj)
+        relset = RelationSet("", [(v, u) for u, v in edges if u != v])
+        terms = sorted(set(nodes).union(relset.table))
+        self._set(terms, relset.adj_over(terms))
 
     @classmethod
     def _of(cls, terms, adj: np.ndarray) -> "Taxonomy":
@@ -123,9 +120,7 @@ class Taxonomy:
 
 def build_taxonomy(relset: RelationSet) -> Taxonomy:
     """One edge hypernym->hyponym per relation, over the relation set's terms."""
-    adj = np.zeros((len(relset.terms), len(relset.terms)), dtype=bool)
-    adj[relset.hyper, relset.hypo] = True
-    return Taxonomy._of(relset.terms, adj)
+    return Taxonomy._of(*_used_block(relset.table, relset.adj))
 
 
 def _reaches(adj: np.ndarray, source: int, target: int) -> bool:
@@ -314,4 +309,4 @@ def best_parent_filter(t: Taxonomy, docm: ContextMatrix) -> Taxonomy:
 
 def taxonomy_relations(t: Taxonomy, method: str) -> RelationSet:
     """The taxonomy's direct edges as a relation set."""
-    return RelationSet.from_mask(method, t.terms, t.adj.T)
+    return RelationSet.from_mask(method, t.terms, t.adj)

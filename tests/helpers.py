@@ -11,9 +11,12 @@ import math
 import random
 import statistics
 from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+
+import numpy as np
 
 from taxorel.contexts import POS_LETTER, TARGET_TAGS, ContextMatrix
 from taxorel.corpus import (
@@ -26,6 +29,7 @@ from taxorel.corpus import (
     TokenCoding,
     coarse_pos,
 )
+from taxorel.evaluation import evaluate
 from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.patterns import PatternSet, PatternTemplate
 from taxorel.relations import RelationSet
@@ -181,6 +185,108 @@ def oracle_is_hypernym(gold: GoldTaxonomy, hyper: str, hypo: str) -> bool:
 def inverted(relset: RelationSet) -> RelationSet:
     """The same pairs with hyponym and hypernym swapped."""
     return RelationSet(relset.method, [(hyper, hypo) for hypo, hyper in relset.pair_set()])
+
+
+# --- relation sets as index arrays ----------------------------------------
+# The form a relation set had before it kept its mask: the mask compacted by
+# cumsum onto int32 index arrays, scattered back into an adjacency for a
+# taxonomy, and re-encoded through a dict for complementarity.
+
+
+@dataclass(frozen=True)
+class IndexedRelations:
+    """``terms`` are the sorted terms the pairs use; ``hypo[k]`` and
+    ``hyper[k]`` index the k-th pair into them in sorted (hyponym, hypernym)
+    order, and ``scores[k]`` is its score, a float or None."""
+
+    method: str
+    terms: tuple[str, ...]
+    hypo: np.ndarray
+    hyper: np.ndarray
+    scores: tuple
+
+
+def oracle_from_mask(method: str, table, adj: np.ndarray, scores=None) -> IndexedRelations:
+    """The pairs (table[v] is-a table[u]) where ``adj[u, v]``, each scored
+    ``scores[u, v]`` when scores are given."""
+    mask = adj.T  # (hyponym, hypernym)
+    hypo, hyper = np.nonzero(mask)
+    used = mask.any(axis=0) | mask.any(axis=1)
+    position = np.cumsum(used) - 1
+    return IndexedRelations(
+        method,
+        tuple(term for term, keep in zip(table, used.tolist()) if keep),
+        position[hypo].astype(np.int32),
+        position[hyper].astype(np.int32),
+        tuple([None] * len(hypo) if scores is None else scores.T[hypo, hyper].tolist()),
+    )
+
+
+def oracle_from_pairs(method: str, pairs, scores=None) -> IndexedRelations:
+    """The distinct ``pairs``, each with the score of its first occurrence."""
+    first: dict = {}
+    for pair, score in zip(pairs, [None] * len(pairs) if scores is None else scores):
+        first.setdefault(pair, None if score is None else float(score))
+    terms = tuple(sorted({term for pair in first for term in pair}))
+    ordered = sorted(first)
+    return IndexedRelations(
+        method,
+        terms,
+        np.array([terms.index(hypo) for hypo, _ in ordered], dtype=np.int32),
+        np.array([terms.index(hyper) for _, hyper in ordered], dtype=np.int32),
+        tuple(first[pair] for pair in ordered),
+    )
+
+
+def oracle_relations_text(rs: IndexedRelations) -> str:
+    terms = rs.terms
+    return "".join(
+        f"{terms[i]}\t{terms[j]}\t{rs.method}\t{'' if score is None else repr(score)}\n"
+        for i, j, score in zip(rs.hypo.tolist(), rs.hyper.tolist(), rs.scores)
+    )
+
+
+def oracle_build_taxonomy(rs: IndexedRelations) -> Taxonomy:
+    """One edge hypernym->hyponym per pair, scattered over the set's terms."""
+    adj = np.zeros((len(rs.terms), len(rs.terms)), dtype=bool)
+    adj[rs.hyper, rs.hypo] = True
+    return Taxonomy._of(rs.terms, adj)
+
+
+def oracle_encode(sets: list[IndexedRelations]) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted union of the sets' terms, and each set's (hypernym,
+    hyponym) adjacency over it, placed through a dict of term positions."""
+    terms = sorted({t for rs in sets for t in rs.terms})
+    index = {term: i for i, term in enumerate(terms)}
+    masks = []
+    for rs in sets:
+        at = np.array([index[term] for term in rs.terms], dtype=np.intp)
+        adj = np.zeros((len(terms),) * 2, dtype=bool)
+        adj[at[rs.hyper], at[rs.hypo]] = True
+        masks.append(adj)
+    return terms, masks
+
+
+def oracle_complementarity_cells(sets: list[IndexedRelations], gold: GoldTaxonomy):
+    """The direct, inverse and relative-precision cells of every ordered pair
+    of sets, each from :func:`oracle_encode`'s masks and evaluated anew."""
+    terms, masks = oracle_encode(sets)
+
+    def precision(adj: np.ndarray) -> float:
+        used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
+        if not len(used):
+            return 0.0
+        return evaluate(Taxonomy._of([terms[i] for i in used], adj[used][:, used]), gold).precision
+
+    direct, inverse, relative = {}, {}, {}
+    for a, ma in zip(sets, masks):
+        size, base = len(a.scores), precision(ma)
+        for b, mb in zip(sets, masks):
+            key = (a.method, b.method)
+            direct[key] = int(np.count_nonzero(ma & mb)) / size if size else None
+            inverse[key] = int(np.count_nonzero(ma & mb.T)) / size if size else None
+            relative[key] = precision(ma & mb) / base if base else None
+    return direct, inverse, relative
 
 
 def oracle_reduction(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:

@@ -113,9 +113,8 @@ def test_extractor_pairs_match_the_oracles(rows):
     for measure, definition in (("clarkede", measure_clarke_de), ("weedsprec", measure_weeds_prec)):
         relset = extract_dsim(ppmi_matrix, vocab, measure)
         assert relset.pair_set() == oracle_dsim_pairs(ppmi, vocab, measure)
-        terms = relset.terms
-        for i, j, score in zip(relset.hypo.tolist(), relset.hyper.tolist(), relset.scores):
-            expected = definition(ppmi[terms[i]], ppmi[terms[j]])
+        for (hypo, hyper), score in zip(sorted(relset.pair_set()), relset.scores):
+            expected = definition(ppmi[hypo], ppmi[hyper])
             assert score == pytest.approx(expected, rel=1e-12)
     table = EntropyTable(raw=raw, normalized=normalized)
     for top_n in (1, 2, 50):
@@ -155,7 +154,6 @@ def test_docsub_sweep_equals_each_lambda_alone_and_the_oracle(rows, lams):
         alone = extract_docsub(docm, vocab, lam)
         assert relset == alone and relset.scores == alone.scores
         assert relset.pair_set() == oracle_docsub_pairs(rows, vocab, lam)
-        terms = relset.terms
-        for i, j, score in zip(relset.hypo.tolist(), relset.hyper.tolist(), relset.scores):
-            hypo_docs, hyper_docs = set(rows[terms[i]]), set(rows[terms[j]])
+        for (hypo, hyper), score in zip(sorted(relset.pair_set()), relset.scores):
+            hypo_docs, hyper_docs = set(rows[hypo]), set(rows[hyper])
             assert score == len(hypo_docs & hyper_docs) / len(hypo_docs)

@@ -1,11 +1,21 @@
-"""Memory guards for the corpus-sized stages and the complementarity matrix.
+"""Memory guards for the corpus-sized stages, relation sets and the
+complementarity matrix.
 
 Ingest and the two context models are the only stages whose memory grows
 with the corpus.  On a generated corpus of over 100,000 tokens, the
 tracemalloc peak of each, per token, must stay under a fixed bound.  Each
 bound sits between what int32 codes counted over the target positions take
-(15.5, 67.7 and 25.8 bytes per token for ingest, window and document
+(15.5, 67.7 and 21.9 bytes per token for ingest, window and document
 contexts) and what int64 arrays over every token took (32.8, 89.7, 36.6).
+The document model counted at 25.8 while it kept the target positions,
+sentences and terms alive through the count.
+
+A relation set that an extractor makes from its masks over 300 terms, with
+all 44,850 pairs of them oriented, must hold under 4 bytes per pair
+unscored and under 12 scored.  Its boolean adjacency and term table hold
+2.4, and its float64 scores 8 more (10.4).  Int32 index arrays with a tuple
+of a Python float or None per pair held 16.4 and 40.4, and the extractor's
+whole score matrix alone would take 16.
 
 The complementarity matrix of seven tournament-like sets over 300 terms
 (299,670 pairs, 91-100% of the 44,850 term pairs each, as the paper's sets
@@ -32,7 +42,9 @@ NOUNS = [f"noun{i}" for i in range(300)]
 OTHERS = [(f"verb{i}", "VERB") for i in range(100)] + [(f"adj{i}", "ADJ") for i in range(150)]
 FUNCTION = [("the", "OTHER"), ("of", "OTHER"), ("a", "OTHER"), (",", "OTHER"), (".", "OTHER")]
 # Peak bytes per token that each stage may reach.
-BOUNDS = {"load_corpus": 24.0, "extract_window_contexts": 78.0, "extract_document_contexts": 31.0}
+BOUNDS = {"load_corpus": 24.0, "extract_window_contexts": 78.0, "extract_document_contexts": 24.0}
+# Bytes per pair that a relation set holds, without and with scores.
+UNSCORED_BOUND, SCORED_BOUND = 4.0, 12.0
 # Peak bytes per relation pair of the complementarity matrix.
 MATRIX_BOUND = 16.0
 
@@ -81,6 +93,35 @@ def test_corpus_sized_stages_stay_within_their_bytes_per_token(corpus_dir):
     ):
         peaks[stage.__name__] = traced_peak(stage, *args)[1] / tokens
     assert all(peaks[name] < bound for name, bound in BOUNDS.items()), peaks
+
+
+def traced_held(call, *args):
+    """``call(*args)`` and how many of the bytes it allocated are still
+    held once it returns."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def extracted_set(scored: bool) -> RelationSet:
+    """A set made as an extractor makes one, from an n x n mask over 300
+    terms that orients each of their pairs, and from an n x n score matrix
+    when ``scored``; only the set is returned."""
+    terms = [f"t{i:03d}" for i in range(300)]
+    rank = np.array(random.Random(3).sample(range(len(terms)), len(terms)), dtype=float)
+    scores = rank[:, None] - rank if scored else None
+    return RelationSet.from_mask("m", terms, rank[:, None] > rank, scores)
+
+
+def test_relation_sets_hold_their_bytes_per_pair():
+    per_pair = {}
+    for scored in (False, True):
+        relset, held = traced_held(extracted_set, scored)
+        assert len(relset) == 44_850
+        per_pair[scored] = held / len(relset)
+    assert per_pair[False] < UNSCORED_BOUND and per_pair[True] < SCORED_BOUND, per_pair
 
 
 def tournament_sets(terms: list[str], count: int) -> list[RelationSet]:

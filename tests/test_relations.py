@@ -5,7 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from taxorel.evaluation import complementarity_matrix
 from taxorel.relations import RelationSet, load_relations, relations_text
+from taxorel.taxonomy import build_taxonomy
+
+from helpers import (
+    gold_from,
+    oracle_build_taxonomy,
+    oracle_complementarity_cells,
+    oracle_from_mask,
+    oracle_from_pairs,
+    oracle_relations_text,
+)
 
 
 TERMS = "abcd"
@@ -54,15 +65,99 @@ class TestRelationSetProperties:
         mask = np.zeros((len(TERMS), len(TERMS)), dtype=bool)
         values = np.zeros(mask.shape)
         for (u, v), score in first_scores(scored).items():
-            mask[index[u], index[v]] = True
-            values[index[u], index[v]] = 0.0 if score is None else score
+            mask[index[v], index[u]] = True
+            values[index[v], index[u]] = 0.0 if score is None else score
         pairs = [p for p, _ in scored]
-        expected = RelationSet("m", pairs, [values[index[u], index[v]].item() for u, v in pairs])
+        expected = RelationSet("m", pairs, [values[index[v], index[u]].item() for u, v in pairs])
         got = RelationSet.from_mask("m", TERMS, mask, values)
         assert got == expected and got.terms == expected.terms
         assert relations_text(got) == relations_text(expected)
         unscored = RelationSet.from_mask("m", TERMS, mask)
         assert relations_text(unscored) == relations_text(RelationSet("m", pairs))
+
+
+# The table the statistical extractors of one run share, and the gold of
+# the complementarity cells ("f" is in no synset).
+SHARED = tuple("abcdef")
+NAN, SUBNORMAL = float("nan"), 5e-324
+
+
+@st.composite
+def relation_specs(draw):
+    """(kind, table, pairs, scores) of one set: a mask over ``table`` (the
+    shared one or its own) with a float per pair or none, or a list of
+    pairs, repeats included, with a float or None each, or none at all."""
+    floats = st.floats() | st.sampled_from([NAN, -0.0, SUBNORMAL])
+    if draw(st.booleans()):
+        table = draw(st.just(SHARED) | st.sets(st.sampled_from(SHARED)).map(sorted).map(tuple))
+        pair = st.permutations(table).map(lambda p: tuple(p[:2])) if table[1:] else st.nothing()
+        pairs = sorted(draw(st.sets(pair)))
+        scores = draw(st.none() | st.lists(floats, min_size=len(pairs), max_size=len(pairs)))
+        return "mask", table, pairs, scores
+    pairs = draw(st.lists(st.permutations(SHARED).map(lambda p: tuple(p[:2])), max_size=8))
+    score = st.none() | floats
+    scores = draw(st.none() | st.lists(score, min_size=len(pairs), max_size=len(pairs)))
+    return "pairs", (), pairs, scores
+
+
+def build(method: str, spec):
+    """The set of ``spec`` in the mask form and in the index-array form."""
+    kind, table, pairs, scores = spec
+    if kind == "pairs":
+        return RelationSet(method, pairs, scores), oracle_from_pairs(method, pairs, scores)
+    at = {term: i for i, term in enumerate(table)}
+    adj, grid = np.zeros((len(table),) * 2, dtype=bool), np.zeros((len(table),) * 2)
+    for k, (hypo, hyper) in enumerate(pairs):
+        adj[at[hyper], at[hypo]] = True
+        grid[at[hyper], at[hypo]] = 0.0 if scores is None else scores[k]
+    grid = None if scores is None else grid
+    relset = RelationSet.from_mask(method, table, adj, grid)
+    return relset, oracle_from_mask(method, table, adj, grid)
+
+
+class TestMaskFormMatchesIndexArrays:
+    gold = staticmethod(
+        lambda: gold_from((1, ["a"], []), (2, ["b"], [1]), (3, ["c"], [2]), (4, ["d", "e"], [1]))
+    )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(relation_specs(), max_size=4))
+    # An empty set beside a one-pair set.
+    @example([("pairs", (), [], None), ("mask", SHARED, [("b", "a")], [0.5])])
+    # Sets on the shared table that use fewer of its terms than it holds.
+    @example(
+        [("mask", SHARED, [("c", "b")], None), ("mask", SHARED, [("b", "a"), ("e", "d")], [1, 2])]
+    )
+    # Sets on their own tables beside sets on the shared one.
+    @example(
+        [
+            ("mask", SHARED, [("b", "a"), ("c", "b"), ("f", "a")], [0.25, 0.5, 1.0]),
+            ("mask", ("a", "c", "f"), [("c", "a"), ("f", "c")], None),
+            ("pairs", (), [("b", "a"), ("e", "c"), ("a", "b")], None),
+            ("mask", SHARED, [("c", "a"), ("d", "a")], None),
+        ]
+    )
+    # None, nan, -0.0 and a subnormal, from pairs and from a mask.
+    @example(
+        [
+            ("pairs", (), [("b", "a"), ("c", "a"), ("f", "a")], [None, NAN, -0.0]),
+            ("pairs", (), [("d", "a"), ("a", "b")], [1e-310, None]),
+            ("mask", SHARED, [("b", "a"), ("c", "a"), ("d", "a")], [NAN, -0.0, SUBNORMAL]),
+        ]
+    )
+    # One set mixes scored and unscored pairs; a repeat keeps its first score.
+    @example([("pairs", (), [("b", "a"), ("c", "b"), ("b", "a"), ("d", "c")], [None, 2.0, 3, NAN])])
+    def test_text_taxonomy_and_cells_equal_the_index_array_path(self, specs):
+        built = [build(f"m{k}", spec) for k, spec in enumerate(specs)]
+        for relset, indexed in built:
+            assert relations_text(relset) == oracle_relations_text(indexed)
+            assert relset.terms == indexed.terms
+            tax, expected = build_taxonomy(relset), oracle_build_taxonomy(indexed)
+            assert tax.terms == expected.terms and np.array_equal(tax.adj, expected.adj)
+        gold = self.gold()
+        matrix = complementarity_matrix([relset for relset, _ in built], gold)
+        cells = oracle_complementarity_cells([indexed for _, indexed in built], gold)
+        assert (matrix.direct, matrix.inverse, matrix.relative) == cells
 
 
 class TestRelationSet:
@@ -90,17 +185,19 @@ class TestRelationSet:
                 RelationSet("tf", [("dog", "animal"), ("cat", "animal")], scores)
 
     def test_iteration_is_sorted(self):
-        rs = RelationSet("tf", [("z", "a"), ("b", "a")])
+        rs = RelationSet("tf", [("z", "a"), ("b", "a")], [0.5, None])
         assert rs.terms == ("a", "b", "z")
-        assert (rs.hypo.tolist(), rs.hyper.tolist()) == ([1, 2], [0, 0])
-        assert relations_text(rs) == "b\ta\ttf\t\nz\ta\ttf\t\n"
+        walk = list(zip(sorted(rs.pair_set()), rs.scores))
+        assert walk == [(("b", "a"), None), (("z", "a"), 0.5)]
+        assert relations_text(rs) == "b\ta\ttf\t\nz\ta\ttf\t0.5\n"
 
     def test_mask_constructor_keeps_only_the_terms_of_its_pairs(self):
+        # (hypernym, hyponym), as in a taxonomy: a is-a c and d is-a a.
         mask = np.zeros((4, 4), dtype=bool)
-        mask[0, 2] = mask[3, 0] = True
-        scores = np.arange(16.0).reshape(4, 4)
+        mask[2, 0] = mask[0, 3] = True
+        scores = np.arange(16.0).reshape(4, 4).T
         rs = RelationSet.from_mask("tf", ["a", "b", "c", "d"], mask, scores)
-        assert rs.terms == ("a", "c", "d")
+        assert rs.table == ("a", "b", "c", "d") and rs.terms == ("a", "c", "d")
         assert rs == RelationSet("tf", [("d", "a"), ("a", "c")])
         assert relations_text(rs) == "a\tc\ttf\t2.0\nd\ta\ttf\t12.0\n"
 

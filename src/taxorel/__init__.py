@@ -64,7 +64,6 @@ from .taxonomy import (
     break_cycles,
     build_taxonomy,
     compute_metrics,
-    taxonomy_relations,
     transitive_reduction,
 )
 from .weighting import (

@@ -57,7 +57,6 @@ from .taxonomy import (
     break_cycles,
     build_taxonomy,
     compute_metrics,
-    taxonomy_relations,
     transitive_reduction,
 )
 from .weighting import DEFAULT_TOP_CONTEXTS, context_entropies, weight_lmi, weight_ppmi
@@ -377,7 +376,7 @@ def run(config: RunConfig) -> Path:
                 tax = best_parent_filter(tax, inputs["documents"])
                 emit(
                     f"filtered_{method}.tsv",
-                    relations_text(taxonomy_relations(tax, method)),
+                    relations_text(RelationSet.from_mask(method, tax.terms, tax.adj)),
                 )
 
             stage = f"evaluate:{method}"
@@ -490,7 +489,7 @@ def _cmd_filter_parent(args) -> int:
     corpus = _load_run_corpus(args)
     relset = load_relations(args.relations)
     tax = best_parent_filter(build_taxonomy(relset), extract_document_contexts(corpus))
-    _write(args.out, relations_text(taxonomy_relations(tax, relset.method)))
+    _write(args.out, relations_text(RelationSet.from_mask(relset.method, tax.terms, tax.adj)))
     print(f"wrote {args.out} ({tax.num_edges} relations kept)")
     return 0
 

@@ -175,12 +175,17 @@ def _targets(corpus: Corpus):
     lemmas), and each target token's position, sentence and term index in
     corpus order; the terms are coded once per distinct token."""
     coding = corpus.coding
-    terms, term = _codes(
-        [t.lemma.casefold() if t.pos in TARGET_TAGS else None for t in coding.distinct]
-    )
+    terms, term = _target_terms(coding.distinct)
     pos = np.flatnonzero((term >= 0)[coding.token])
     sentence = np.searchsorted(coding.starts, pos, "right") - 1
     return coding, terms, pos, sentence, term[coding.token[pos]]
+
+
+def _target_terms(distinct: list) -> tuple[list[str], np.ndarray]:
+    """The target rule, coded once per distinct token: the sorted case-folded
+    NOUN/PROPN lemmas of ``distinct``, and each token's index in them (-1 for
+    none) as an int32 array."""
+    return _codes([t.lemma.casefold() if t.pos in TARGET_TAGS else None for t in distinct])
 
 
 def _codes(labels: list) -> tuple[list[str], np.ndarray]:

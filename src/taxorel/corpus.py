@@ -254,17 +254,6 @@ class _LineCodes(dict):
         return self.setdefault(line, len(self.distinct) - 1)
 
 
-def _code_lines(path: Path, codes: _LineCodes) -> np.ndarray:
-    """Each line's code in ``codes``, and a -1 that ends the file's last
-    sentence; the first bad line raises, naming ``path:line``."""
-    lines = _text(path, CorpusFormatError).split("\n") + [""]
-    try:
-        return np.fromiter(map(codes.__getitem__, lines), np.int32, len(lines))
-    except CorpusFormatError as exc:
-        message, line = exc.args  # its first occurrence: every earlier line is in ``codes``
-        raise CorpusFormatError(f"{path}:{lines.index(line) + 1}: {message}") from None
-
-
 def load_corpus(
     path: str | Path,
     language: str,
@@ -275,7 +264,8 @@ def load_corpus(
     Each file becomes one document whose id is the file name; files in a
     directory are read in sorted name order so repeated loads are stable.
     Equal token lines share one token object across the whole corpus, and
-    the corpus comes with its :attr:`Corpus.coding`, built as it is parsed.
+    the corpus comes with its :attr:`Corpus.coding`, built as each file is
+    read; the first bad line in file order raises, naming ``file:line``.
     """
     path = Path(path)
     if path.is_dir():
@@ -288,8 +278,15 @@ def load_corpus(
         files = [path]
     language, ids = language.upper(), tuple(f.name for f in files)
     _checked(language, ids)  # before any file is read
-    codes = _LineCodes(pos_mapping)
-    coded = [_code_lines(f, codes) for f in files]
+    codes, coded = _LineCodes(pos_mapping), []
+    for f in files:
+        # Each line's code, and a -1 that ends the file's last sentence.
+        lines = _text(f, CorpusFormatError).split("\n") + [""]
+        try:
+            coded.append(np.fromiter(map(codes.__getitem__, lines), np.int32, len(lines)))
+        except CorpusFormatError as exc:
+            message, line = exc.args  # its first occurrence: every earlier line is in ``codes``
+            raise CorpusFormatError(f"{f}:{lines.index(line) + 1}: {message}") from None
     ends = np.cumsum([0, *map(len, coded)])  # each file's first line
     coded = np.concatenate(coded)
     # Each run of token lines is a sentence; [begin, end) are its lines.

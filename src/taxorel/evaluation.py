@@ -177,20 +177,20 @@ def complementarity_matrix(relsets: list[RelationSet], gold: GoldTaxonomy) -> Co
     if len(set(methods)) != len(methods):
         raise ValueError("relation sets must have distinct method tags")
     terms, masks = _encode(relsets)
-    base = [_precision(terms, m, gold) for m in masks]
+    base, sizes = [_precision(terms, m, gold) for m in masks], [len(rs) for rs in relsets]
     direct, inverse, relative = {}, {}, {}
     # Each unordered pair {A, B} is taken once: |A n B| and |A n B^T| are
     # symmetric counts, and A n B is one taxonomy whichever row it serves.
     # A n B is a subset of A, so its common relations are a subset of A's:
     # a zero base leaves the intersection's precision at 0, unevaluated.
-    for x, (a, ma, p_a) in enumerate(zip(relsets, masks, base)):
-        for b, mb, p_b in zip(relsets[x:], masks[x:], base[x:]):
+    for x, (a, ma, p_a, n_a) in enumerate(zip(relsets, masks, base, sizes)):
+        for b, mb, p_b, n_b in zip(relsets[x:], masks[x:], base[x:], sizes[x:]):
             both = ma & mb
             held, crossed = int(np.count_nonzero(both)), int(np.count_nonzero(ma & mb.T))
             p_ab = (p_a if b is a else _precision(terms, both, gold)) if p_a and p_b else 0.0
-            for row, col, p_row in ((a, b, p_a), (b, a, p_b)):
+            for row, col, p_row, n_row in ((a, b, p_a, n_a), (b, a, p_b, n_b)):
                 key = (row.method, col.method)
-                direct[key] = held / len(row) if len(row) else None
-                inverse[key] = crossed / len(row) if len(row) else None
+                direct[key] = held / n_row if n_row else None
+                inverse[key] = crossed / n_row if n_row else None
                 relative[key] = p_ab / p_row if p_row else None
     return ComplementarityMatrix(methods, direct, inverse, relative)

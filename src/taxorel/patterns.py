@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contexts import TARGET_TAGS, TermSet, _ranges
+from .contexts import TARGET_TAGS, TermSet, _ranges, _target_terms
 from .corpus import Corpus, Sentence, _text
 from .relations import RelationSet
 
@@ -119,8 +119,7 @@ def default_patterns(language: str) -> PatternSet:
     if language.upper() not in _LANG_CONJUNCTIONS:
         raise ValueError(f"no pattern support for language {language!r}")
     resource = resources.files("taxorel.data").joinpath(f"patterns_{language.lower()}.txt")
-    lines = resource.read_text(encoding="utf-8").splitlines()
-    return _build(language, enumerate(lines, 1), resource)
+    return load_patterns(resource, language)
 
 
 def _np_at(tokens: Sentence, pos: int, pset: PatternSet) -> tuple[int, str] | None:
@@ -234,17 +233,11 @@ def extract_patterns(corpus: Corpus, patterns: PatternSet, vocab: TermSet) -> Re
     for need in set(needs):
         live |= (held & need) == need
     rows = np.flatnonzero(live)
-    # Each distinct token's vocabulary term, numbered as met, or -1; a live
-    # sentence whose smallest and largest term differ holds two distinct ones.
-    terms: dict[str, int] = {}
-    term = np.array(
-        [
-            terms.setdefault(t.lemma.casefold(), len(terms))
-            if t.pos in TARGET_TAGS and t.lemma.casefold() in vocab
-            else -1
-            for t in coding.distinct
-        ]
-    )
+    # Each distinct token's target term if it is in the vocabulary, else -1
+    # (which reads the appended False); a live sentence whose smallest and
+    # largest term differ holds two distinct ones.
+    terms, term = _target_terms(coding.distinct)
+    term = np.where(np.array([t in vocab for t in terms] + [False])[term], term, -1)
     lengths = coding.lengths[rows]
     offsets = np.cumsum(lengths) - lengths
     found = term[coding.token[_ranges(coding.starts[rows], lengths)]]

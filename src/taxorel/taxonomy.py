@@ -305,8 +305,3 @@ def best_parent_filter(t: Taxonomy, docm: ContextMatrix) -> Taxonomy:
     adj[:, multi] = False
     adj[[p for _, p in best.values()], multi] = True
     return Taxonomy._of(t.terms, adj)
-
-
-def taxonomy_relations(t: Taxonomy, method: str) -> RelationSet:
-    """The taxonomy's direct edges as a relation set."""
-    return RelationSet.from_mask(method, t.terms, t.adj)

@@ -64,6 +64,70 @@ def write_fixture(tmp_path, gold_text=GOLD):
     return corpus_dir, gold_path
 
 
+GOLD_PT = (
+    "1\tser vivo\t\n"
+    "2\tanimal\t1\n"
+    "3\tcão|cachorro\t2\n"
+    "4\tgato\t2\n"
+    "5\tfruta\t1\n"
+    "6\tmaçã\t5\n"
+    "7\tlaranja\t5\n"
+    "8\tárvore\t1\n"
+)
+
+# Portuguese documents as (surface, lemma, tag) sentences; adjectives follow
+# the noun.  The planted "tais como" and "e outros" sentences give patt's
+# four pairs, and "Maçãs" carries a capitalised lemma that folds to maçã.
+CORPUS_PT = {
+    "d1.txt": [
+        "frutas fruta NOUN | tais tal OTHER | como como OTHER | maçãs maçã NOUN"
+        " | e e OTHER | laranjas laranja NOUN",
+        "cães cão NOUN | latem latir VERB | alto alto ADJ",
+    ],
+    "d2.txt": [
+        "cães cão NOUN | , , OTHER | gatos gato NOUN | e e OTHER | outros outro OTHER"
+        " | animais animal NOUN | dormem dormir VERB",
+        "Maçãs Maçã NOUN | vermelhas vermelho ADJ | caem cair VERB",
+    ],
+    "d3.txt": [
+        "gatos gato NOUN | pretos preto ADJ | comem comer VERB | laranjas laranja NOUN",
+        "árvores árvore NOUN | altas alto ADJ | dão dar VERB | frutas fruta NOUN",
+        "animais animal NOUN | grandes grande ADJ | correm correr VERB",
+    ],
+    "d4.txt": [
+        "o o OTHER | cão cão NOUN | velho velho ADJ | come comer VERB | maçãs maçã NOUN",
+        "árvores árvore NOUN | verdes verde ADJ | crescem crescer VERB",
+    ],
+}
+
+
+def write_pt_config(tmp_path) -> Path:
+    """A run of all seven methods over :data:`CORPUS_PT` and :data:`GOLD_PT`."""
+    corpus_dir = tmp_path / "corpus_pt"
+    corpus_dir.mkdir()
+    for name, sentences in CORPUS_PT.items():
+        lines = [
+            ["\t".join(token.split(" ")) for token in sentence.split(" | ")]
+            for sentence in sentences
+        ]
+        text = "\n\n".join("\n".join(tokens) for tokens in lines) + "\n"
+        (corpus_dir / name).write_text(text, encoding="utf-8")
+    gold_path = tmp_path / "gold_pt.tsv"
+    gold_path.write_text(GOLD_PT, encoding="utf-8")
+    config = tmp_path / "run_pt.ini"
+    config.write_text(
+        f"[corpus]\npath = {corpus_dir}\nlanguage = PT\n\n"
+        f"[gold]\npath = {gold_path}\n\n"
+        "[vocabulary]\nn = 10\n\n"
+        f"[methods]\nmethods = {', '.join(METHODS)}\n\n"
+        "[docsub]\nlambdas = 0.1, 0.5, 0.9\n\n"
+        "[hclust]\nclusters = 2\n\n"
+        f"[output]\ndir = {tmp_path / 'out_pt'}\n",
+        encoding="utf-8",
+    )
+    return config
+
+
 def cut_writes_short(monkeypatch, prefix):
     """Make every write to a file whose name starts with ``prefix`` stop
     halfway with a full disk."""
@@ -312,6 +376,29 @@ class TestRun:
         # The pattern sentence is present, so patt finds (dog|cat, animal).
         patt = (outdir / "relations_patt.tsv").read_text()
         assert "dog\tanimal\tpatt" in patt
+
+    def test_portuguese_run_end_to_end(self, tmp_path):
+        config = write_pt_config(tmp_path)
+        outdir = tmp_path / "out_pt"
+        snapshots = []
+        for _ in range(2):
+            assert main(["run", "--config", str(config)]) == 0
+            snapshots.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+        first, second = snapshots
+        assert first == second
+        listed = json.loads(first["manifest.json"])["outputs"]
+        assert sorted([*listed, "manifest.json"]) == sorted(first)
+        for method in METHODS:
+            assert f"relations_{method}.tsv" in listed and f"eval_{method}.json" in listed
+        assert "maçã" in first["vocabulary.txt"].decode().split("\n")  # from "Maçã" too
+        patt = first["relations_patt.tsv"].decode().splitlines()
+        patt = {tuple(line.split("\t")) for line in patt}
+        assert patt == {
+            ("cão", "animal", "patt", ""),
+            ("gato", "animal", "patt", ""),
+            ("maçã", "fruta", "patt", ""),
+            ("laranja", "fruta", "patt", ""),
+        }
 
     def test_docsub_sweep_reports_and_summary(self, tmp_path):
         config = load_config(write_config(tmp_path, methods="docsub"))

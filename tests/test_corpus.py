@@ -111,6 +111,20 @@ class TestLoadCorpus:
         assert sum(1 for _ in c.tokens()) == 24
         assert len(calls) == 3
 
+    def test_one_read_per_file_and_one_token_per_distinct_token_line(self, tmp_path, monkeypatch):
+        reads, made = [], []
+        text, token = corpus_module._text, corpus_module.TaggedToken
+        monkeypatch.setattr(corpus_module, "_text", lambda *a: reads.append(a) or text(*a))
+        monkeypatch.setattr(corpus_module, "TaggedToken", lambda *a: made.append(a) or token(*a))
+        # NN and NNS give equal tokens from distinct lines; lines repeat across files.
+        lines = ["dogs\tdog\tNN", "the\tthe\tDT", "dogs\tdog\tNNS", "", "dogs\tdog\tNN"]
+        for name in ("a.txt", "b.txt", "c.txt"):
+            (tmp_path / name).write_text("\n".join(lines * 2) + "\n", encoding="utf-8")
+        c = load_corpus(tmp_path, "EN", {"NN": "NOUN", "NNS": "NOUN"})
+        assert [Path(args[0]).name for args in reads] == ["a.txt", "b.txt", "c.txt"]
+        assert made == [("dogs", "dog", "NOUN"), ("the", "the", "OTHER"), ("dogs", "dog", "NOUN")]
+        assert len(c.coding.distinct) == 3 and len(c.coding.token) == 24
+
     @pytest.mark.parametrize(
         "files",
         [
@@ -217,7 +231,7 @@ class TestLoadCorpus:
     def test_unknown_language_is_rejected_before_any_file_is_read(self, tmp_path, monkeypatch):
         (tmp_path / "a.txt").write_text("dog\tdog\tNOUN\n", encoding="utf-8")
         read = []
-        monkeypatch.setattr(corpus_module, "_code_lines", lambda *args: read.append(args))
+        monkeypatch.setattr(corpus_module, "_text", lambda *args: read.append(args))
         with pytest.raises(ValueError, match=r"^language must be one of \('EN', 'PT'\), got 'DE'$"):
             load_corpus(tmp_path, "de")
         assert read == []

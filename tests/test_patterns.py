@@ -525,6 +525,15 @@ class TestCorpusPrefilter:
         assert len(extract_patterns(c, EN, TermSet(["animal", "dog"]))) == 0
         assert matched == []
 
+    def test_terms_outside_the_vocabulary_never_reach_the_matcher(self, matched):
+        # Two distinct noun lemmas, of which only "animal" is in the vocabulary.
+        c = corpus(doc("a.txt", words("animals such as Dogs")))
+        assert len(extract_patterns(c, EN, TermSet(["animal", "cat"]))) == 0
+        assert matched == []
+        # Control: with both in the vocabulary it does reach the matcher.
+        assert extract_patterns(c, EN, TermSet(["animal", "dog"])).pair_set() == {("dog", "animal")}
+        assert len(matched) == 1
+
     @pytest.mark.parametrize("tag", ["J", "V"])
     def test_terms_count_only_as_nouns(self, matched, tag):
         vocab = TermSet(["animal", "dog"])

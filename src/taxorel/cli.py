@@ -131,7 +131,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ValueError(f"{path}: {exc}") from None
 
+    read = set()  # the (section, key) pairs that some field reads
+
     def get(getter, section, key, fallback):
+        read.add((section, key))
         try:
             return getter(section, key, fallback=fallback)
         except ValueError as exc:
@@ -156,6 +159,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         docsub_lambdas=get(parser.getfloats, "docsub", "lambdas", RunConfig.docsub_lambdas),
         hclust_clusters=get(parser.getint, "hclust", "clusters", RunConfig.hclust_clusters),
     )
+    for section in parser:
+        for key in parser[section]:
+            if (section, key) not in read:
+                raise ValueError(f"{path}: [{section}] {key}: unknown key")
     if overrides:
         config = replace(config, **overrides)
     return config
@@ -238,10 +245,6 @@ class _Inputs(dict):
     def __missing__(self, name: str):
         self[name] = value = _DERIVED[name](self.config, self)
         return value
-
-
-def _extract(method: str, config: RunConfig, inputs: _Inputs) -> RelationSet:
-    return _METHODS[method](config, inputs)
 
 
 def _json_text(data) -> str:
@@ -364,7 +367,7 @@ def run(config: RunConfig) -> Path:
             if method == "docsub":
                 relsets[method], sweep_summary = _docsub_sweep(config, inputs, emit)
             else:
-                relsets[method] = _extract(method, config, inputs)
+                relsets[method] = _METHODS[method](config, inputs)
 
         for method, relset in relsets.items():
             stage = f"relations:{method}"
@@ -479,7 +482,7 @@ def _cmd_contexts(args) -> int:
 def _cmd_extract(args) -> int:
     config = RunConfig(output_dir="", methods=(args.method,), **_config_fields(args))
     inputs = _Inputs(config, _load_run_corpus(config), load_gold(config.gold_path))
-    relset = _extract(args.method, config, inputs)
+    relset = _METHODS[args.method](config, inputs)
     _write(args.out, relations_text(relset))
     print(f"wrote {args.out} ({len(relset)} relations)")
     return 0

@@ -6,7 +6,8 @@ it, labelled by lemma, coarse-POS letter and side of the target (e.g.
 ``energetic-j-l`` for an adjective on the left).  In the *document* model a
 term's contexts are the ids of the documents it occurs in, with its
 per-document frequency.  Both count over the target tokens only, through
-the int32 token codes, into int64 keys: terms times contexts can pass 2**31.
+the token and lemma codings, into int64 keys: terms times contexts can
+pass 2**31.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, _records
+from .corpus import Corpus, _codes, _records
 
 POS_LETTER = {"NOUN": "n", "PROPN": "p", "VERB": "v", "ADJ": "j", "OTHER": "o"}
-
-TARGET_TAGS = frozenset({"NOUN", "PROPN"})
 
 _GRAM_CHUNK = 1 << 16  # pairs of values that _gram makes at once
 
@@ -171,29 +170,12 @@ class ContextMatrix(TermContextMatrix):
 
 
 def _targets(corpus: Corpus):
-    """The corpus's token coding, the sorted target terms (case-folded noun
-    lemmas), and each target token's position, sentence and term index in
-    corpus order; the terms are coded once per distinct token."""
-    coding = corpus.coding
-    terms, term = _target_terms(coding.distinct)
-    pos = np.flatnonzero((term >= 0)[coding.token])
+    """The corpus's token coding, its lemma table, and each target token's
+    position, sentence and lemma index in corpus order."""
+    coding, (table, _, target) = corpus.coding, corpus.lemmas
+    pos = np.flatnonzero((target >= 0)[coding.token])
     sentence = np.searchsorted(coding.starts, pos, "right") - 1
-    return coding, terms, pos, sentence, term[coding.token[pos]]
-
-
-def _target_terms(distinct: list) -> tuple[list[str], np.ndarray]:
-    """The target rule, coded once per distinct token: the sorted case-folded
-    NOUN/PROPN lemmas of ``distinct``, and each token's index in them (-1 for
-    none) as an int32 array."""
-    return _codes([t.lemma.casefold() if t.pos in TARGET_TAGS else None for t in distinct])
-
-
-def _codes(labels: list) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct labels other than None, and each label's index
-    in them (-1 for None) as an int32 array."""
-    table = sorted({label for label in labels if label is not None})
-    index = {label: i for i, label in enumerate(table)}
-    return table, np.array([index.get(label, -1) for label in labels], dtype=np.int32)
+    return coding, table, pos, sentence, target[coding.token[pos]]
 
 
 def _count(model, terms, contexts, keys, window_size=None) -> ContextMatrix:
@@ -219,9 +201,10 @@ def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatr
     if window_size < 3 or window_size % 2 == 0:
         raise ValueError("window_size must be an odd integer >= 3")
     coding, terms, pos, sentence, term = _targets(corpus)
+    content = corpus.lemmas[1].tolist()  # each distinct token's index in ``terms``, or -1
     stems = [
-        f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.is_content else None
-        for t in coding.distinct
+        f"{terms[i]}-{POS_LETTER[t.pos]}-" if i >= 0 else None
+        for t, i in zip(coding.distinct, content)
     ]
     labels, code = _codes([s and s + side for side in "lr" for s in stems])
     before = pos - coding.starts[sentence]  # the tokens before the target in its sentence

@@ -3,7 +3,7 @@
 A corpus is an ordered sequence of documents, each an ordered list of
 sentences, each a sequence of (surface, lemma, pos) tokens.  Tokens carry
 one of five coarse part-of-speech tags; nouns, proper nouns, verbs and
-adjectives count as content words.
+adjectives count as content words, and nouns and proper nouns as targets.
 
 The on-disk format is vertical text: one token per line with three
 tab-separated fields ``surface<TAB>lemma<TAB>pos``, a blank line as
@@ -15,7 +15,8 @@ holds only its coding and document ids; a split one shares the tokens of
 its source.  Both build ``documents`` from the coding on first access,
 which nothing in ``taxorel run`` does: the statistics, both context models
 and the patterns read the coding.  A corpus built by hand holds the
-documents it was given and is coded on first use.
+documents it was given and is coded on first use.  :attr:`Corpus.lemmas`
+codes each distinct token's term, once, for all of those readers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,16 @@ import numpy as np
 
 COARSE_TAGS = frozenset({"NOUN", "PROPN", "VERB", "ADJ", "OTHER"})
 CONTENT_TAGS = frozenset({"NOUN", "PROPN", "VERB", "ADJ"})
+TARGET_TAGS = frozenset({"NOUN", "PROPN"})
 LANGUAGES = ("EN", "PT")
+
+
+def _codes(labels: list) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct labels other than None, and each label's index
+    in them (-1 for None) as an int32 array."""
+    table = sorted({label for label in labels if label is not None})
+    index = {label: i for i, label in enumerate(table)}
+    return table, np.array([index.get(label, -1) for label in labels], dtype=np.int32)
 
 
 class CorpusFormatError(ValueError):
@@ -49,10 +59,6 @@ class TaggedToken:
             raise ValueError("token surface and lemma must be non-empty")
         if self.pos not in COARSE_TAGS:
             raise ValueError(f"unknown coarse POS tag: {self.pos!r}")
-
-    @property
-    def is_content(self) -> bool:
-        return self.pos in CONTENT_TAGS
 
 
 Sentence = tuple[TaggedToken, ...]
@@ -109,6 +115,19 @@ class Corpus:
         """The token coding; :func:`load_corpus` and :func:`sentence_documents`
         set it, and a corpus built by hand is coded on first use."""
         return _code_tokens(self)
+
+    @cached_property
+    def lemmas(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The lemma coding ``(table, content, target)`` of ``coding.distinct``:
+        the sorted case-folded lemmas of the content tokens, each token's index
+        in them (-1 if it is not content), and that index if it is a NOUN/PROPN
+        token (else -1).  Both arrays are int32 and read-only."""
+        distinct = self.coding.distinct
+        lemma = [t.lemma.casefold() if t.pos in CONTENT_TAGS else None for t in distinct]
+        table, content = _codes(lemma)
+        target = np.where([t.pos in TARGET_TAGS for t in distinct], content, np.int32(-1))
+        content.flags.writeable = target.flags.writeable = False
+        return table, content, target
 
 
 def _checked(language: str, ids: tuple[str, ...]) -> tuple[str, ...]:
@@ -176,15 +195,17 @@ class CorpusStats:
 def load_pos_mapping(path: str | Path) -> dict[str, str]:
     """Read a ``finePOS<TAB>coarsePOS`` mapping file.
 
-    The coarse side must be one of the five coarse tags.
+    Each fine tag is mapped once, to one of the five coarse tags.
     """
     mapping: dict[str, str] = {}
 
     def row(fine: str, coarse: str) -> None:
-        coarse = coarse.strip().upper()
+        fine, coarse = fine.strip(), coarse.strip().upper()
         if coarse not in COARSE_TAGS:
             raise ValueError(f"{coarse!r} is not a coarse POS tag")
-        mapping[fine.strip()] = coarse
+        if fine in mapping:
+            raise ValueError(f"fine tag {fine!r} is mapped twice")
+        mapping[fine] = coarse
 
     _records(path, 2, row, CorpusFormatError)
     return mapping
@@ -318,11 +339,10 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     Only content words (NOUN/PROPN/VERB/ADJ) enter the token and
     vocabulary counts; lemmas are case-folded before deduplication.
     """
-    coding = corpus.coding
-    content = np.fromiter((t.is_content for t in coding.distinct), bool, len(coding.distinct))
+    coding, (table, content, _) = corpus.coding, corpus.lemmas
     return CorpusStats(
         num_documents=len(corpus.ids),
         num_sentences=len(coding.lengths),
-        num_content_words=int(content[coding.token].sum()),
-        vocabulary_size=len({t.lemma.casefold() for t in coding.distinct if t.is_content}),
+        num_content_words=int(np.count_nonzero((content >= 0)[coding.token])),
+        vocabulary_size=len(table),
     )

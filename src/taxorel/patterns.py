@@ -19,7 +19,7 @@ occur in it.  The vocabulary part, in :func:`extract_patterns` only, skips
 a sentence unless it holds two distinct casefolded NOUN/PROPN lemmas of
 the vocabulary, since each head is such a lemma and a pair needs two.
 :func:`extract_patterns` decides both once per corpus with numpy over the
-corpus's token coding; :func:`match_sentence` decides the literal part.
+corpus's codings; :func:`match_sentence` decides the literal part.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .contexts import TARGET_TAGS, TermSet, _ranges, _target_terms
-from .corpus import Corpus, Sentence, _text
+from .contexts import TermSet, _ranges
+from .corpus import TARGET_TAGS, Corpus, Sentence, _text
 from .relations import RelationSet
 
 _LANG_CONJUNCTIONS = {"EN": frozenset({"and", "or"}), "PT": frozenset({"e", "ou"})}
@@ -84,23 +84,23 @@ def parse_template(line: str) -> PatternTemplate:
     return PatternTemplate(source=line, elements=tuple(elements), required=required)
 
 
-def _build(language: str, lines, source) -> PatternSet:
-    """The pattern set of the numbered ``lines`` of ``source``; a bad
-    template raises ValueError naming ``source:line``."""
+def load_patterns(path: str | Path, language: str) -> PatternSet:
+    """Read one template per line; blank lines and ``#`` comments are
+    skipped, and a bad template raises ValueError naming ``path:line``."""
     language = language.upper()
     if language not in _LANG_CONJUNCTIONS:
         raise ValueError(f"no pattern support for language {language!r}")
     templates = []
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(_text(path).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             templates.append(parse_template(line))
         except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: {exc}") from None
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not templates:
-        raise ValueError(f"{source}: pattern file contains no templates")
+        raise ValueError(f"{path}: pattern file contains no templates")
     return PatternSet(
         language=language,
         templates=tuple(templates),
@@ -109,15 +109,8 @@ def _build(language: str, lines, source) -> PatternSet:
     )
 
 
-def load_patterns(path: str | Path, language: str) -> PatternSet:
-    """Read one template per line; blank lines and ``#`` comments are skipped."""
-    return _build(language, enumerate(_text(path).split("\n"), 1), path)
-
-
 def default_patterns(language: str) -> PatternSet:
     """The packaged template set for EN or PT."""
-    if language.upper() not in _LANG_CONJUNCTIONS:
-        raise ValueError(f"no pattern support for language {language!r}")
     resource = resources.files("taxorel.data").joinpath(f"patterns_{language.lower()}.txt")
     return load_patterns(resource, language)
 
@@ -233,15 +226,15 @@ def extract_patterns(corpus: Corpus, patterns: PatternSet, vocab: TermSet) -> Re
     for need in set(needs):
         live |= (held & need) == need
     rows = np.flatnonzero(live)
-    # Each distinct token's target term if it is in the vocabulary, else -1
+    # Each distinct token's target lemma if it is in the vocabulary, else -1
     # (which reads the appended False); a live sentence whose smallest and
-    # largest term differ holds two distinct ones.
-    terms, term = _target_terms(coding.distinct)
-    term = np.where(np.array([t in vocab for t in terms] + [False])[term], term, -1)
+    # largest lemma differ holds two distinct ones.
+    table, _, target = corpus.lemmas
+    term = np.where(np.array([t in vocab for t in table] + [False])[target], target, -1)
     lengths = coding.lengths[rows]
     offsets = np.cumsum(lengths) - lengths
     found = term[coding.token[_ranges(coding.starts[rows], lengths)]]
-    least = np.minimum.reduceat(np.where(found < 0, len(terms), found), offsets)
+    least = np.minimum.reduceat(np.where(found < 0, len(table), found), offsets)
     rows = rows[least < np.maximum.reduceat(found, offsets)]
     starts, stops = coding.starts, coding.starts + coding.lengths
     pairs = [

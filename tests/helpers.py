@@ -18,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from taxorel.contexts import POS_LETTER, TARGET_TAGS, ContextMatrix
+from taxorel.contexts import POS_LETTER, ContextMatrix
 from taxorel.corpus import (
+    CONTENT_TAGS,
+    TARGET_TAGS,
     Corpus,
     CorpusFormatError,
     CorpusStats,
@@ -760,7 +762,7 @@ def oracle_corpus_stats(corpus: Corpus) -> CorpusStats:
     """Every token of every sentence tested and counted on its own."""
     content, lemmas = 0, set()
     for token in oracle_tokens(corpus):
-        if token.is_content:
+        if token.pos in CONTENT_TAGS:
             content += 1
             lemmas.add(token.lemma.casefold())
     sentences = sum(len(d.sentences) for d in corpus.documents)
@@ -784,7 +786,7 @@ def oracle_window_contexts(corpus: Corpus, window_size: int) -> ContextMatrix:
     for document in corpus.documents:
         for sentence in document.sentences:
             labels = [
-                f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.is_content else None
+                f"{t.lemma.casefold()}-{POS_LETTER[t.pos]}-" if t.pos in CONTENT_TAGS else None
                 for t in sentence
             ]
             for i, token in enumerate(sentence):

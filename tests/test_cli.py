@@ -3,6 +3,7 @@ import builtins
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -12,6 +13,7 @@ import pytest
 
 import taxorel
 from taxorel import cli as cli_module
+from taxorel import contexts as contexts_module
 from taxorel import corpus as corpus_module
 from taxorel import taxonomy as taxonomy_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
@@ -348,6 +350,34 @@ class TestValidate:
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize(
+        "old, new, section, key",
+        [
+            # Would run with n = 1000 and with every method.
+            ("n = 10", "size = 45", "vocabulary", "size"),
+            ("[methods]", "[method]", "method", "methods"),
+            ("[docsub]", "[DEFAULT]\nn = 5\n\n[docsub]", "DEFAULT", "n"),
+        ],
+        ids=["vocabulary-size", "method", "default"],
+    )
+    def test_unknown_key_names_file_section_and_key(self, tmp_path, capsys, old, new, section, key):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new), encoding="utf-8")
+        message = f"{path}: [{section}] {key}: unknown key"
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == message
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "run.ini"
+        path.write_text(block, encoding="utf-8")
+        assert load_config(path) == RunConfig("corpora/en", "EN", "gold/wordnet.tsv", "out")
+
 
 class TestRun:
     def test_single_method_produces_relations_metrics_report(self, tmp_path):
@@ -507,6 +537,24 @@ class TestRun:
         assert c == (oracle_sentence_documents(expected) if pseudo else expected)
         assert len(c.documents) == (9 if pseudo else 4)
         assert_coding_equal(c.coding, real_code(c))
+
+    def test_one_run_codes_its_lemmas_once(self, tmp_path, monkeypatch):
+        # Each ``_codes`` call is one pass over the distinct tokens or the
+        # document ids.  A run makes three: the lemma coding that the stats,
+        # both context models and the pattern prefilter share, the window
+        # labels and the document ids.  Before the lemma coding was kept on
+        # the corpus a run made five, coding the target rule once per
+        # context model and once more in the prefilter.
+        passes, real = [], contexts_module._codes
+
+        def counting(labels):
+            passes.append(len(labels))
+            return real(labels)
+
+        for module in (corpus_module, contexts_module):
+            monkeypatch.setattr(module, "_codes", counting)
+        run(load_config(write_config(tmp_path, methods=",".join(METHODS))))
+        assert len(passes) <= 3
 
     @pytest.mark.parametrize("best_parent", [False, True], ids=["plain", "best-parent"])
     def test_one_run_stays_within_its_closure_budget(self, tmp_path, monkeypatch, best_parent):
@@ -911,11 +959,11 @@ class TestCommandLine:
         patterns.write_text("HYPER such as HYPO+\n", encoding="utf-8")
         configs = []
 
-        def capturing(method, config, inputs):
+        def capturing(config, inputs):
             configs.append(config)
-            return taxorel.RelationSet(method)
+            return taxorel.RelationSet("dsim")
 
-        monkeypatch.setattr(cli_module, "_extract", capturing)
+        monkeypatch.setitem(cli_module._METHODS, "dsim", capturing)
         common = [
             "extract", str(corpus_dir), "--gold", str(gold_path), "--method", "dsim",
             "--out", str(tmp_path / "rel.tsv"),

@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,19 +15,32 @@ from taxorel.contexts import (
     matrix_text,
     select_vocabulary,
 )
-from taxorel.corpus import Corpus, Document, sentence_documents
+from taxorel.corpus import (
+    CONTENT_TAGS,
+    TARGET_TAGS,
+    Corpus,
+    Document,
+    corpus_stats,
+    load_corpus,
+    sentence_documents,
+)
+from taxorel.patterns import default_patterns, extract_patterns
 from taxorel.weighting import weight_lmi, weight_ppmi
 
 from helpers import (
     corpus,
     doc,
     gold_from,
+    oracle_corpus_stats,
     oracle_document_contexts,
+    oracle_match_sentence,
     oracle_matrix_text,
     oracle_sentence_documents,
+    oracle_tokens,
     oracle_window_contexts,
     random_corpus,
     tok,
+    write_vertical,
 )
 
 
@@ -209,6 +223,68 @@ class TestContextOracles:
             for w in (3, 5, 7, 9):
                 same_matrix(extract_window_contexts(got, w), oracle_window_contexts(oracle, w))
             same_matrix(extract_document_contexts(got), oracle_document_contexts(oracle))
+
+
+# One lemma as a NOUN, a PROPN and a VERB, written "Run" and "run", in a
+# pattern match and around targets; and a corpus with no content token.
+LEMMA_CORPORA = {
+    "noun-and-verb": corpus(
+        doc(
+            "a.txt",
+            [
+                tok("Animals", "animal", "NOUN"), tok("such", "such", "ADJ"),
+                tok("as", "as", "OTHER"), tok("Runs", "Run", "NOUN"),
+                tok("and", "and", "OTHER"), tok("dogs", "dog", "NOUN"),
+            ],
+            [tok("dogs", "dog", "NOUN"), tok("run", "run", "VERB"), tok("Run", "Run", "PROPN")],
+        ),
+        doc("b.txt", [tok("run", "run", "VERB"), tok("fast", "fast", "ADJ")], "run:N"),
+    ),
+    "no-content": corpus(doc("a.txt", "the:O of:O", "and:O"), Document("b.txt", ())),
+}
+
+
+class TestLemmaCoding:
+    @pytest.mark.parametrize("name", LEMMA_CORPORA)
+    def test_one_coding_per_distinct_token(self, name):
+        c = LEMMA_CORPORA[name]
+        table, content, target = lemmas = c.lemmas
+        assert c.lemmas is lemmas
+        tokens, distinct = oracle_tokens(c), c.coding.distinct
+        assert table == sorted({t.lemma.casefold() for t in tokens if t.pos in CONTENT_TAGS})
+        index = {term: i for i, term in enumerate(table)}
+        expected = [index[t.lemma.casefold()] if t.pos in CONTENT_TAGS else -1 for t in distinct]
+        assert content.tolist() == expected
+        expected = [i if t.pos in TARGET_TAGS else -1 for t, i in zip(distinct, expected)]
+        assert target.tolist() == expected
+        for array in (content, target):
+            assert array.dtype == np.int32
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+
+    @pytest.mark.parametrize("name", LEMMA_CORPORA)
+    def test_every_reader_matches_its_oracle(self, tmp_path, name):
+        built = LEMMA_CORPORA[name]
+        write_vertical(built, tmp_path)
+        loaded = load_corpus(tmp_path, "EN")
+        split = (sentence_documents(loaded), oracle_sentence_documents(built))
+        vocab = TermSet(["animal", "dog", "fast", "run"])
+        patterns = default_patterns("EN")
+        for got, oracle in ((built, built), (loaded, built), split):
+            assert corpus_stats(got) == oracle_corpus_stats(oracle)
+            for w in (3, 5):
+                same_matrix(extract_window_contexts(got, w), oracle_window_contexts(oracle, w))
+            same_matrix(extract_document_contexts(got), oracle_document_contexts(oracle))
+            pairs = {
+                pair
+                for d in oracle.documents
+                for sentence in d.sentences
+                for pair in oracle_match_sentence(sentence, patterns)
+                if set(pair) <= set(vocab)
+            }
+            assert extract_patterns(got, patterns, vocab).pair_set() == pairs
+        expected = {("run", "animal"), ("dog", "animal")} if name == "noun-and-verb" else set()
+        assert pairs == expected
 
 
 class TestSelectVocabulary:

@@ -268,6 +268,15 @@ class TestLoadCorpus:
             with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: "):
                 load_pos_mapping(path)
 
+    def test_repeated_fine_tag_names_its_line(self, tmp_path):
+        # A second mapping of NN would silently replace the first.
+        path = tmp_path / "map.tsv"
+        for line in ("NN\tVERB", " NN \tNOUN"):
+            path.write_text(f"NN\tNOUN\nVBD\tVERB\n{line}\n", encoding="utf-8")
+            message = f"{path}:3: fine tag 'NN' is mapped twice"
+            with pytest.raises(CorpusFormatError, match=f"^{re.escape(message)}$"):
+                load_pos_mapping(path)
+
     def test_round_trip(self, tmp_path):
         original = corpus(
             doc("a.txt", "The:O energetic:J dog:N barked:V", "cat:N sat:V"),

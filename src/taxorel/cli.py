@@ -7,7 +7,9 @@ pipeline contains no randomness, every file is written in sorted order, and
 a manifest records the config digest and the digest of the bytes written to
 each output file, so identical inputs produce byte-identical outputs.  Every
 verb writes a file under a ``.tmp`` name and renames it, so it is whole or
-absent.  The flags of ``extract`` and ``run`` are named as RunConfig fields.
+absent.  The flags of ``run`` and of every verb that reads a corpus are
+named as the RunConfig fields they set, and those verbs read their corpus,
+matrices and relations from the one table that ``run`` derives its own from.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .extractors import (
     MEASURES,
     docsub_sweep,
     extract_df,
-    extract_docsub,
     extract_dsim,
     extract_hclust,
     extract_slqs,
@@ -61,22 +62,7 @@ from .taxonomy import (
 )
 from .weighting import DEFAULT_TOP_CONTEXTS, context_entropies, weight_lmi, weight_ppmi
 
-# Method name -> its extractor call, given the config and the inputs (see
-# _Inputs).  The entries call the extractors through their module-global
-# names, so that rebinding a name, as a tracer does, reaches every call.
-_METHODS = {
-    "patt": lambda c, i: extract_patterns(i["corpus"], i["patterns"], i["vocab"]),
-    "dsim": lambda c, i: extract_dsim(i["ppmi"], i["vocab"], c.dsim_measure),
-    "slqs": lambda c, i: extract_slqs(i["lmi"], i["entropies"], i["vocab"], c.slqs_contexts),
-    "tf": lambda c, i: extract_tf(i["documents"], i["vocab"]),
-    "df": lambda c, i: extract_df(i["documents"], i["vocab"]),
-    # The first lambda; run() sweeps them all in _docsub_sweep.
-    "docsub": lambda c, i: extract_docsub(i["documents"], i["vocab"], c.docsub_lambdas[0]),
-    "hclust": lambda c, i: extract_hclust(
-        i["ppmi"], i["documents"], i["vocab"], min(c.hclust_clusters, len(i["vocab"]))
-    ),
-}
-METHODS = tuple(_METHODS)
+METHODS = ("patt", "dsim", "slqs", "tf", "df", "docsub", "hclust")
 DEFAULT_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
@@ -188,7 +174,7 @@ def validate(config: RunConfig) -> list[str]:
     if not config.methods:
         problems.append("no methods configured")
     for i, m in enumerate(config.methods):
-        if m not in _METHODS:
+        if m not in METHODS:
             problems.append(f"unknown method {m!r}")
         elif m in config.methods[:i]:
             problems.append(f"duplicate method {m!r}")
@@ -209,19 +195,41 @@ def validate(config: RunConfig) -> list[str]:
     return problems
 
 
-def _load_run_corpus(source) -> Corpus:
-    """The corpus named by a RunConfig, or by the parsed arguments of a corpus
-    verb, which carry the same four fields."""
-    mapping = load_pos_mapping(source.pos_mapping) if source.pos_mapping else None
-    corpus = load_corpus(source.corpus_path, source.language, mapping)
-    return sentence_documents(corpus) if source.pseudo_documents else corpus
+def _load_run_corpus(config: RunConfig) -> Corpus:
+    """The corpus named by ``config``."""
+    mapping = load_pos_mapping(config.pos_mapping) if config.pos_mapping else None
+    corpus = load_corpus(config.corpus_path, config.language, mapping)
+    return sentence_documents(corpus) if config.pseudo_documents else corpus
 
 
-# How each input besides the corpus and the gold derives from the config and
-# the other inputs.
+def _docsub_sweep(config: RunConfig, inputs: _Inputs):
+    """The best-F relation set of one docsub sweep (the smaller lambda on a
+    tie), the sweep summary and each lambda's report."""
+    relsets = docsub_sweep(inputs["document"], inputs["vocab"], config.docsub_lambdas)
+    reports = [_evaluate(build_taxonomy(relset), inputs["gold"]) for relset in relsets]
+    summary = [
+        {
+            "lambda": lam,
+            "relations": len(relset),
+            "precision": report.precision,
+            "recall": report.recall,
+            "fmeasure": report.fmeasure,
+        }
+        for lam, relset, report in zip(config.docsub_lambdas, relsets, reports)
+    ]
+    best, relset = max(zip(summary, relsets), key=lambda b: (b[0]["fmeasure"], -b[0]["lambda"]))
+    return relset, {"best_lambda": best["lambda"], "sweep": summary}, reports
+
+
+# How every input of a run, each method's relation set included, derives
+# from the config and the other inputs (see _Inputs).  The entries call the
+# library through its module-global names, so that rebinding a name, as a
+# tracer does, reaches every call.
 _DERIVED = {
+    "corpus": lambda c, i: _load_run_corpus(c),
+    "gold": lambda c, i: load_gold(c.gold_path),
     "window": lambda c, i: extract_window_contexts(i["corpus"], c.window_size),
-    "documents": lambda c, i: extract_document_contexts(i["corpus"]),
+    "document": lambda c, i: extract_document_contexts(i["corpus"]),
     "vocab": lambda c, i: select_vocabulary(i["window"], i["gold"], c.vocabulary_size),
     "ppmi": lambda c, i: weight_ppmi(i["window"]),
     "lmi": lambda c, i: weight_lmi(i["window"]),
@@ -231,15 +239,24 @@ _DERIVED = {
         if c.patterns_path
         else default_patterns(c.language)
     ),
+    "patt": lambda c, i: extract_patterns(i["corpus"], i["patterns"], i["vocab"]),
+    "dsim": lambda c, i: extract_dsim(i["ppmi"], i["vocab"], c.dsim_measure),
+    "slqs": lambda c, i: extract_slqs(i["lmi"], i["entropies"], i["vocab"], c.slqs_contexts),
+    "tf": lambda c, i: extract_tf(i["document"], i["vocab"]),
+    "df": lambda c, i: extract_df(i["document"], i["vocab"]),
+    "sweep": _docsub_sweep,
+    "docsub": lambda c, i: i["sweep"][0],
+    "hclust": lambda c, i: extract_hclust(
+        i["ppmi"], i["document"], i["vocab"], min(c.hclust_clusters, len(i["vocab"]))
+    ),
 }
 
 
 class _Inputs(dict):
-    """The inputs of the extractors for one config, each derived on first
-    use and then kept."""
+    """The inputs and relation sets of one config, each derived on first use
+    and then kept."""
 
-    def __init__(self, config: RunConfig, corpus: Corpus, gold: GoldTaxonomy) -> None:
-        super().__init__(corpus=corpus, gold=gold)
+    def __init__(self, config: RunConfig) -> None:
         self.config = config
 
     def __missing__(self, name: str):
@@ -351,23 +368,25 @@ def run(config: RunConfig) -> Path:
         _remove_previous_outputs(outdir)
 
         stage = "ingest"
-        corpus = _load_run_corpus(config)
-        emit("corpus_stats.txt", _stats_text(corpus_stats(corpus)))
+        inputs = _Inputs(config)
+        emit("corpus_stats.txt", _stats_text(corpus_stats(inputs["corpus"])))
 
         stage = "gold"
-        inputs = _Inputs(config, corpus, load_gold(config.gold_path))
+        gold = inputs["gold"]
 
         stage = "vocabulary"
         emit("vocabulary.txt", "".join(f"{t}\n" for t in inputs["vocab"].terms))
 
         relsets: dict[str, RelationSet] = {}
-        sweep_summary = None
         for method in config.methods:
             stage = f"extract:{method}"
-            if method == "docsub":
-                relsets[method], sweep_summary = _docsub_sweep(config, inputs, emit)
-            else:
-                relsets[method] = _METHODS[method](config, inputs)
+            relsets[method] = inputs[method]
+        if "sweep" in inputs:
+            stage = "extract:docsub"
+            _, summary, reports = inputs["sweep"]
+            for lam, report in zip(config.docsub_lambdas, reports):
+                emit(f"eval_docsub_{lam:g}.json", _json_text(report.to_dict()))
+            emit("docsub_sweep.json", _json_text(summary))
 
         for method, relset in relsets.items():
             stage = f"relations:{method}"
@@ -376,26 +395,23 @@ def run(config: RunConfig) -> Path:
             stage = f"taxonomy:{method}"
             tax = build_taxonomy(relset)
             if config.best_parent and tax.nodes:
-                tax = best_parent_filter(tax, inputs["documents"])
+                tax = best_parent_filter(tax, inputs["document"])
                 emit(
                     f"filtered_{method}.tsv",
                     relations_text(RelationSet.from_mask(method, tax.terms, tax.adj)),
                 )
 
             stage = f"evaluate:{method}"
-            emit(f"eval_{method}.json", _eval_json(_evaluate(tax, inputs["gold"]), tax))
+            emit(f"eval_{method}.json", _eval_json(_evaluate(tax, gold), tax))
 
             stage = f"metrics:{method}"
             metrics = _reduced_metrics(tax)
             emit(f"metrics_{method}.json", _json_text(metrics))
             emit(f"metrics_{method}.txt", _metrics_text(metrics))
 
-        if sweep_summary is not None:
-            emit("docsub_sweep.json", _json_text(sweep_summary))
-
         stage = "complementarity"
         if len(relsets) > 1:
-            matrix = complementarity_matrix(list(relsets.values()), inputs["gold"])
+            matrix = complementarity_matrix(list(relsets.values()), gold)
             for name, text in _matrix_files(matrix):
                 emit(name, text)
 
@@ -413,27 +429,6 @@ def run(config: RunConfig) -> Path:
         if not isinstance(exc, Exception):
             raise
         raise StageError(stage, str(exc)) from exc
-
-
-def _docsub_sweep(config: RunConfig, inputs: _Inputs, emit):
-    """Evaluate every lambda of one docsub sweep; keep the best-F one as
-    canonical."""
-    relsets = docsub_sweep(inputs["documents"], inputs["vocab"], config.docsub_lambdas)
-    summary = []
-    for lam, relset in zip(config.docsub_lambdas, relsets):
-        report = _evaluate(build_taxonomy(relset), inputs["gold"])
-        emit(f"eval_docsub_{lam:g}.json", _json_text(report.to_dict()))
-        summary.append(
-            {
-                "lambda": lam,
-                "relations": len(relset),
-                "precision": report.precision,
-                "recall": report.recall,
-                "fmeasure": report.fmeasure,
-            }
-        )
-    best, relset = max(zip(summary, relsets), key=lambda b: (b[0]["fmeasure"], -b[0]["lambda"]))
-    return relset, {"best_lambda": best["lambda"], "sweep": summary}
 
 
 # ---------------------------------------------------------------------------
@@ -463,35 +458,36 @@ def _config_fields(args) -> dict:
     return {name: value for name, value in vars(args).items() if name in names}
 
 
+def _verb_inputs(args, **config) -> _Inputs:
+    """The inputs of the RunConfig that a verb's flags and ``config`` set; a
+    required field that neither sets is ``""``."""
+    config = {"gold_path": "", "output_dir": "", **_config_fields(args), **config}
+    return _Inputs(RunConfig(**config))
+
+
 def _cmd_stats(args) -> int:
-    sys.stdout.write(_stats_text(corpus_stats(_load_run_corpus(args))))
+    sys.stdout.write(_stats_text(corpus_stats(_verb_inputs(args)["corpus"])))
     return 0
 
 
 def _cmd_contexts(args) -> int:
-    corpus = _load_run_corpus(args)
-    if args.model == "window":
-        matrix = extract_window_contexts(corpus, args.window_size)
-    else:
-        matrix = extract_document_contexts(corpus)
+    matrix = _verb_inputs(args)[args.model]
     _write(args.out, matrix_text(matrix))
     print(f"wrote {args.out} ({len(matrix)} terms)")
     return 0
 
 
 def _cmd_extract(args) -> int:
-    config = RunConfig(output_dir="", methods=(args.method,), **_config_fields(args))
-    inputs = _Inputs(config, _load_run_corpus(config), load_gold(config.gold_path))
-    relset = _METHODS[args.method](config, inputs)
+    relset = _verb_inputs(args, methods=(args.method,))[args.method]
     _write(args.out, relations_text(relset))
     print(f"wrote {args.out} ({len(relset)} relations)")
     return 0
 
 
 def _cmd_filter_parent(args) -> int:
-    corpus = _load_run_corpus(args)
+    document = _verb_inputs(args)["document"]
     relset = load_relations(args.relations)
-    tax = best_parent_filter(build_taxonomy(relset), extract_document_contexts(corpus))
+    tax = best_parent_filter(build_taxonomy(relset), document)
     _write(args.out, relations_text(RelationSet.from_mask(relset.method, tax.terms, tax.adj)))
     print(f"wrote {args.out} ({tax.num_edges} relations kept)")
     return 0

@@ -15,6 +15,7 @@ import taxorel
 from taxorel import cli as cli_module
 from taxorel import contexts as contexts_module
 from taxorel import corpus as corpus_module
+from taxorel import extractors as extractors_module
 from taxorel import taxonomy as taxonomy_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
 from taxorel.gold import GoldTaxonomy
@@ -328,6 +329,14 @@ class TestValidate:
         config.methods = ("tf", "lsa")
         assert any("lsa" in p for p in validate(config))
 
+    def test_only_the_methods_of_the_table_are_methods(self, tmp_path):
+        # The table also derives the corpus, the matrices and the sweep;
+        # none of those is a method that a config may name.
+        config = load_config(write_config(tmp_path))
+        names = {*cli_module._DERIVED, "lsa"}
+        accepted = {m for m in names if not validate(replace(config, methods=(m,)))}
+        assert accepted == set(METHODS) and set(METHODS) <= set(cli_module._DERIVED)
+
     def test_duplicate_method_rejected(self, tmp_path):
         config = load_config(write_config(tmp_path, methods="tf, df, tf"))
         assert validate(config) == ["duplicate method 'tf'"]
@@ -619,6 +628,44 @@ class TestRun:
         assert err.value.stage == "evaluate:tf"
         assert not list(outdir.iterdir())
 
+    def test_sweep_write_cut_short_names_the_docsub_stage(self, tmp_path, monkeypatch):
+        # hclust, the last method, is extracted after docsub; the sweep's
+        # files are written with its reports, under docsub's stage.
+        config_path = write_config(tmp_path, methods=",".join(METHODS))
+        cut_writes_short(monkeypatch, "docsub_sweep.json")
+        with pytest.raises(StageError) as err:
+            run(load_config(config_path))
+        assert err.value.stage == "extract:docsub"
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_one_run_reaches_each_library_call_of_the_table_once(self, tmp_path, monkeypatch):
+        # The table and the stages of ``run`` call the library through the
+        # module globals of ``cli``, which a tracer rebinds; each input is
+        # derived once, and docsub comes from the sweep alone.
+        names = (
+            "load_corpus", "load_pos_mapping", "load_gold", "extract_window_contexts",
+            "extract_document_contexts", "select_vocabulary", "weight_ppmi", "weight_lmi",
+            "context_entropies", "default_patterns", "extract_patterns", "extract_dsim",
+            "extract_slqs", "extract_tf", "extract_df", "docsub_sweep", "extract_hclust",
+        )
+        calls = []
+
+        def counting(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in names:
+            monkeypatch.setattr(cli_module, name, counting(name, getattr(cli_module, name)))
+        real_docsub = extractors_module.extract_docsub
+        for module in (cli_module, extractors_module):
+            monkeypatch.setattr(
+                module, "extract_docsub", counting("extract_docsub", real_docsub), raising=False
+            )
+        mapping = tmp_path / "pos.map"
+        mapping.write_text("NN\tNOUN\n", encoding="utf-8")
+        config_path = write_config(tmp_path, methods=",".join(METHODS))
+        run(load_config(config_path, {"pos_mapping": str(mapping)}))
+        assert sorted(calls) == sorted(names)
+
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
     def test_interrupted_run_removes_its_outputs(self, tmp_path, monkeypatch, interrupt):
         config_path = write_config(tmp_path, methods="tf, df")
@@ -730,6 +777,23 @@ class TestCommandLine:
         assert code == 0
         assert "dog\tbig-j-l" in out_file.read_text()
 
+    @pytest.mark.parametrize("model", ["window", "document"])
+    @pytest.mark.parametrize("flags", [[], ["--pseudo-documents"]], ids=["documents", "pseudo"])
+    def test_contexts_verb_writes_the_matrix_of_the_library(self, tmp_path, capsys, model, flags):
+        corpus_dir, _ = write_fixture(tmp_path)
+        out_file = tmp_path / "matrix.tsv"
+        argv = ["contexts", str(corpus_dir), "--language", "EN", "--model", model]
+        assert main([*argv, "--out", str(out_file), *flags]) == 0
+        corpus = taxorel.load_corpus(corpus_dir, "EN")
+        if flags:
+            corpus = taxorel.sentence_documents(corpus)
+        if model == "window":
+            matrix = taxorel.extract_window_contexts(corpus, RunConfig.window_size)
+        else:
+            matrix = taxorel.extract_document_contexts(corpus)
+        assert len(matrix) > 0
+        assert out_file.read_text(encoding="utf-8") == taxorel.matrix_text(matrix)
+
     def test_extract_evaluate_metrics_verbs(self, tmp_path, capsys):
         corpus_dir, gold_path = write_fixture(tmp_path)
         rel_file = tmp_path / "tf.tsv"
@@ -828,6 +892,40 @@ class TestCommandLine:
         assert code == 0
         expected = manifest_path.parent / f"relations_{method}.tsv"
         assert out_file.read_bytes() == expected.read_bytes()
+
+    def test_extract_verb_at_the_best_lambda_writes_the_docsub_relations_of_run(self, tmp_path):
+        # dog's documents are all animal's, car's only half: below 0.5 docsub
+        # also says that a car is an animal, which costs it precision.
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        docs = {"a": "animal dog", "b": "animal dog", "c": "animal dog", "d": "animal car",
+                "e": "car"}
+        for name, lemmas in docs.items():
+            text = "".join(f"{lemma}\t{lemma}\tNOUN\nrun\trun\tVERB\n" for lemma in lemmas.split())
+            (corpus_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+        gold_path = tmp_path / "gold.tsv"
+        gold_path.write_text("1\tanimal\t\n2\tdog\t1\n3\tcar\t\n", encoding="utf-8")
+        config_path = tmp_path / "run.ini"
+        config_path.write_text(
+            f"[corpus]\npath = {corpus_dir}\nlanguage = EN\n\n[gold]\npath = {gold_path}\n\n"
+            "[methods]\nmethods = docsub\n\n[docsub]\nlambdas = 0.3, 0.5, 0.7, 0.9\n\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        outdir = run(load_config(config_path)).parent
+        sweep = json.loads((outdir / "docsub_sweep.json").read_text())
+        assert [entry["relations"] for entry in sweep["sweep"]] == [2, 2, 1, 1]
+        assert sweep["best_lambda"] == 0.7  # 0.9 ties; the smaller lambda wins
+        out_file = tmp_path / "verb.tsv"
+        code = main(
+            [
+                "extract", str(corpus_dir), "--language", "EN", "--gold", str(gold_path),
+                "--method", "docsub", "--lam", str(sweep["best_lambda"]), "--out", str(out_file),
+            ]
+        )
+        assert code == 0
+        assert out_file.read_bytes() == (outdir / "relations_docsub.tsv").read_bytes()
+        assert out_file.read_text(encoding="utf-8").startswith("dog\tanimal\tdocsub\t")
 
     @pytest.mark.parametrize("method", METHODS)
     def test_filter_parent_verb_writes_the_filtered_file_of_run(self, tmp_path, method):
@@ -963,7 +1061,7 @@ class TestCommandLine:
             configs.append(config)
             return taxorel.RelationSet("dsim")
 
-        monkeypatch.setitem(cli_module._METHODS, "dsim", capturing)
+        monkeypatch.setitem(cli_module._DERIVED, "dsim", capturing)
         common = [
             "extract", str(corpus_dir), "--gold", str(gold_path), "--method", "dsim",
             "--out", str(tmp_path / "rel.tsv"),
@@ -1031,6 +1129,17 @@ class TestCommandLine:
         base = load_config(config_path).to_dict()
         changed = {k: v for k, v in config.to_dict().items() if v != base[k]}
         assert changed == ({} if field is None else {field: value})
+
+    @pytest.mark.parametrize(
+        "verb, flag, choices",
+        [("extract", "--method", set(METHODS)), ("contexts", "--model", {"window", "document"})],
+    )
+    def test_verb_choices_are_inputs_of_the_table(self, capsys, verb, flag, choices):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        [listed] = set(re.findall(rf"{flag} \{{([^}}]*)\}}", capsys.readouterr().out))
+        assert set(listed.split(",")) == choices
+        assert choices <= set(cli_module._DERIVED)
 
     @pytest.mark.parametrize(
         "verb, spellings",

@@ -31,6 +31,7 @@ from .contexts import (
     select_vocabulary,
 )
 from .corpus import (
+    LANGUAGES,
     Corpus,
     CorpusFormatError,
     CorpusStats,
@@ -161,8 +162,8 @@ def validate(config: RunConfig) -> list[str]:
         problems.append(f"corpus path does not exist: {config.corpus_path!r}")
     if not config.gold_path or not Path(config.gold_path).exists():
         problems.append(f"gold path does not exist: {config.gold_path!r}")
-    if config.language not in ("EN", "PT"):
-        problems.append(f"language must be EN or PT, got {config.language!r}")
+    if config.language not in LANGUAGES:
+        problems.append(f"language must be {' or '.join(LANGUAGES)}, got {config.language!r}")
     if config.pos_mapping and not Path(config.pos_mapping).exists():
         problems.append(f"pos mapping does not exist: {config.pos_mapping!r}")
     if config.patterns_path and not Path(config.patterns_path).exists():
@@ -439,7 +440,7 @@ def _add_corpus_args(parser) -> None:
     parser.add_argument(
         "corpus_path", metavar="corpus", help="corpus file or directory (vertical format)"
     )
-    parser.add_argument("--language", required=True, type=str.upper, choices=("EN", "PT"))
+    parser.add_argument("--language", required=True, type=str.upper, choices=LANGUAGES)
     parser.add_argument("--pos-mapping", help="finePOS<TAB>coarsePOS mapping file")
     parser.add_argument(
         "--pseudo-documents",

@@ -9,13 +9,13 @@ The on-disk format is vertical text: one token per line with three
 tab-separated fields ``surface<TAB>lemma<TAB>pos``, a blank line as
 sentence boundary, and one file per document.
 
-:attr:`Corpus.coding` is the corpus's token coding (:class:`TokenCoding`).
-A loaded corpus is coded as it is parsed, one table lookup per line, and
-holds only its coding and document ids; a split one shares the tokens of
-its source.  Both build ``documents`` from the coding on first access,
-which nothing in ``taxorel run`` does: the statistics, both context models
-and the patterns read the coding.  A corpus built by hand holds the
-documents it was given and is coded on first use.  :attr:`Corpus.lemmas`
+Every corpus holds its token coding (:attr:`Corpus.coding`, a
+:class:`TokenCoding`) from the moment it is built.  A loaded corpus is coded
+as it is parsed, one table lookup per line, and a split one shares the
+tokens of its source; both build ``documents`` from the coding on first
+access, which nothing in ``taxorel run`` does: the statistics, both context
+models and the patterns read the coding.  A corpus built by hand holds the
+documents it was given and is coded when it is built.  :attr:`Corpus.lemmas`
 codes each distinct token's term, once, for all of those readers.
 """
 
@@ -92,7 +92,8 @@ class Document:
 
 @dataclass(frozen=True, init=False)
 class Corpus:
-    """A language and its documents; ``ids`` are the document ids, in order.
+    """A language and its documents; ``ids`` are the document ids, in order,
+    and ``coding`` is the :class:`TokenCoding` of their tokens.
 
     ``documents`` is a field, so ``==``, hash and repr are those of
     ``(language, documents)``, and a cached property: a corpus built by
@@ -103,18 +104,12 @@ class Corpus:
     documents: tuple[Document, ...] = cached_property(lambda c: _documents(c.ids, c.coding))
 
     def __init__(self, language: str, documents: tuple[Document, ...]) -> None:
-        ids = _checked(language, tuple(d.id for d in documents))
-        vars(self).update(language=language, documents=documents, ids=ids)
+        ids, coding = _checked(language, tuple(d.id for d in documents)), _code_tokens(documents)
+        vars(self).update(language=language, documents=documents, ids=ids, coding=coding)
 
     def tokens(self):
         """Iterate over every token in document, sentence, position order."""
         return map(self.coding.distinct.__getitem__, self.coding.token.tolist())
-
-    @cached_property
-    def coding(self) -> TokenCoding:
-        """The token coding; :func:`load_corpus` and :func:`sentence_documents`
-        set it, and a corpus built by hand is coded on first use."""
-        return _code_tokens(self)
 
     @cached_property
     def lemmas(self) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -136,8 +131,6 @@ def _checked(language: str, ids: tuple[str, ...]) -> tuple[str, ...]:
         raise ValueError(f"language must be one of {LANGUAGES}, got {language!r}")
     if not ids:
         raise ValueError("corpus must contain at least one document")
-    if "" in ids:
-        raise ValueError("document id must be non-empty")
     if len(set(ids)) != len(ids):
         raise ValueError("document ids must be unique within a corpus")
     return ids
@@ -147,9 +140,6 @@ def _coded(language: str, ids: tuple[str, ...], coding: TokenCoding) -> Corpus:
     """A corpus that holds only ``ids`` and ``coding``."""
     corpus = Corpus.__new__(Corpus)
     vars(corpus).update(language=language, ids=_checked(language, ids), coding=coding)
-    if not coding.lengths.all():
-        empty = ids[coding.documents[coding.lengths.argmin()]]
-        raise ValueError(f"document {empty!r} contains an empty sentence")
     return corpus
 
 
@@ -172,15 +162,15 @@ def _documents(ids: tuple[str, ...], coding: TokenCoding) -> tuple[Document, ...
     return tuple(Document(i, tuple(sentences[a:b])) for i, a, b in zip(ids, bounds, bounds[1:]))
 
 
-def _code_tokens(corpus: Corpus) -> TokenCoding:
-    """:attr:`Corpus.coding` of a corpus built by hand, from its token
-    objects; distinct tokens in order of first occurrence."""
-    sentences = [s for d in corpus.documents for s in d.sentences]
+def _code_tokens(documents: tuple[Document, ...]) -> TokenCoding:
+    """The coding of the token objects of ``documents``, distinct tokens in
+    order of first occurrence: :attr:`Corpus.coding` of a corpus built by hand."""
+    sentences = [s for d in documents for s in d.sentences]
     distinct = {id(t): t for s in sentences for t in s}  # by identity, first occurrences first
     code = {key: i for i, key in enumerate(distinct)}
     token = np.array([code[id(t)] for s in sentences for t in s], np.int32)
     lengths = np.array([len(s) for s in sentences], np.int64)
-    per_document = [len(d.sentences) for d in corpus.documents]
+    per_document = [len(d.sentences) for d in documents]
     return _coding(list(distinct.values()), token, lengths, per_document)
 
 

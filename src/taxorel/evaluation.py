@@ -119,10 +119,10 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     )
 
 
-def _encode(relsets: list[RelationSet]) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """The sorted union of the sets' term tables, and each set's adjacency over it."""
-    terms = tuple(sorted(set().union(*(rs.table for rs in relsets))))
-    return terms, [rs.adj_over(terms) for rs in relsets]
+def _restricted(a: RelationSet, b: RelationSet) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The sorted terms both sets hold, and each set's adjacency over them."""
+    terms = a.table if a.table == b.table else tuple(sorted(set(a.table) & set(b.table)))
+    return terms, a.adj_over(terms), b.adj_over(terms)
 
 
 def _precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
@@ -139,7 +139,7 @@ def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     """
     if len(a) == 0:
         raise ValueError("complementarity of an empty relation set is undefined")
-    _, (ma, mb) = _encode([a, b])
+    _, ma, mb = _restricted(a, b)
     return int(np.count_nonzero(ma & mb)) / len(a), int(np.count_nonzero(ma & mb.T)) / len(a)
 
 
@@ -150,10 +150,10 @@ def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> fl
     empty intersection yields 0; an empty or zero-precision A makes the
     ratio undefined and raises ValueError.
     """
-    terms, (ma, mb) = _encode([a, b])
-    p_a = _precision(terms, ma, gold)
+    p_a = _precision(a.table, a.adj, gold)
     if p_a == 0:
         raise ValueError("relative precision undefined: base model is empty or has zero precision")
+    terms, ma, mb = _restricted(a, b)
     return _precision(terms, ma & mb, gold) / p_a
 
 
@@ -176,15 +176,16 @@ def complementarity_matrix(relsets: list[RelationSet], gold: GoldTaxonomy) -> Co
     methods = tuple(rs.method for rs in relsets)
     if len(set(methods)) != len(methods):
         raise ValueError("relation sets must have distinct method tags")
-    terms, masks = _encode(relsets)
-    base, sizes = [_precision(terms, m, gold) for m in masks], [len(rs) for rs in relsets]
+    base, sizes = [_precision(rs.table, rs.adj, gold) for rs in relsets], list(map(len, relsets))
     direct, inverse, relative = {}, {}, {}
     # Each unordered pair {A, B} is taken once: |A n B| and |A n B^T| are
     # symmetric counts, and A n B is one taxonomy whichever row it serves.
-    # A n B is a subset of A, so its common relations are a subset of A's:
-    # a zero base leaves the intersection's precision at 0, unevaluated.
-    for x, (a, ma, p_a, n_a) in enumerate(zip(relsets, masks, base, sizes)):
-        for b, mb, p_b, n_b in zip(relsets[x:], masks[x:], base[x:], sizes[x:]):
+    # All three involve only the terms both sets hold, so each pair is taken
+    # over those alone.  A n B is a subset of A, so its common relations are
+    # a subset of A's: a zero base leaves the intersection's precision at 0.
+    for x, (a, p_a, n_a) in enumerate(zip(relsets, base, sizes)):
+        for b, p_b, n_b in zip(relsets[x:], base[x:], sizes[x:]):
+            terms, ma, mb = _restricted(a, b)
             both = ma & mb
             held, crossed = int(np.count_nonzero(both)), int(np.count_nonzero(ma & mb.T))
             p_ab = (p_a if b is a else _precision(terms, both, gold)) if p_a and p_b else 0.0

@@ -85,12 +85,14 @@ class RelationSet:
         return tuple(np.where(none, None, self._scores.astype(object)))
 
     def adj_over(self, table) -> np.ndarray:
-        """``adj`` over the sorted ``table``, which holds every term of this set's."""
+        """``adj`` over the sorted ``table``, cut to the pairs both of whose terms it holds."""
         if tuple(table) == self.table:
             return self.adj
-        at = np.searchsorted(np.array(table, dtype=object), np.array(self.table, dtype=object))
+        index = {term: i for i, term in enumerate(table)}
+        at = np.array([index.get(term, -1) for term in self.table], dtype=np.intp)
+        held = at >= 0
         adj = np.zeros((len(table), len(table)), dtype=bool)
-        adj[np.ix_(at, at)] = self.adj
+        adj[np.ix_(at[held], at[held])] = self.adj[np.ix_(held, held)]
         return adj
 
     def __len__(self) -> int:

@@ -269,10 +269,26 @@ def oracle_encode(sets: list[IndexedRelations]) -> tuple[list[str], list[np.ndar
     return terms, masks
 
 
-def oracle_complementarity_cells(sets: list[IndexedRelations], gold: GoldTaxonomy):
+def union_encode(relsets: list[RelationSet]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The sorted union of the sets' term tables, and each set's adjacency
+    over it, placed by ``searchsorted``: one table for every pair, where the
+    library takes each pair over the terms both its sets hold."""
+    terms = tuple(sorted(set().union(*(rs.table for rs in relsets))))
+    masks = []
+    for rs in relsets:
+        at = np.searchsorted(np.array(terms, dtype=object), np.array(rs.table, dtype=object))
+        adj = np.zeros((len(terms), len(terms)), dtype=bool)
+        adj[np.ix_(at, at)] = rs.adj
+        masks.append(adj)
+    return terms, masks
+
+
+def oracle_complementarity_cells(sets: list, gold: GoldTaxonomy, encode=oracle_encode):
     """The direct, inverse and relative-precision cells of every ordered pair
-    of sets, each from :func:`oracle_encode`'s masks and evaluated anew."""
-    terms, masks = oracle_encode(sets)
+    of sets, each from ``encode``'s masks over one union table and evaluated
+    anew; the sets are :class:`IndexedRelations` for :func:`oracle_encode`
+    and :class:`RelationSet` for :func:`union_encode`."""
+    terms, masks = encode(sets)
 
     def precision(adj: np.ndarray) -> float:
         used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))

@@ -341,6 +341,25 @@ class TestValidate:
         config = load_config(write_config(tmp_path, methods="tf, df, tf"))
         assert validate(config) == ["duplicate method 'tf'"]
 
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"language": "DE"}, "language must be EN or PT, got 'DE'"),
+            ({"pos_mapping": "no/such.map"}, "pos mapping does not exist: 'no/such.map'"),
+            ({"patterns_path": "no/such.pat"}, "patterns file does not exist: 'no/such.pat'"),
+            ({"methods": ()}, "no methods configured"),
+            ({"dsim_measure": "dice"}, "dsim measure must be one of ('clarkede', 'weedsprec')"),
+            ({"slqs_contexts": 0}, "slqs top_contexts must be >= 1"),
+            ({"docsub_lambdas": ()}, "docsub requires at least one lambda"),
+            ({"hclust_clusters": 0}, "hclust clusters must be >= 1"),
+        ],
+        ids=["language", "pos-mapping", "patterns", "no-methods", "dsim-measure",
+             "slqs-contexts", "docsub-lambdas", "hclust-clusters"],
+    )
+    def test_each_problem_has_its_message(self, tmp_path, change, problem):
+        config = load_config(write_config(tmp_path))
+        assert validate(replace(config, **change)) == [problem]
+
     def test_bad_value_names_file_section_and_key(self, tmp_path):
         path = write_config(tmp_path)
         path.write_text(path.read_text().replace("n = 10", "n = ten"), encoding="utf-8")
@@ -519,9 +538,9 @@ class TestRun:
         real_code, real_load = corpus_module._code_tokens, cli_module._load_run_corpus
         real_documents = corpus_module._documents
 
-        def counting(c):
-            coded.append(c)
-            return real_code(c)
+        def counting(documents):
+            coded.append(documents)
+            return real_code(documents)
 
         def building(ids, coding):
             built.append(ids)
@@ -545,7 +564,7 @@ class TestRun:
         expected = oracle_load_corpus(tmp_path / "corpus", "EN")
         assert c == (oracle_sentence_documents(expected) if pseudo else expected)
         assert len(c.documents) == (9 if pseudo else 4)
-        assert_coding_equal(c.coding, real_code(c))
+        assert_coding_equal(c.coding, real_code(c.documents))
 
     def test_one_run_codes_its_lemmas_once(self, tmp_path, monkeypatch):
         # Each ``_codes`` call is one pass over the distinct tokens or the

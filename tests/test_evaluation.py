@@ -23,7 +23,14 @@ from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.relations import RelationSet
 from taxorel.taxonomy import Taxonomy, build_taxonomy
 
-from helpers import car_taxonomy_and_gold, gold_from, inverted, oracle_evaluate
+from helpers import (
+    car_taxonomy_and_gold,
+    gold_from,
+    inverted,
+    oracle_complementarity_cells,
+    oracle_evaluate,
+    union_encode,
+)
 
 
 # "x" and "y" never occur in a generated gold; "Car" and "car" fold to one
@@ -293,7 +300,7 @@ class TestComplementarity:
 
     def test_imports_no_masked_arrays(self):
         # Importing numpy.ma takes longer than a small complementarity
-        # matrix, so no step of one may load it: not the union table, the
+        # matrix, so no step of one may load it: not the pair restrictions, the
         # masks' counts, nor the closures of the evaluated intersections.
         script = (
             "import sys\n"
@@ -498,6 +505,41 @@ class TestMatrixOracles:
             got = (matrix.direct[key], matrix.inverse[key], matrix.relative[key])
             assert got == cells
             assert all(v is None or type(v) is float for v in got)
+
+    # Two sets' term tables as runs [first, stop) of "aAbcdDef": equal,
+    # nested, overlapping, disjoint, or with one of them empty.
+    TABLES = {
+        "equal": ((0, 5), (0, 5)),
+        "nested": ((0, 8), (2, 6)),
+        "overlapping": ((0, 5), (3, 8)),
+        "disjoint": ((0, 3), (4, 8)),
+        "empty": ((0, 5), (0, 0)),
+    }
+
+    @pytest.mark.parametrize("tables", TABLES.values(), ids=TABLES)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_cell_equals_the_union_table_oracle(self, tables, data):
+        def pairs_of(run):
+            pair = st.permutations(run).map(lambda p: (p[0], p[1]))
+            return st.lists(pair, max_size=6 if len(run) > 1 else 0)
+
+        # A path through each run, each step oriented at random, holds every
+        # term of it; random pairs of the run ride along.  A third set draws
+        # on every term.
+        sets = []
+        for first, stop in tables:
+            run = "aAbcdDef"[first:stop]
+            path = list(zip(run, run[1:]))
+            flips = data.draw(st.lists(st.booleans(), min_size=len(path), max_size=len(path)))
+            pairs = [(y, x) if flip else (x, y) for (x, y), flip in zip(path, flips)]
+            sets.append(RelationSet(f"m{len(sets)}", pairs + data.draw(pairs_of(run))))
+        sets.append(RelationSet("m2", data.draw(pairs_of("aAbcdDef"))))
+        assert [rs.table for rs in sets[:2]] == [tuple(sorted("aAbcdDef"[a:b])) for a, b in tables]
+        gold = self.gold()
+        matrix = complementarity_matrix(sets, gold)
+        direct, inverse, relative = oracle_complementarity_cells(sets, gold, union_encode)
+        assert (matrix.direct, matrix.inverse, matrix.relative) == (direct, inverse, relative)
 
     # Drawn as above, two sets at a time.
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -36,6 +36,23 @@ class TestLoadGold:
             load_gold(path)
         assert "duplicate" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("x1\tcat\t1", "bad synset id 'x1'"), ("2\tcat\t1,y", "bad hypernym id list '1,y'")],
+        ids=["synset-id", "hypernym-list"],
+    )
+    def test_bad_number_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "gold.tsv"
+        path.write_text(f"1\tdog\t\n{line}\n", encoding="utf-8")
+        with pytest.raises(GoldFormatError) as err:
+            load_gold(path)
+        assert str(err.value) == f"{path}:2: {message}"
+
+    def test_duplicate_synset_rejected(self):
+        with pytest.raises(ValueError) as err:
+            gold_from((1, ["dog"], []), (1, ["cat"], []))
+        assert str(err.value) == "duplicate synset id 1"
+
     def test_dangling_reference_names_the_id(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("1\tdog\t99\n", encoding="utf-8")

@@ -19,9 +19,15 @@ whole score matrix alone would take 16.
 
 The complementarity matrix of seven tournament-like sets over 300 terms
 (299,670 pairs, 91-100% of the 44,850 term pairs each, as the paper's sets
-hold 456k-499k of 499,500) must peak under 16 bytes per pair.  One boolean
-adjacency per set over the union term table peaks at 8.5; one sorted int64
-key array per set and its swapped copy peaked at 24.9.
+hold 456k-499k of 499,500) must peak under 16 bytes per pair.  Taking each
+pair of sets over the terms both hold peaks at 6.3, as the union term table
+did, since every set here holds all 300 terms; one sorted int64 key array
+per set and its swapped copy peaked at 24.9.
+
+The complementarity of a set over 4,000 terms with one over 1,000 of them
+must peak under 8 bytes per cell of the 1,000-term table.  Taking both over
+the terms they share peaks at 2.2; embedding both in the union table
+peaked at 32.
 """
 
 import random
@@ -33,7 +39,7 @@ import numpy as np
 
 from taxorel.contexts import extract_document_contexts, extract_window_contexts
 from taxorel.corpus import load_corpus
-from taxorel.evaluation import complementarity_matrix
+from taxorel.evaluation import complementarity, complementarity_matrix
 from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.relations import RelationSet
 
@@ -47,6 +53,8 @@ BOUNDS = {"load_corpus": 24.0, "extract_window_contexts": 78.0, "extract_documen
 UNSCORED_BOUND, SCORED_BOUND = 4.0, 12.0
 # Peak bytes per relation pair of the complementarity matrix.
 MATRIX_BOUND = 16.0
+# Peak bytes of one complementarity per cell of the table the two sets share.
+SHARED_BOUND = 8.0
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +163,13 @@ def test_complementarity_matrix_stays_within_its_bytes_per_pair():
     # Every base precision is positive, so all 21 intersections are evaluated.
     assert None not in matrix.relative.values()
     assert peak / pairs < MATRIX_BOUND, peak / pairs
+
+
+def test_complementarity_takes_only_the_shared_terms():
+    # A binary tree over 4,000 terms, and the same tree over the first 1,000.
+    terms = [f"t{i:04d}" for i in range(4000)]
+    a = RelationSet("a", [(terms[n], terms[(n - 1) // 2]) for n in range(1, 4000)])
+    b = RelationSet("b", [(terms[n], terms[(n - 1) // 2]) for n in range(1, 1000)])
+    ratios, peak = traced_peak(complementarity, a, b)
+    assert ratios == (999 / 3999, 0.0)
+    assert peak / len(b.table) ** 2 < SHARED_BOUND, peak / len(b.table) ** 2

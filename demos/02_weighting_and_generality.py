@@ -25,7 +25,7 @@ COUNTS = {
 
 
 def main() -> None:
-    matrix = ContextMatrix("document", COUNTS)
+    matrix = ContextMatrix(COUNTS)
 
     print("PPMI weights (positive associations only)")
     ppmi = weight_ppmi(matrix)

@@ -46,7 +46,6 @@ def main() -> None:
     print("\nBest-parent filter (one hypernym per term)")
     taxo = Taxonomy([("p1", "x"), ("p2", "x"), ("a", "p2")])
     docm = ContextMatrix(
-        "document",
         {
             "x": {f"d{i}": 1 for i in range(10)},
             "p1": {f"d{i}": 1 for i in range(6)},

@@ -33,14 +33,14 @@ from .contexts import (
 from .corpus import (
     LANGUAGES,
     Corpus,
-    CorpusFormatError,
     CorpusStats,
+    _text,
     corpus_stats,
     load_corpus,
     load_pos_mapping,
     sentence_documents,
 )
-from .evaluation import ComplementarityMatrix, EvalReport, complementarity_matrix, evaluate
+from .evaluation import ComplementarityMatrix, EvalReport, _evaluate, complementarity_matrix
 from .extractors import (
     MEASURES,
     docsub_sweep,
@@ -50,7 +50,7 @@ from .extractors import (
     extract_slqs,
     extract_tf,
 )
-from .gold import GoldFormatError, GoldTaxonomy, load_gold
+from .gold import load_gold
 from .patterns import default_patterns, extract_patterns, load_patterns
 from .relations import RelationSet, load_relations, relations_text
 from .taxonomy import (
@@ -113,8 +113,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         },
     )
     try:
-        if not parser.read(path, encoding="utf-8"):
-            raise ValueError(f"cannot read config file {path}")
+        parser.read_string(_text(path), source=path)
+    except OSError:
+        raise ValueError(f"cannot read config file {path}") from None
     except configparser.Error as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -307,11 +308,6 @@ def _matrix_files(matrix: ComplementarityMatrix) -> list[tuple[str, str]]:
     return files
 
 
-def _evaluate(tax: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
-    """``evaluate``, or an all-zero report for an empty taxonomy."""
-    return evaluate(tax, gold) if tax.nodes else EvalReport(0.0, 0.0, 0.0, 0, 0, 0)
-
-
 def _eval_json(report: EvalReport, tax: Taxonomy) -> str:
     """The ``eval_<method>.json`` text of the evaluation of ``tax``."""
     return _json_text({**report.to_dict(), "empty_relation_set": not tax.nodes})
@@ -337,7 +333,7 @@ def _remove_previous_outputs(outdir: Path) -> None:
     manifest_path = outdir / "manifest.json"
     if not manifest_path.exists():
         return
-    outputs = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
+    outputs = json.loads(_text(manifest_path))["outputs"]
     manifest_path.unlink()
     for name in outputs:
         if Path(name).name == name:
@@ -381,15 +377,12 @@ def run(config: RunConfig) -> Path:
         relsets: dict[str, RelationSet] = {}
         for method in config.methods:
             stage = f"extract:{method}"
-            relsets[method] = inputs[method]
-        if "sweep" in inputs:
-            stage = "extract:docsub"
-            _, summary, reports = inputs["sweep"]
-            for lam, report in zip(config.docsub_lambdas, reports):
-                emit(f"eval_docsub_{lam:g}.json", _json_text(report.to_dict()))
-            emit("docsub_sweep.json", _json_text(summary))
-
-        for method, relset in relsets.items():
+            relset = relsets[method] = inputs[method]
+            if method == "docsub":
+                _, summary, reports = inputs["sweep"]
+                for lam, report in zip(config.docsub_lambdas, reports):
+                    emit(f"eval_docsub_{lam:g}.json", _json_text(report.to_dict()))
+                emit("docsub_sweep.json", _json_text(summary))
             stage = f"relations:{method}"
             emit(f"relations_{method}.tsv", relations_text(relset))
 
@@ -409,6 +402,7 @@ def run(config: RunConfig) -> Path:
             metrics = _reduced_metrics(tax)
             emit(f"metrics_{method}.json", _json_text(metrics))
             emit(f"metrics_{method}.txt", _metrics_text(metrics))
+            del tax  # its closure need not outlive the next extraction
 
         stage = "complementarity"
         if len(relsets) > 1:
@@ -615,7 +609,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error in {exc.stage}: {exc.cause}", file=sys.stderr)
         return 1
-    except (CorpusFormatError, GoldFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

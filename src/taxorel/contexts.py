@@ -136,29 +136,23 @@ class TermContextMatrix:
 
 
 class ContextMatrix(TermContextMatrix):
-    """Term-by-context count matrix for one of the two models.
+    """Term-by-context count matrix: its ``model`` is ``"window"`` when a
+    ``window_size`` is given, else ``"document"``.
 
     Rows are noun/proper-noun lemmas; entries are strictly positive counts.
     """
 
-    def __init__(
-        self,
-        model: str,
-        rows: Mapping[str, Mapping[str, int]],
-        window_size: int | None = None,
-    ) -> None:
-        if model not in ("window", "document"):
-            raise ValueError(f"model must be 'window' or 'document', got {model!r}")
-        if model == "window":
-            if window_size is None or window_size < 3 or window_size % 2 == 0:
-                raise ValueError("window model requires an odd window_size >= 3")
-        elif window_size is not None:
-            raise ValueError("document model takes no window_size")
-        self.model = model
+    def __init__(self, rows: Mapping[str, Mapping[str, int]], window_size: int | None = None):
+        if window_size is not None and (window_size < 3 or window_size % 2 == 0):
+            raise ValueError("window model requires an odd window_size >= 3")
         self.window_size = window_size
         super().__init__(rows, np.int64)
         if (self.csr.data <= 0).any():
             raise ValueError("counts must be positive")
+
+    @property
+    def model(self) -> str:
+        return "document" if self.window_size is None else "window"
 
     def scaled(self, factor: int) -> "ContextMatrix":
         """Copy of the matrix with every count multiplied by ``factor``."""
@@ -166,7 +160,7 @@ class ContextMatrix(TermContextMatrix):
             raise ValueError("scale factor must be a positive integer")
         csr = self.csr._replace(data=self.csr.data * factor)
         labels = self.term_labels, self.context_labels
-        return ContextMatrix._from_csr(csr, *labels, model=self.model, window_size=self.window_size)
+        return ContextMatrix._from_csr(csr, *labels, window_size=self.window_size)
 
 
 def _targets(corpus: Corpus):
@@ -178,7 +172,7 @@ def _targets(corpus: Corpus):
     return coding, table, pos, sentence, target[coding.token[pos]]
 
 
-def _count(model, terms, contexts, keys, window_size=None) -> ContextMatrix:
+def _count(terms, contexts, keys, window_size=None) -> ContextMatrix:
     """The matrix counting each ``term * len(contexts) + context`` key;
     only the terms and contexts that occur in a key are stored."""
     keys, counts = np.unique(keys, return_counts=True)
@@ -187,7 +181,7 @@ def _count(model, terms, contexts, keys, window_size=None) -> ContextMatrix:
     indptr = np.searchsorted(row, np.arange(len(rows) + 1))
     csr = CSR(counts.astype(np.int64), column, indptr, (len(rows), len(columns)))
     terms, contexts = [terms[i] for i in rows.tolist()], [contexts[j] for j in columns.tolist()]
-    return ContextMatrix._from_csr(csr, terms, contexts, model=model, window_size=window_size)
+    return ContextMatrix._from_csr(csr, terms, contexts, window_size=window_size)
 
 
 def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatrix:
@@ -216,7 +210,7 @@ def extract_window_contexts(corpus: Corpus, window_size: int = 5) -> ContextMatr
             inside = room >= d
             context = side[coding.token[pos[inside] + step]]
             keys.append((term[inside] * width + context)[context >= 0])
-    return _count("window", terms, labels, np.concatenate(keys), window_size)
+    return _count(terms, labels, np.concatenate(keys), window_size)
 
 
 def extract_document_contexts(corpus: Corpus) -> ContextMatrix:
@@ -225,7 +219,7 @@ def extract_document_contexts(corpus: Corpus) -> ContextMatrix:
     ids, doc = _codes(corpus.ids)
     keys = term * np.int64(len(ids)) + doc[coding.documents][sentence]
     del pos, sentence, term, doc  # counting needs only the keys
-    return _count("document", terms, ids, keys)
+    return _count(terms, ids, keys)
 
 
 class TermSet:
@@ -282,21 +276,18 @@ def matrix_text(matrix: TermContextMatrix) -> str:
     )
 
 
-def load_matrix(
-    path: str | Path, model: str, window_size: int | None = None
-) -> ContextMatrix:
-    """Read the :func:`matrix_text` of a count matrix.
-
-    The model (and window size, for the window model) is not stored in the
-    file and must be supplied by the caller.  A window context label must
-    read ``lemma-letter-side``, with a letter of :data:`POS_LETTER` and a
-    side of ``l`` or ``r``.
+def load_matrix(path: str | Path, window_size: int | None = None) -> ContextMatrix:
+    """Read the :func:`matrix_text` of a count matrix of the window model
+    when a ``window_size`` is given, else of the document model; neither is
+    stored in the file.  A window context label must read
+    ``lemma-letter-side``, with a letter of :data:`POS_LETTER` and a side of
+    ``l`` or ``r``.
     """
     rows: dict[str, dict[str, int]] = {}
     window_label = re.compile(f".*-[{''.join(POS_LETTER.values())}]-[lr]")
 
     def row(term: str, label: str, count: str) -> None:
-        if model == "window" and not window_label.fullmatch(label):
+        if window_size is not None and not window_label.fullmatch(label):
             raise ValueError(f"bad window context label {label!r}")
         if not count.isdecimal() or int(count) < 1:
             raise ValueError(f"count must be a positive integer, got {count!r}")
@@ -306,4 +297,4 @@ def load_matrix(
         counts[label] = int(count)
 
     _records(path, 3, row)
-    return ContextMatrix(model, rows, window_size=window_size)
+    return ContextMatrix(rows, window_size)

@@ -119,6 +119,11 @@ def evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
     )
 
 
+def _evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
+    """:func:`evaluate`, or an all-zero report for an empty taxonomy."""
+    return evaluate(o_t, gold) if o_t.terms else EvalReport(0.0, 0.0, 0.0, 0, 0, 0)
+
+
 def _restricted(a: RelationSet, b: RelationSet) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """The sorted terms both sets hold, and each set's adjacency over them."""
     terms = a.table if a.table == b.table else tuple(sorted(set(a.table) & set(b.table)))
@@ -127,8 +132,7 @@ def _restricted(a: RelationSet, b: RelationSet) -> tuple[tuple[str, ...], np.nda
 
 def _precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
     """Precision of the taxonomy of ``adj``'s edges over the terms they use; 0 for none."""
-    terms, adj = _used_block(terms, adj)
-    return evaluate(Taxonomy._of(terms, adj), gold).precision if terms else 0.0
+    return _evaluate(Taxonomy._of(*_used_block(terms, adj)), gold).precision
 
 
 def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:

@@ -26,22 +26,27 @@ from .relations import RelationSet, _used_block
 Edge = tuple[str, str]  # (hypernym, hyponym)
 
 
+def _middle(adj: np.ndarray) -> np.ndarray:
+    """The nodes with an in-edge and an out-edge, which every longer path crosses."""
+    return np.flatnonzero(adj.any(axis=0) & adj.any(axis=1))
+
+
 def _closure(adj: np.ndarray) -> np.ndarray:
     """Boolean matrix whose [u, v] is set iff a path of >= 1 edge of ``adj``
     leads from u to v; [u, u] is set exactly when a cycle runs through u.
 
-    Repeated squaring through the middle nodes (those with an in-edge and an
-    out-edge): after k products every path of up to 2**k edges is in, and the
-    first product that adds no pair ends it (the first, on a transitive graph).
-    float32 is exact here, as each cell counts at most n < 2**24 paths.
+    Repeated squaring through the middle nodes, if any: after k products
+    every path of up to 2**k edges is in, and the first product that adds
+    no pair ends it (the first, on a transitive graph).  float32 is exact
+    here, as each cell counts at most n < 2**24 paths.
     """
-    reach = adj.copy()
-    mid = np.flatnonzero(adj.any(axis=0) & adj.any(axis=1))
-    while True:
+    reach, mid = adj.copy(), _middle(adj)
+    while len(mid):
         step = reach[:, mid].astype(np.float32) @ reach[mid].astype(np.float32) > 0
         if not (step > reach).any():
-            return reach
+            break
         reach |= step
+    return reach
 
 
 class Taxonomy:
@@ -158,13 +163,14 @@ def transitive_reduction(t: Taxonomy) -> Taxonomy:
     """Minimum edge set with the original reachability (unique for a DAG).
 
     An edge u->v is redundant exactly when a longer path also leads from u
-    to v, that is, when v is below some child of u: the edges kept are
-    ``A & ~(A·R > 0)`` for adjacency A and closure R, which is the result's
-    closure as well.  Raises ValueError on cyclic input.
+    to v, that is, when v is below a child of u that has a child (a middle
+    node, M): the edges kept are ``A & ~(A[:, M]·R[M] > 0)`` for adjacency A
+    and closure R, the result's closure too.  Raises ValueError on cyclic input.
     """
     if not t.is_dag:
         raise ValueError("transitive reduction requires an acyclic taxonomy")
-    implied = t.adj.astype(np.float32) @ t.closure.astype(np.float32) > 0
+    mid = _middle(t.adj)
+    implied = t.adj[:, mid].astype(np.float32) @ t.closure[mid].astype(np.float32) > 0
     reduced = Taxonomy._of(t.terms, t.adj & ~implied)
     reduced.closure = t.closure
     return reduced

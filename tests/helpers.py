@@ -40,6 +40,14 @@ from taxorel.taxonomy import Taxonomy
 _POS = {"N": "NOUN", "P": "PROPN", "V": "VERB", "J": "ADJ", "O": "OTHER"}
 
 
+def outcome(call):
+    """What ``call()`` returns, or the type and message of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def sent(text: str) -> tuple[TaggedToken, ...]:
     """Build a sentence from "word:N word:V" shorthand (surface == lemma)."""
     tokens = []
@@ -74,7 +82,7 @@ def doc_matrix(rows: dict) -> ContextMatrix:
     norm = {}
     for term, docs in rows.items():
         norm[term] = docs if isinstance(docs, dict) else {d: 1 for d in docs}
-    return ContextMatrix("document", norm)
+    return ContextMatrix(norm)
 
 
 # --- golden fixtures -------------------------------------------------------
@@ -811,7 +819,7 @@ def oracle_window_contexts(corpus: Corpus, window_size: int) -> ContextMatrix:
                 row = rows.setdefault(token.lemma.casefold(), Counter())
                 row.update(c + "l" for c in labels[max(0, i - half) : i] if c)
                 row.update(c + "r" for c in labels[i + 1 : i + half + 1] if c)
-    return ContextMatrix("window", rows, window_size=window_size)
+    return ContextMatrix(rows, window_size)
 
 
 def oracle_document_contexts(corpus: Corpus) -> ContextMatrix:
@@ -822,7 +830,7 @@ def oracle_document_contexts(corpus: Corpus) -> ContextMatrix:
             for token in sentence:
                 if token.pos in TARGET_TAGS:
                     rows.setdefault(token.lemma.casefold(), Counter())[document.id] += 1
-    return ContextMatrix("document", rows)
+    return ContextMatrix(rows)
 
 
 # --- random generators -----------------------------------------------------

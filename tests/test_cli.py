@@ -1,5 +1,6 @@
 import ast
 import builtins
+import configparser
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from taxorel import taxonomy as taxonomy_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
 from taxorel.gold import GoldTaxonomy
 
-from helpers import assert_coding_equal, oracle_load_corpus, oracle_sentence_documents
+from helpers import assert_coding_equal, oracle_load_corpus, oracle_sentence_documents, outcome
 
 GOLD = (
     "1\tanimal\t\n"
@@ -399,6 +400,32 @@ class TestValidate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_config_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[corpus]\npath = c\xff\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: not valid UTF-8 (invalid start byte)\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[corpus]\npath = a\n[corpus]\n", "[corpus]\npath = a\npath = b\n", "path = a\n"],
+        ids=["duplicate-section", "duplicate-key", "no-section"],
+    )
+    def test_parser_errors_keep_the_parsers_message(self, tmp_path, text):
+        path = tmp_path / "run.ini"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(configparser.Error) as direct:
+            configparser.ConfigParser(interpolation=None).read(path, encoding="utf-8")
+        assert outcome(lambda: load_config(path)) == (ValueError, f"{path}: {direct.value}")
+
+    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+    def test_unreadable_config_is_named(self, tmp_path, capsys, make):
+        path = tmp_path / "run.ini"
+        make(path)
+        assert outcome(lambda: load_config(path)) == (ValueError, f"cannot read config file {path}")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot read config file {path}\n"
+
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
@@ -728,6 +755,16 @@ class TestRun:
         with pytest.raises(StageError):
             run(load_config(config_path))
         assert not list(outdir.iterdir())
+
+    def test_previous_manifest_that_is_not_utf8_names_its_line(self, tmp_path):
+        config = load_config(write_config(tmp_path, methods="tf"))
+        manifest = tmp_path / "out" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_bytes(b'{"outputs":\n\xff}\n')
+        with pytest.raises(StageError) as err:
+            run(config)
+        message = f"{manifest}:2: not valid UTF-8 (invalid start byte)"
+        assert (err.value.stage, err.value.cause) == ("clean", message)
 
     def test_narrowed_sweep_leaves_no_unlisted_reports(self, tmp_path):
         config_path = write_config(tmp_path, methods="docsub")
@@ -1221,8 +1258,9 @@ def test_only_cli_write_writes_files():
 
 def test_only_three_functions_open_files():
     """Every ``open`` call is in ``cli._write``, ``corpus._text`` (whole
-    files) or ``corpus._records`` (tab-separated rows)."""
-    opens = set()
+    files) or ``corpus._records`` (tab-separated rows), and every ``read``,
+    ``read_text`` or ``read_bytes`` call is in ``corpus._text``."""
+    opens, reads = set(), set()
     for path in sorted(Path(taxorel.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
@@ -1230,7 +1268,10 @@ def test_only_three_functions_open_files():
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name == "open":
                     opens.add((path.name, getattr(top, "name", None)))
+                elif name in ("read", "read_text", "read_bytes"):
+                    reads.add((path.name, getattr(top, "name", None)))
     assert opens <= {("cli.py", "_write"), ("corpus.py", "_text"), ("corpus.py", "_records")}, opens
+    assert reads <= {("corpus.py", "_text")}, reads
 
 
 def test_no_nested_function_refers_to_itself():

@@ -38,6 +38,7 @@ from helpers import (
     oracle_sentence_documents,
     oracle_tokens,
     oracle_window_contexts,
+    outcome,
     random_corpus,
     tok,
     write_vertical,
@@ -293,20 +294,17 @@ class TestSelectVocabulary:
     )
 
     def test_caps_at_available_overlap(self):
-        m = ContextMatrix("document", {"dog": {"d1": 1}, "cat": {"d1": 1}, "mouse": {"d1": 1}})
+        m = ContextMatrix({"dog": {"d1": 1}, "cat": {"d1": 1}, "mouse": {"d1": 1}})
         vocab = select_vocabulary(m, self.gold(), 10)
         assert set(vocab) == {"dog", "cat"}
 
     def test_most_contexts_win(self):
-        m = ContextMatrix(
-            "document",
-            {"dog": {"d1": 1, "d2": 1, "d3": 1}, "cat": {"d1": 1, "d2": 1}},
-        )
+        m = ContextMatrix({"dog": {"d1": 1, "d2": 1, "d3": 1}, "cat": {"d1": 1, "d2": 1}})
         vocab = select_vocabulary(m, self.gold(), 1)
         assert list(vocab) == ["dog"]
 
     def test_context_count_tie_breaks_lexicographically(self):
-        m = ContextMatrix("document", {"fish": {"d1": 5}, "cat": {"d2": 9}})
+        m = ContextMatrix({"fish": {"d1": 5}, "cat": {"d2": 9}})
         vocab = select_vocabulary(m, self.gold(), 1)
         assert list(vocab) == ["cat"]
 
@@ -319,12 +317,12 @@ class TestSelectVocabulary:
         assert list(v1) == list(v2)
 
     def test_no_overlap_is_an_error(self):
-        m = ContextMatrix("document", {"qux": {"d1": 1}})
+        m = ContextMatrix({"qux": {"d1": 1}})
         with pytest.raises(ValueError):
             select_vocabulary(m, self.gold(), 1)
 
     def test_n_validation(self):
-        m = ContextMatrix("document", {"dog": {"d1": 1}})
+        m = ContextMatrix({"dog": {"d1": 1}})
         with pytest.raises(ValueError):
             select_vocabulary(m, self.gold(), 0)
 
@@ -345,7 +343,7 @@ class TestMatrixPersistence:
         c = corpus(doc("a", "big:J dog:N barked:V", "dog:N bites:V"))
         m = extract_window_contexts(c, 5)
         (tmp_path / "m.tsv").write_text(matrix_text(m), encoding="utf-8")
-        again = load_matrix(tmp_path / "m.tsv", "window", 5)
+        again = load_matrix(tmp_path / "m.tsv", 5)
         assert {t: dict(m.row(t)) for t in m.terms()} == {
             t: dict(again.row(t)) for t in again.terms()
         }
@@ -353,11 +351,11 @@ class TestMatrixPersistence:
     def test_document_round_trip(self, tmp_path):
         m = extract_document_contexts(corpus(doc("d1", "dog:N dog:N cat:N")))
         (tmp_path / "m.tsv").write_text(matrix_text(m), encoding="utf-8")
-        again = load_matrix(tmp_path / "m.tsv", "document")
+        again = load_matrix(tmp_path / "m.tsv")
         assert dict(again.row("dog")) == {"d1": 2}
 
     def test_output_is_sorted(self):
-        m = ContextMatrix("document", {"b": {"d2": 1, "d1": 1}, "a": {"d9": 2}})
+        m = ContextMatrix({"b": {"d2": 1, "d1": 1}, "a": {"d9": 2}})
         lines = matrix_text(m).splitlines()
         assert lines == sorted(lines)
 
@@ -384,12 +382,35 @@ class TestMatrixPersistence:
         path = tmp_path / "m.tsv"
         path.write_text(f"dog\tbarked-v-r\t2\n{line}\n", "utf-8", "surrogateescape")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
-            load_matrix(path, "window", 5)
+            load_matrix(path, 5)
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
-            ContextMatrix("window", {}, window_size=4)
+            ContextMatrix({}, window_size=4)
         with pytest.raises(ValueError):
-            ContextMatrix("document", {"a": {"d": 0}})
-        with pytest.raises(ValueError):
-            ContextMatrix("tfidf", {})
+            ContextMatrix({"a": {"d": 0}})
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: ContextMatrix({"dog": {"d1": 1}}).scaled(0),
+            (ValueError, "scale factor must be a positive integer"),
+            id="scaled-by-zero",
+        ),
+        pytest.param(lambda: ContextMatrix({"dog": {"d1": 1}}).model, "document", id="document"),
+        pytest.param(lambda: ContextMatrix({"dog": {"big-j-l": 1}}, 5).model, "window", id="window"),
+        pytest.param(
+            lambda: ContextMatrix({"dog": {"big-j-l": 1}}, 3).scaled(2).window_size,
+            3,
+            id="scaled-keeps-the-window",
+        ),
+        pytest.param(lambda: TermSet("ab") == TermSet("ab"), True, id="termset-equal"),
+        pytest.param(lambda: TermSet("ab") == TermSet("ba"), False, id="termset-order"),
+        pytest.param(lambda: TermSet("ab") == ("a", "b"), False, id="termset-and-a-tuple"),
+        pytest.param(lambda: repr(TermSet("ab")), "TermSet(2 terms)", id="termset-repr"),
+    ],
+)
+def test_rarely_run_paths_keep_their_behaviour(call, expected):
+    assert outcome(call) == expected

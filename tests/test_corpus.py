@@ -32,6 +32,7 @@ from helpers import (
     oracle_load_corpus,
     oracle_sentence_documents,
     oracle_tokens,
+    outcome,
     random_corpus,
     tok,
     write_vertical,
@@ -474,13 +475,7 @@ TAB_SEPARATED_LOADERS = {
         ("1\tanimal\t", "2\tdog|hound\t1"),
         lambda gold: gold.synsets,
     ),
-    "matrix": (
-        lambda path: load_matrix(path, "document"),
-        ValueError,
-        3,
-        ("dog\td1\t2", "cat\td1\t1"),
-        matrix_text,
-    ),
+    "matrix": (load_matrix, ValueError, 3, ("dog\td1\t2", "cat\td1\t1"), matrix_text),
     "relations": (
         load_relations,
         ValueError,
@@ -519,3 +514,20 @@ class TestTabSeparatedLoaders:
         unix.write_bytes("".join(f"{line}\n" for line in lines).encode())
         other.write_bytes("".join(f"{line}{end}" for line in lines).encode())
         assert view(load(other)) == view(load(unix)) and view(load(unix))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: TaggedToken("dog", "dog", "NN"),
+            (ValueError, "unknown coarse POS tag: 'NN'"),
+            id="unknown-coarse-tag",
+        ),
+        pytest.param(
+            lambda: Document("", ()), (ValueError, "document id must be non-empty"), id="empty-id"
+        ),
+    ],
+)
+def test_rarely_run_paths_keep_their_behaviour(call, expected):
+    assert outcome(call) == expected

@@ -139,7 +139,7 @@ class TestSLQS:
         }
         from taxorel.contexts import ContextMatrix
 
-        m = ContextMatrix("document", rows)
+        m = ContextMatrix(rows)
         lmi = weight_lmi(m)
         table = context_entropies(m)
         relset = extract_slqs(lmi, table, TermSet(["general", "middle", "narrow"]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from taxorel.gold import GoldFormatError, GoldTaxonomy, Synset, load_gold
 
-from helpers import gold_from, oracle_is_hypernym
+from helpers import gold_from, oracle_is_hypernym, outcome
 
 
 class TestLoadGold:
@@ -209,3 +209,20 @@ class TestIsHypernymProperty:
                 expected = oracle_is_hypernym(gold, hyper, hypo)
                 assert gold.is_hypernym(hyper, hypo) == expected
                 assert gold.reaches(hyper, hypo) == expected
+
+
+def animal_gold() -> GoldTaxonomy:
+    return gold_from((1, ["Animal"], []), (2, ["dog", "hound"], [1]), (3, ["Dog"], [1]))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: len(animal_gold()), 3, id="len"),
+        pytest.param(
+            lambda: animal_gold().term_set(), frozenset({"animal", "dog", "hound"}), id="term-set"
+        ),
+    ],
+)
+def test_rarely_run_paths_keep_their_behaviour(call, expected):
+    assert outcome(call) == expected

@@ -87,7 +87,7 @@ def close(got: dict, expected: dict) -> bool:
 @with_examples
 @given(rows=matrices)
 def test_weights_and_entropies_match_the_oracles(rows):
-    m = ContextMatrix("window", rows, window_size=5)
+    m = ContextMatrix(rows, 5)
     for local, weighted in ((False, weight_ppmi(m)), (True, weight_lmi(m))):
         expected = oracle_weights(rows, local)
         assert weighted.terms() == sorted(expected)
@@ -99,7 +99,7 @@ def test_weights_and_entropies_match_the_oracles(rows):
 
 
 def test_entropy_does_not_depend_on_term_order():
-    table = context_entropies(ContextMatrix("document", PERMUTED_COUNTS))
+    table = context_entropies(ContextMatrix(PERMUTED_COUNTS))
     assert table.raw["a"] == table.raw["b"]
 
 
@@ -121,7 +121,7 @@ def test_extractor_pairs_match_the_oracles(rows):
         got = extract_slqs(WeightedMatrix("lmi", lmi), table, vocab, top_n).pair_set()
         assert got == oracle_slqs_pairs(lmi, normalized, vocab, top_n)
 
-    docm = ContextMatrix("document", rows)
+    docm = ContextMatrix(rows)
     assert extract_tf(docm, vocab).pair_set() == oracle_frequency_pairs(rows, vocab, False)
     assert extract_df(docm, vocab).pair_set() == oracle_frequency_pairs(rows, vocab, True)
     for lam in DEFAULT_LAMBDAS:
@@ -147,7 +147,7 @@ lambdas = st.lists(
 @example(rows=EMPTY_ROWS, lams=[1.0, 0.1])
 @example(rows=EMPTY_ROWS, lams=[])
 def test_docsub_sweep_equals_each_lambda_alone_and_the_oracle(rows, lams):
-    docm, vocab = ContextMatrix("document", rows), TermSet(TERMS)
+    docm, vocab = ContextMatrix(rows), TermSet(TERMS)
     sweep = docsub_sweep(docm, vocab, lams)
     assert len(sweep) == len(lams)
     for lam, relset in zip(lams, sweep):

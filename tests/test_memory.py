@@ -1,5 +1,5 @@
-"""Memory guards for the corpus-sized stages, relation sets and the
-complementarity matrix.
+"""Memory guards for the corpus-sized stages, relation sets, the
+complementarity matrix and the graph stages.
 
 Ingest and the two context models are the only stages whose memory grows
 with the corpus.  On a generated corpus of over 100,000 tokens, the
@@ -28,6 +28,13 @@ The complementarity of a set over 4,000 terms with one over 1,000 of them
 must peak under 8 bytes per cell of the 1,000-term table.  Taking both over
 the terms they share peaks at 2.2; embedding both in the union table
 peaked at 32.
+
+On a forest of 2,000 two-node components (4,000 terms), no node has both a
+parent and a child, so no path is longer than one edge.  Each of
+``break_cycles`` and ``compute_metrics`` must then peak under 4 bytes per
+cell of the term table, and ``transitive_reduction`` under 9.  Taking the
+closure and the reduction's product over the middle nodes alone peaks at
+2.0, 1.5 and 6.0; products over every node peaked at 6.0, 6.0 and 13.0.
 """
 
 import random
@@ -42,6 +49,7 @@ from taxorel.corpus import load_corpus
 from taxorel.evaluation import complementarity, complementarity_matrix
 from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.relations import RelationSet
+from taxorel.taxonomy import Taxonomy, break_cycles, compute_metrics, transitive_reduction
 
 DOCUMENTS = 400
 NOUNS = [f"noun{i}" for i in range(300)]
@@ -55,6 +63,8 @@ UNSCORED_BOUND, SCORED_BOUND = 4.0, 12.0
 MATRIX_BOUND = 16.0
 # Peak bytes of one complementarity per cell of the table the two sets share.
 SHARED_BOUND = 8.0
+# Peak bytes of each graph stage per cell of a forest's term table.
+FOREST_BOUNDS = {"break_cycles": 4.0, "compute_metrics": 4.0, "transitive_reduction": 9.0}
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +183,13 @@ def test_complementarity_takes_only_the_shared_terms():
     ratios, peak = traced_peak(complementarity, a, b)
     assert ratios == (999 / 3999, 0.0)
     assert peak / len(b.table) ** 2 < SHARED_BOUND, peak / len(b.table) ** 2
+
+
+def test_graph_stages_on_a_forest_stay_within_their_bytes_per_cell():
+    terms = [f"t{i:04d}" for i in range(4000)]
+    edges = list(zip(terms[::2], terms[1::2]))
+    peaks = {}
+    for stage in (break_cycles, compute_metrics, transitive_reduction):
+        tax = Taxonomy(edges)  # fresh, so that no closure is cached before the call
+        peaks[stage.__name__] = traced_peak(stage, tax)[1] / len(terms) ** 2
+    assert all(peaks[name] < bound for name, bound in FOREST_BOUNDS.items()), peaks

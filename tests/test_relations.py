@@ -16,6 +16,7 @@ from helpers import (
     oracle_from_mask,
     oracle_from_pairs,
     oracle_relations_text,
+    outcome,
 )
 
 
@@ -274,3 +275,22 @@ class TestPersistence:
         path.write_text(f"x\ty\tpatt\t0.5\n{line}\n", "utf-8", "surrogateescape")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             load_relations(path)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: RelationSet("m", [("dog", "animal")]) == {("dog", "animal")},
+            False,
+            id="equal-to-a-python-set",
+        ),
+        pytest.param(
+            lambda: repr(RelationSet("m", [("dog", "animal"), ("cat", "animal")])),
+            "RelationSet('m', 2 relations)",
+            id="repr",
+        ),
+    ],
+)
+def test_rarely_run_paths_keep_their_behaviour(call, expected):
+    assert outcome(call) == expected

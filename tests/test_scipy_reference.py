@@ -94,7 +94,7 @@ def test_weight_products_equal_scipys_bit_for_bit(rows):
 @settings(max_examples=200, deadline=None)
 @given(rows=count_rows)
 def test_shared_document_counts_equal_scipys(rows):
-    docm = ContextMatrix("document", rows)
+    docm = ContextMatrix(rows)
     docs = reference(rows, TERMS).sign()
     shared = (docs @ docs.T).toarray()
     # As docsub and the best-parent filter count shared documents.

@@ -32,6 +32,7 @@ from helpers import (
     oracle_depths,
     oracle_reachable,
     oracle_reduction,
+    outcome,
     random_dag,
 )
 
@@ -244,6 +245,7 @@ class TestClosureProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.one_of(graphs(), st.randoms(use_true_random=False).map(random_dag)))
     @example(Taxonomy([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]))
+    @example(Taxonomy([("a", "b"), ("a", "c"), ("d", "c"), ("e", "f")]))  # no middle node
     @example(Taxonomy())
     def test_reduction_carries_the_closure_of_its_result(self, t):
         fixed = break_cycles(t)
@@ -421,7 +423,7 @@ class TestBestParentFilter:
             "from taxorel.taxonomy import Taxonomy, best_parent_filter\n"
             "docs = lambda k: {f'd{i}': 1 for i in range(k)}\n"
             "t = Taxonomy([('pa', 'x'), ('pb', 'x'), ('a1', 'pb'), ('a2', 'pb'), ('a3', 'pb')])\n"
-            "m = ContextMatrix('document', {'x': docs(10), 'pa': docs(6), "
+            "m = ContextMatrix({'x': docs(10), 'pa': docs(6), "
             "'a1': docs(1), 'a2': docs(2), 'a3': docs(3)})\n"
             "print(sorted(best_parent_filter(t, m).edge_set()))\n"
         )
@@ -498,3 +500,16 @@ class TestBestParentFilter:
         filtered = best_parent_filter(t, m)
         assert filtered.edge_set() == oracle_best_parent(t, m)
         assert filtered.terms == t.terms
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: Taxonomy([("animal", "dog")]).parents("cat"), frozenset(), id="absent"),
+        pytest.param(
+            lambda: Taxonomy([("animal", "dog")]).parents("dog"), frozenset({"animal"}), id="held"
+        ),
+    ],
+)
+def test_rarely_run_paths_keep_their_behaviour(call, expected):
+    assert outcome(call) == expected

@@ -15,11 +15,11 @@ from taxorel.weighting import (
     word_generalities,
 )
 
-from helpers import oracle_generalities
+from helpers import oracle_generalities, outcome
 
 
 def matrix(rows):
-    return ContextMatrix("document", rows)
+    return ContextMatrix(rows)
 
 
 class TestPPMI:
@@ -205,3 +205,22 @@ class TestPipelineInvariants:
         t2 = context_entropies(m.scaled(3))
         assert t1.raw == pytest.approx(t2.raw)
         assert t1.normalized == pytest.approx(t2.normalized)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: WeightedMatrix("tfidf", {}),
+            (ValueError, "scheme must be 'ppmi' or 'lmi', got 'tfidf'"),
+            id="unknown-scheme",
+        ),
+        pytest.param(
+            lambda: context_entropies(ContextMatrix({})),
+            (ValueError, "matrix has no contexts"),
+            id="entropies-of-an-empty-matrix",
+        ),
+    ],
+)
+def test_rarely_run_paths_keep_their_behaviour(call, expected):
+    assert outcome(call) == expected

@@ -39,9 +39,9 @@ LANGUAGES = ("EN", "PT")
 def _codes(labels: list) -> tuple[list[str], np.ndarray]:
     """The sorted distinct labels other than None, and each label's index
     in them (-1 for None) as an int32 array."""
-    table = sorted({label for label in labels if label is not None})
-    index = {label: i for i, label in enumerate(table)}
-    return table, np.array([index.get(label, -1) for label in labels], dtype=np.int32)
+    table = sorted(set(labels) - {None})
+    index = {None: -1} | {label: i for i, label in enumerate(table)}
+    return table, np.fromiter(map(index.__getitem__, labels), np.int32, len(labels))
 
 
 class CorpusFormatError(ValueError):

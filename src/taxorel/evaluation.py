@@ -125,9 +125,12 @@ def _evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
 
 
 def _restricted(a: RelationSet, b: RelationSet) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """The sorted terms both sets hold, and each set's adjacency over them."""
-    terms = a.table if a.table == b.table else tuple(sorted(set(a.table) & set(b.table)))
-    return terms, a.adj_over(terms), b.adj_over(terms)
+    """The sorted terms both sets hold, and each set's adjacency gathered onto them."""
+    if a.table == b.table:
+        return a.table, a.adj, b.adj
+    tables = (np.array(a.table, dtype=object), np.array(b.table, dtype=object))
+    terms, at_a, at_b = np.intersect1d(*tables, assume_unique=True, return_indices=True)
+    return tuple(terms.tolist()), a.adj[np.ix_(at_a, at_a)], b.adj[np.ix_(at_b, at_b)]
 
 
 def _precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
@@ -138,13 +141,13 @@ def _precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
 def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
     """Direct and inverse overlap ratios of a with b.
 
-    direct = |A n B| / |A|; inverse swaps b's pair order first.  Raises
-    ValueError when a is empty.
+    direct = |A n B| / |A|; inverse swaps b's pair order first.  Both read
+    B's cells at A's pairs, ANDing no masks.  Raises ValueError when a is empty.
     """
     if len(a) == 0:
         raise ValueError("complementarity of an empty relation set is undefined")
     _, ma, mb = _restricted(a, b)
-    return int(np.count_nonzero(ma & mb)) / len(a), int(np.count_nonzero(ma & mb.T)) / len(a)
+    return int(np.count_nonzero(mb[ma])) / len(a), int(np.count_nonzero(mb.T[ma])) / len(a)
 
 
 def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:

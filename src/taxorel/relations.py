@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _records
+from .corpus import _codes, _records
 
 Pair = tuple[str, str]  # (hyponym, hypernym)
 
@@ -25,6 +25,8 @@ _NO_SCORE = np.array(_NO_SCORE_BITS, np.uint64).view(np.float64).item()
 def _used_block(table, adj: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """The terms an edge of ``adj`` starts or ends at, and ``adj`` over them."""
     used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
+    if len(used) == len(table):
+        return tuple(table), adj
     return tuple(table[i] for i in used.tolist()), adj[used][:, used]
 
 
@@ -48,9 +50,7 @@ class RelationSet:
             scores = np.array([_NO_SCORE if s is None else float(s) for s in scores], float)
             if len(scores) != len(pairs):
                 raise ValueError(f"{len(scores)} scores for {len(pairs)} pairs")
-        table = sorted({term for pair in pairs for term in pair})
-        index = {term: i for i, term in enumerate(table)}
-        codes = np.fromiter(map(index.__getitem__, chain.from_iterable(pairs)), np.int64)
+        table, codes = _codes(list(chain.from_iterable(pairs)))
         hypo, hyper = codes.reshape(-1, 2).T
         if (hypo == hyper).any():
             raise ValueError(f"self-relation not allowed: {table[hypo[hypo == hyper][0]]!r}")
@@ -58,7 +58,7 @@ class RelationSet:
         adj[hyper, hypo] = True
         scored = scores is not None and (scores.view(np.uint64) != _NO_SCORE_BITS).any()
         # The sorted keys are the sorted pairs; each keeps its first score.
-        first = np.unique(hypo * len(table) + hyper, return_index=True)[1]
+        first = np.unique(hypo * np.int64(len(table)) + hyper, return_index=True)[1]
         self._set(method, table, adj, scores[first] if scored else None)
 
     @classmethod
@@ -83,17 +83,6 @@ class RelationSet:
             return (None,) * len(self)
         none = self._scores.view(np.uint64) == _NO_SCORE_BITS
         return tuple(np.where(none, None, self._scores.astype(object)))
-
-    def adj_over(self, table) -> np.ndarray:
-        """``adj`` over the sorted ``table``, cut to the pairs both of whose terms it holds."""
-        if tuple(table) == self.table:
-            return self.adj
-        index = {term: i for i, term in enumerate(table)}
-        at = np.array([index.get(term, -1) for term in self.table], dtype=np.intp)
-        held = at >= 0
-        adj = np.zeros((len(table), len(table)), dtype=bool)
-        adj[np.ix_(at[held], at[held])] = self.adj[np.ix_(held, held)]
-        return adj
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.adj))

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .contexts import ContextMatrix, _gram
+from .corpus import _codes
 from .relations import RelationSet, _used_block
 
 Edge = tuple[str, str]  # (hypernym, hyponym)
@@ -37,15 +38,15 @@ def _closure(adj: np.ndarray) -> np.ndarray:
 
     Repeated squaring through the middle nodes, if any: after k products
     every path of up to 2**k edges is in, and the first product that adds
-    no pair ends it (the first, on a transitive graph).  float32 is exact
-    here, as each cell counts at most n < 2**24 paths.
+    no pair ends it (the first, on a transitive graph); with none, ``adj``
+    itself is returned.  float32 is exact: a cell counts at most n < 2**24 paths.
     """
-    reach, mid = adj.copy(), _middle(adj)
+    reach, mid = adj, _middle(adj)
     while len(mid):
         step = reach[:, mid].astype(np.float32) @ reach[mid].astype(np.float32) > 0
         if not (step > reach).any():
             break
-        reach |= step
+        reach = reach | step
     return reach
 
 
@@ -54,14 +55,17 @@ class Taxonomy:
 
     ``terms`` is the sorted tuple of nodes and ``adj`` the read-only boolean
     matrix over them, with ``adj[u, v]`` set for an edge from hypernym u to
-    hyponym v.  Self-loop edges are discarded at construction.  Operations
-    that change the edge set return new instances.
+    hyponym v.  Self-loop edges are discarded, the others scattered over the
+    terms.  Operations that change the edge set return new instances.
     """
 
     def __init__(self, edges: Iterable[Edge] = (), nodes: Iterable[str] = ()) -> None:
-        relset = RelationSet("", [(v, u) for u, v in edges if u != v])
-        terms = sorted(set(nodes).union(relset.table))
-        self._set(terms, relset.adj_over(terms))
+        nodes, edges = list(nodes), [(u, v) for u, v in edges if u != v]
+        terms, codes = _codes(nodes + [term for edge in edges for term in edge])
+        hyper, hypo = codes[len(nodes) :].reshape(-1, 2).T
+        adj = np.zeros((len(terms), len(terms)), dtype=bool)
+        adj[hyper, hypo] = True
+        self._set(terms, adj)
 
     @classmethod
     def _of(cls, terms, adj: np.ndarray) -> "Taxonomy":
@@ -165,11 +169,14 @@ def transitive_reduction(t: Taxonomy) -> Taxonomy:
     An edge u->v is redundant exactly when a longer path also leads from u
     to v, that is, when v is below a child of u that has a child (a middle
     node, M): the edges kept are ``A & ~(A[:, M]·R[M] > 0)`` for adjacency A
-    and closure R, the result's closure too.  Raises ValueError on cyclic input.
+    and closure R, the result's closure too (``t`` itself without M).
+    Raises ValueError on cyclic input.
     """
     if not t.is_dag:
         raise ValueError("transitive reduction requires an acyclic taxonomy")
     mid = _middle(t.adj)
+    if not len(mid):
+        return t
     implied = t.adj[:, mid].astype(np.float32) @ t.closure[mid].astype(np.float32) > 0
     reduced = Taxonomy._of(t.terms, t.adj & ~implied)
     reduced.closure = t.closure

@@ -297,22 +297,74 @@ def oracle_complementarity_cells(sets: list, gold: GoldTaxonomy, encode=oracle_e
     anew; the sets are :class:`IndexedRelations` for :func:`oracle_encode`
     and :class:`RelationSet` for :func:`union_encode`."""
     terms, masks = encode(sets)
-
-    def precision(adj: np.ndarray) -> float:
-        used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
-        if not len(used):
-            return 0.0
-        return evaluate(Taxonomy._of([terms[i] for i in used], adj[used][:, used]), gold).precision
-
     direct, inverse, relative = {}, {}, {}
     for a, ma in zip(sets, masks):
-        size, base = len(a.scores), precision(ma)
+        size, base = len(a.scores), oracle_precision(terms, ma, gold)
         for b, mb in zip(sets, masks):
             key = (a.method, b.method)
             direct[key] = int(np.count_nonzero(ma & mb)) / size if size else None
             inverse[key] = int(np.count_nonzero(ma & mb.T)) / size if size else None
-            relative[key] = precision(ma & mb) / base if base else None
+            relative[key] = oracle_precision(terms, ma & mb, gold) / base if base else None
     return direct, inverse, relative
+
+
+def oracle_precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
+    """Precision of the taxonomy of ``adj``'s edges over the terms they use; 0 for none."""
+    used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
+    if not len(used):
+        return 0.0
+    return evaluate(Taxonomy._of([terms[i] for i in used], adj[used][:, used]), gold).precision
+
+
+# --- masks embedded in a wider table ---------------------------------------
+# The form the library took before it gathered: a set's adjacency embedded,
+# zero-filled, in the table of the terms both sets hold (or in a taxonomy's
+# wider table), and whole masks ANDed.
+
+
+def oracle_adj_over(relset: RelationSet, table) -> np.ndarray:
+    """``relset.adj`` over the sorted ``table``, cut to the pairs both of
+    whose terms it holds; the set's own ``adj`` when ``table`` is its table."""
+    if tuple(table) == relset.table:
+        return relset.adj
+    index = {term: i for i, term in enumerate(table)}
+    at = np.array([index.get(term, -1) for term in relset.table], dtype=np.intp)
+    held = at >= 0
+    adj = np.zeros((len(table), len(table)), dtype=bool)
+    adj[np.ix_(at[held], at[held])] = relset.adj[np.ix_(held, held)]
+    return adj
+
+
+def oracle_restricted(a: RelationSet, b: RelationSet):
+    """The sorted terms both sets hold, and each set's adjacency embedded over them."""
+    terms = a.table if a.table == b.table else tuple(sorted(set(a.table) & set(b.table)))
+    return terms, oracle_adj_over(a, terms), oracle_adj_over(b, terms)
+
+
+def oracle_complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
+    """|A n B| / |A| and |A n B^T| / |A|, counted on the ANDed masks."""
+    if len(a) == 0:
+        raise ValueError("complementarity of an empty relation set is undefined")
+    _, ma, mb = oracle_restricted(a, b)
+    return int(np.count_nonzero(ma & mb)) / len(a), int(np.count_nonzero(ma & mb.T)) / len(a)
+
+
+def oracle_relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
+    """Precision of the ANDed masks of A and B over A's own precision."""
+    p_a = oracle_precision(a.table, a.adj, gold)
+    if p_a == 0:
+        raise ValueError("relative precision undefined: base model is empty or has zero precision")
+    terms, ma, mb = oracle_restricted(a, b)
+    return oracle_precision(terms, ma & mb, gold) / p_a
+
+
+def oracle_taxonomy(edges, nodes=()) -> tuple[tuple[str, ...], np.ndarray]:
+    """The terms and adjacency of ``Taxonomy(edges, nodes)``: the relation
+    set of the edges that are no self-loops, embedded in the sorted table of
+    its terms and ``nodes``."""
+    relset = RelationSet("", [(v, u) for u, v in edges if u != v])
+    terms = tuple(sorted(set(nodes).union(relset.table)))
+    return terms, oracle_adj_over(relset, terms)
 
 
 def oracle_reduction(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import taxorel
 from taxorel.evaluation import (
     ComplementarityMatrix,
+    _restricted,
     common_relations,
     complementarity,
     complementarity_matrix,
@@ -27,8 +29,13 @@ from helpers import (
     car_taxonomy_and_gold,
     gold_from,
     inverted,
+    oracle_complementarity,
     oracle_complementarity_cells,
     oracle_evaluate,
+    oracle_relative_precision,
+    oracle_restricted,
+    oracle_taxonomy,
+    outcome,
     union_encode,
 )
 
@@ -516,17 +523,17 @@ class TestMatrixOracles:
         "empty": ((0, 5), (0, 0)),
     }
 
-    @pytest.mark.parametrize("tables", TABLES.values(), ids=TABLES)
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_every_cell_equals_the_union_table_oracle(self, tables, data):
+    @staticmethod
+    def draw_sets(tables, data) -> list[RelationSet]:
+        """Two sets over the ``tables`` runs and a third over every term."""
+
         def pairs_of(run):
             pair = st.permutations(run).map(lambda p: (p[0], p[1]))
             return st.lists(pair, max_size=6 if len(run) > 1 else 0)
 
         # A path through each run, each step oriented at random, holds every
-        # term of it; random pairs of the run ride along.  A third set draws
-        # on every term.
+        # term of it; random pairs of the run, repeats among them, ride
+        # along.  A third set draws on every term.
         sets = []
         for first, stop in tables:
             run = "aAbcdDef"[first:stop]
@@ -536,10 +543,49 @@ class TestMatrixOracles:
             sets.append(RelationSet(f"m{len(sets)}", pairs + data.draw(pairs_of(run))))
         sets.append(RelationSet("m2", data.draw(pairs_of("aAbcdDef"))))
         assert [rs.table for rs in sets[:2]] == [tuple(sorted("aAbcdDef"[a:b])) for a, b in tables]
-        gold = self.gold()
+        return sets
+
+    @pytest.mark.parametrize("tables", TABLES.values(), ids=TABLES)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_cell_equals_the_union_table_oracle(self, tables, data):
+        sets, gold = self.draw_sets(tables, data), self.gold()
         matrix = complementarity_matrix(sets, gold)
         direct, inverse, relative = oracle_complementarity_cells(sets, gold, union_encode)
         assert (matrix.direct, matrix.inverse, matrix.relative) == (direct, inverse, relative)
+
+    @pytest.mark.parametrize("tables", TABLES.values(), ids=TABLES)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_gathered_masks_equal_the_embedded_ones(self, tables, data):
+        sets, gold = self.draw_sets(tables, data), self.gold()
+        matrix = complementarity_matrix(sets, gold)
+        for a in sets:
+            for b in sets:
+                terms, ma, mb = _restricted(a, b)
+                expected = oracle_restricted(a, b)
+                assert terms == expected[0]
+                assert np.array_equal(ma, expected[1]) and np.array_equal(mb, expected[2])
+                if a.table == b.table:
+                    assert ma is a.adj and mb is b.adj
+                ratios = outcome(lambda: complementarity(a, b))
+                assert ratios == outcome(lambda: oracle_complementarity(a, b))
+                rel = outcome(lambda: relative_precision(a, b, gold))
+                assert rel == outcome(lambda: oracle_relative_precision(a, b, gold))
+                # The matrix holds None where a call raises.
+                key = (a.method, b.method)
+                cells = (matrix.direct[key], matrix.inverse[key], matrix.relative[key])
+                ratios = (None, None) if ratios[0] is ValueError else ratios
+                assert cells == (*ratios, None if isinstance(rel, tuple) else rel)
+        # Taxonomy(edges, nodes) of the drawn edges and nodes (either may be
+        # empty), and of them with a self-loop, a repeated edge and a lone node.
+        term = st.sampled_from("aAbcdDef")
+        edges = data.draw(st.lists(st.tuples(term, term), max_size=8))
+        nodes = data.draw(st.sets(term, max_size=3))
+        more = edges + [("e", "e"), ("a", "b"), ("a", "b")], nodes | {"lone"}
+        for e, n in ((edges, nodes), more):
+            taxonomy, (terms, adj) = Taxonomy(e, n), oracle_taxonomy(e, n)
+            assert taxonomy.terms == terms and np.array_equal(taxonomy.adj, adj)
 
     # Drawn as above, two sets at a time.
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -29,12 +29,19 @@ must peak under 8 bytes per cell of the 1,000-term table.  Taking both over
 the terms they share peaks at 2.2; embedding both in the union table
 peaked at 32.
 
+The complementarity of a set of 3,000 disjoint pairs (6,000 terms) with
+itself and with its inverse must peak under 64 bytes per pair.  Counting
+the other set's cells at the set's own pairs peaks at 1.2; ANDing the two
+6,000-term masks peaked at 12,000.4.
+
 On a forest of 2,000 two-node components (4,000 terms), no node has both a
 parent and a child, so no path is longer than one edge.  Each of
 ``break_cycles`` and ``compute_metrics`` must then peak under 4 bytes per
-cell of the term table, and ``transitive_reduction`` under 9.  Taking the
-closure and the reduction's product over the middle nodes alone peaks at
-2.0, 1.5 and 6.0; products over every node peaked at 6.0, 6.0 and 13.0.
+cell of the term table, and ``transitive_reduction`` under 9.  Products
+over every node peaked at 6.0, 6.0 and 13.0, and over the middle nodes
+alone at 2.0, 1.5 and 6.0.  A tighter guard holds them under 1.5, 1.0 and
+3.0: taking ``adj`` itself as the closure of a graph without a middle node,
+and returning such a graph as its own reduction, peaks at 1.0, 0.5 and 0.0.
 """
 
 import random
@@ -51,6 +58,8 @@ from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.relations import RelationSet
 from taxorel.taxonomy import Taxonomy, break_cycles, compute_metrics, transitive_reduction
 
+from helpers import inverted
+
 DOCUMENTS = 400
 NOUNS = [f"noun{i}" for i in range(300)]
 OTHERS = [(f"verb{i}", "VERB") for i in range(100)] + [(f"adj{i}", "ADJ") for i in range(150)]
@@ -63,8 +72,13 @@ UNSCORED_BOUND, SCORED_BOUND = 4.0, 12.0
 MATRIX_BOUND = 16.0
 # Peak bytes of one complementarity per cell of the table the two sets share.
 SHARED_BOUND = 8.0
-# Peak bytes of each graph stage per cell of a forest's term table.
+# Peak bytes of one complementarity per pair of a set of disjoint pairs.
+DISJOINT_BOUND = 64.0
+# Peak bytes of each graph stage per cell of a forest's term table, and the
+# tighter bounds of a stage that copies no matrix for a graph without a
+# middle node.
 FOREST_BOUNDS = {"break_cycles": 4.0, "compute_metrics": 4.0, "transitive_reduction": 9.0}
+UNCOPIED_BOUNDS = {"break_cycles": 1.5, "compute_metrics": 1.0, "transitive_reduction": 3.0}
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +199,17 @@ def test_complementarity_takes_only_the_shared_terms():
     assert peak / len(b.table) ** 2 < SHARED_BOUND, peak / len(b.table) ** 2
 
 
+def test_complementarity_of_disjoint_pairs_stays_within_its_bytes_per_pair():
+    a = RelationSet("a", [(f"x{i:04d}", f"y{i:04d}") for i in range(3000)])
+    assert len(a.table) == 6000
+    peaks = {}
+    for b, ratios in ((a, (1.0, 0.0)), (inverted(a), (0.0, 1.0))):
+        got, peak = traced_peak(complementarity, a, b)
+        assert got == ratios
+        peaks[ratios] = peak / len(a)
+    assert all(peak < DISJOINT_BOUND for peak in peaks.values()), peaks
+
+
 def test_graph_stages_on_a_forest_stay_within_their_bytes_per_cell():
     terms = [f"t{i:04d}" for i in range(4000)]
     edges = list(zip(terms[::2], terms[1::2]))
@@ -193,3 +218,4 @@ def test_graph_stages_on_a_forest_stay_within_their_bytes_per_cell():
         tax = Taxonomy(edges)  # fresh, so that no closure is cached before the call
         peaks[stage.__name__] = traced_peak(stage, tax)[1] / len(terms) ** 2
     assert all(peaks[name] < bound for name, bound in FOREST_BOUNDS.items()), peaks
+    assert all(peaks[name] < bound for name, bound in UNCOPIED_BOUNDS.items()), peaks

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gold import GoldTaxonomy
-from .relations import Pair, RelationSet, _used_block
-from .taxonomy import Taxonomy
+from .relations import Pair, RelationSet
+from .taxonomy import Taxonomy, build_taxonomy
 
 Ordered = Taxonomy | GoldTaxonomy  # anything with term_set/contains_term/reaches
 
@@ -125,17 +125,20 @@ def _evaluate(o_t: Taxonomy, gold: GoldTaxonomy) -> EvalReport:
 
 
 def _restricted(a: RelationSet, b: RelationSet) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """The sorted terms both sets hold, and each set's adjacency gathered onto them."""
-    if a.table == b.table:
-        return a.table, a.adj, b.adj
-    tables = (np.array(a.table, dtype=object), np.array(b.table, dtype=object))
+    """The sorted terms both sets hold, and each set's adjacency gathered
+    onto them; a set that holds just those terms passes its own through."""
+    if a.terms == b.terms:
+        return a.terms, a.adj, b.adj
+    tables = (np.array(a.terms, dtype=object), np.array(b.terms, dtype=object))
     terms, at_a, at_b = np.intersect1d(*tables, assume_unique=True, return_indices=True)
-    return tuple(terms.tolist()), a.adj[np.ix_(at_a, at_a)], b.adj[np.ix_(at_b, at_b)]
+    ma = a.adj if len(at_a) == len(a.terms) else a.adj[np.ix_(at_a, at_a)]
+    mb = b.adj if len(at_b) == len(b.terms) else b.adj[np.ix_(at_b, at_b)]
+    return tuple(terms.tolist()), ma, mb
 
 
 def _precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
-    """Precision of the taxonomy of ``adj``'s edges over the terms they use; 0 for none."""
-    return _evaluate(Taxonomy._of(*_used_block(terms, adj)), gold).precision
+    """Precision of the taxonomy of the set of ``adj``'s pairs over ``terms``; 0 for none."""
+    return _evaluate(build_taxonomy(RelationSet.from_mask("", terms, adj)), gold).precision
 
 
 def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
@@ -157,7 +160,7 @@ def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> fl
     empty intersection yields 0; an empty or zero-precision A makes the
     ratio undefined and raises ValueError.
     """
-    p_a = _precision(a.table, a.adj, gold)
+    p_a = _precision(a.terms, a.adj, gold)
     if p_a == 0:
         raise ValueError("relative precision undefined: base model is empty or has zero precision")
     terms, ma, mb = _restricted(a, b)
@@ -183,7 +186,7 @@ def complementarity_matrix(relsets: list[RelationSet], gold: GoldTaxonomy) -> Co
     methods = tuple(rs.method for rs in relsets)
     if len(set(methods)) != len(methods):
         raise ValueError("relation sets must have distinct method tags")
-    base, sizes = [_precision(rs.table, rs.adj, gold) for rs in relsets], list(map(len, relsets))
+    base, sizes = [_precision(rs.terms, rs.adj, gold) for rs in relsets], list(map(len, relsets))
     direct, inverse, relative = {}, {}, {}
     # Each unordered pair {A, B} is taken once: |A n B| and |A n B^T| are
     # symmetric counts, and A n B is one taxonomy whichever row it serves.

@@ -22,35 +22,29 @@ _NO_SCORE_BITS = 0x7FF8_0000_0000_07A2
 _NO_SCORE = np.array(_NO_SCORE_BITS, np.uint64).view(np.float64).item()
 
 
-def _used_block(table, adj: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """The terms an edge of ``adj`` starts or ends at, and ``adj`` over them."""
-    used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
-    if len(used) == len(table):
-        return tuple(table), adj
-    return tuple(table[i] for i in used.tolist()), adj[used][:, used]
-
-
 class RelationSet:
     """Immutable set of (hyponym, hypernym) pairs from one method.
 
-    ``table`` is a sorted tuple of terms and ``adj`` a read-only boolean
-    matrix over it, oriented (hypernym, hyponym) like :attr:`Taxonomy.adj`.
-    A scored set holds one float64 per pair in sorted pair order, the
-    row-major order of ``adj.T``.  ``terms`` (the sorted terms of the
-    pairs), ``scores``, ``len``, ``in`` and ``==`` are read from these.
+    ``terms`` is the sorted tuple of the terms its pairs use, no other, and
+    ``adj`` a read-only boolean matrix over them, oriented (hypernym,
+    hyponym) like :attr:`Taxonomy.adj`.  A scored set holds one float64 per
+    pair in sorted pair order, the row-major order of ``adj.T``.
+    ``scores``, ``len``, ``in`` and ``==`` are read from these.
     """
 
     def __init__(self, method: str, pairs=(), scores=None) -> None:
         """The set of ``pairs``, each scored by the item of ``scores`` at
         its position (None throughout when ``scores`` is None).  Repeats
         keep the first score; a self-relation and scores of another length
-        than the pairs raise ValueError."""
+        than the pairs raise ValueError, a None term TypeError."""
         pairs = list(pairs)
         if scores is not None:
             scores = np.array([_NO_SCORE if s is None else float(s) for s in scores], float)
             if len(scores) != len(pairs):
                 raise ValueError(f"{len(scores)} scores for {len(pairs)} pairs")
         table, codes = _codes(list(chain.from_iterable(pairs)))
+        if (codes < 0).any():
+            raise TypeError("a relation's terms must be strings, not None")
         hypo, hyper = codes.reshape(-1, 2).T
         if (hypo == hyper).any():
             raise ValueError(f"self-relation not allowed: {table[hypo[hypo == hyper][0]]!r}")
@@ -64,18 +58,19 @@ class RelationSet:
     @classmethod
     def from_mask(cls, method: str, table, adj: np.ndarray, scores=None) -> "RelationSet":
         """The pairs (table[v] is-a table[u]) where ``adj[u, v]`` over the sorted
-        ``table``, scored ``scores[u, v]`` if given; ``adj`` is kept, read-only."""
+        ``table``, scored ``scores[u, v]`` if given.  ``adj`` is cut to the
+        terms its pairs use, or kept, read-only, when it uses all of them."""
         out = cls.__new__(cls)
-        out._set(method, table, adj, None if scores is None else scores.T[adj.T].astype(float))
+        scores = None if scores is None else scores.T[adj.T].astype(float)
+        used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
+        if len(used) < len(table):  # rows, then columns: C-ordered, faster than np.ix_
+            table, adj = [table[i] for i in used.tolist()], adj.take(used, 0).take(used, 1)
+        out._set(method, table, adj, scores)
         return out
 
-    def _set(self, method: str, table, adj: np.ndarray, scores) -> None:
-        self.method, self.table, self.adj, self._scores = method, tuple(table), adj, scores
+    def _set(self, method: str, terms, adj: np.ndarray, scores) -> None:
+        self.method, self.terms, self.adj, self._scores = method, tuple(terms), adj, scores
         adj.flags.writeable = False
-
-    @property
-    def terms(self) -> tuple[str, ...]:
-        return _used_block(self.table, self.adj)[0]
 
     @property
     def scores(self) -> tuple[float | None, ...]:
@@ -88,29 +83,28 @@ class RelationSet:
         return int(np.count_nonzero(self.adj))
 
     def __contains__(self, pair: Pair) -> bool:
-        i, j = (bisect_left(self.table, term) for term in pair)
-        return self.table[i : i + 1] + self.table[j : j + 1] == tuple(pair) and self.adj[j, i]
+        i, j = (bisect_left(self.terms, term) for term in pair)
+        return self.terms[i : i + 1] + self.terms[j : j + 1] == tuple(pair) and self.adj[j, i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RelationSet):
             return False
-        (a, x), (b, y) = _used_block(self.table, self.adj), _used_block(other.table, other.adj)
-        return a == b and np.array_equal(x, y)
+        return self.terms == other.terms and np.array_equal(self.adj, other.adj)
 
     def __repr__(self) -> str:
         return f"RelationSet({self.method!r}, {len(self)} relations)"
 
     def pair_set(self) -> set[Pair]:
         hyper, hypo = np.nonzero(self.adj)
-        return {(self.table[i], self.table[j]) for i, j in zip(hypo.tolist(), hyper.tolist())}
+        return {(self.terms[i], self.terms[j]) for i, j in zip(hypo.tolist(), hyper.tolist())}
 
 
 def relations_text(relset: RelationSet) -> str:
     """Sorted ``hyponym<TAB>hypernym<TAB>method<TAB>score`` lines."""
-    table, method = relset.table, relset.method
+    terms, method = relset.terms, relset.method
     hypo, hyper = np.nonzero(relset.adj.T)
     return "".join(
-        f"{table[i]}\t{table[j]}\t{method}\t{'' if score is None else repr(score)}\n"
+        f"{terms[i]}\t{terms[j]}\t{method}\t{'' if score is None else repr(score)}\n"
         for i, j, score in zip(hypo.tolist(), hyper.tolist(), relset.scores)
     )
 

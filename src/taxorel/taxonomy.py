@@ -22,7 +22,7 @@ import numpy as np
 
 from .contexts import ContextMatrix, _gram
 from .corpus import _codes
-from .relations import RelationSet, _used_block
+from .relations import RelationSet
 
 Edge = tuple[str, str]  # (hypernym, hyponym)
 
@@ -56,12 +56,14 @@ class Taxonomy:
     ``terms`` is the sorted tuple of nodes and ``adj`` the read-only boolean
     matrix over them, with ``adj[u, v]`` set for an edge from hypernym u to
     hyponym v.  Self-loop edges are discarded, the others scattered over the
-    terms.  Operations that change the edge set return new instances.
+    terms; a None term raises TypeError.  Edge changes return new instances.
     """
 
     def __init__(self, edges: Iterable[Edge] = (), nodes: Iterable[str] = ()) -> None:
         nodes, edges = list(nodes), [(u, v) for u, v in edges if u != v]
         terms, codes = _codes(nodes + [term for edge in edges for term in edge])
+        if (codes < 0).any():
+            raise TypeError("a taxonomy's terms must be strings, not None")
         hyper, hypo = codes[len(nodes) :].reshape(-1, 2).T
         adj = np.zeros((len(terms), len(terms)), dtype=bool)
         adj[hyper, hypo] = True
@@ -128,8 +130,8 @@ class Taxonomy:
 
 
 def build_taxonomy(relset: RelationSet) -> Taxonomy:
-    """One edge hypernym->hyponym per relation, over the relation set's terms."""
-    return Taxonomy._of(*_used_block(relset.table, relset.adj))
+    """One edge hypernym->hyponym per relation: the set's terms and read-only ``adj``, shared."""
+    return Taxonomy._of(relset.terms, relset.adj)
 
 
 def _reaches(adj: np.ndarray, source: int, target: int) -> bool:

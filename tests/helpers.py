@@ -278,13 +278,13 @@ def oracle_encode(sets: list[IndexedRelations]) -> tuple[list[str], list[np.ndar
 
 
 def union_encode(relsets: list[RelationSet]) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """The sorted union of the sets' term tables, and each set's adjacency
-    over it, placed by ``searchsorted``: one table for every pair, where the
+    """The sorted union of the sets' terms, and each set's adjacency over
+    it, placed by ``searchsorted``: one table for every pair, where the
     library takes each pair over the terms both its sets hold."""
-    terms = tuple(sorted(set().union(*(rs.table for rs in relsets))))
+    terms = tuple(sorted(set().union(*(rs.terms for rs in relsets))))
     masks = []
     for rs in relsets:
-        at = np.searchsorted(np.array(terms, dtype=object), np.array(rs.table, dtype=object))
+        at = np.searchsorted(np.array(terms, dtype=object), np.array(rs.terms, dtype=object))
         adj = np.zeros((len(terms), len(terms)), dtype=bool)
         adj[np.ix_(at, at)] = rs.adj
         masks.append(adj)
@@ -308,12 +308,17 @@ def oracle_complementarity_cells(sets: list, gold: GoldTaxonomy, encode=oracle_e
     return direct, inverse, relative
 
 
+def oracle_mask_taxonomy(table, adj: np.ndarray) -> Taxonomy:
+    """The taxonomy of ``adj``'s edges over the terms of ``table`` they use:
+    a relation set's taxonomy when the set kept its whole table."""
+    used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
+    return Taxonomy._of([table[i] for i in used], adj[np.ix_(used, used)])
+
+
 def oracle_precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
     """Precision of the taxonomy of ``adj``'s edges over the terms they use; 0 for none."""
-    used = np.flatnonzero(adj.any(axis=0) | adj.any(axis=1))
-    if not len(used):
-        return 0.0
-    return evaluate(Taxonomy._of([terms[i] for i in used], adj[used][:, used]), gold).precision
+    taxonomy = oracle_mask_taxonomy(terms, adj)
+    return evaluate(taxonomy, gold).precision if taxonomy.terms else 0.0
 
 
 # --- masks embedded in a wider table ---------------------------------------
@@ -324,11 +329,11 @@ def oracle_precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
 
 def oracle_adj_over(relset: RelationSet, table) -> np.ndarray:
     """``relset.adj`` over the sorted ``table``, cut to the pairs both of
-    whose terms it holds; the set's own ``adj`` when ``table`` is its table."""
-    if tuple(table) == relset.table:
+    whose terms it holds; the set's own ``adj`` when ``table`` is its terms."""
+    if tuple(table) == relset.terms:
         return relset.adj
     index = {term: i for i, term in enumerate(table)}
-    at = np.array([index.get(term, -1) for term in relset.table], dtype=np.intp)
+    at = np.array([index.get(term, -1) for term in relset.terms], dtype=np.intp)
     held = at >= 0
     adj = np.zeros((len(table), len(table)), dtype=bool)
     adj[np.ix_(at[held], at[held])] = relset.adj[np.ix_(held, held)]
@@ -337,7 +342,7 @@ def oracle_adj_over(relset: RelationSet, table) -> np.ndarray:
 
 def oracle_restricted(a: RelationSet, b: RelationSet):
     """The sorted terms both sets hold, and each set's adjacency embedded over them."""
-    terms = a.table if a.table == b.table else tuple(sorted(set(a.table) & set(b.table)))
+    terms = a.terms if a.terms == b.terms else tuple(sorted(set(a.terms) & set(b.terms)))
     return terms, oracle_adj_over(a, terms), oracle_adj_over(b, terms)
 
 
@@ -351,7 +356,7 @@ def oracle_complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float
 
 def oracle_relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> float:
     """Precision of the ANDed masks of A and B over A's own precision."""
-    p_a = oracle_precision(a.table, a.adj, gold)
+    p_a = oracle_precision(a.terms, a.adj, gold)
     if p_a == 0:
         raise ValueError("relative precision undefined: base model is empty or has zero precision")
     terms, ma, mb = oracle_restricted(a, b)
@@ -363,7 +368,7 @@ def oracle_taxonomy(edges, nodes=()) -> tuple[tuple[str, ...], np.ndarray]:
     set of the edges that are no self-loops, embedded in the sorted table of
     its terms and ``nodes``."""
     relset = RelationSet("", [(v, u) for u, v in edges if u != v])
-    terms = tuple(sorted(set(nodes).union(relset.table)))
+    terms = tuple(sorted(set(nodes).union(relset.terms)))
     return terms, oracle_adj_over(relset, terms)
 
 

@@ -1274,6 +1274,21 @@ def test_only_three_functions_open_files():
     assert reads <= {("corpus.py", "_text")}, reads
 
 
+def test_only_named_private_helpers_cross_modules():
+    """A private name imported from another module of the package is one of
+    the helpers the modules share on purpose; any other stays in its module."""
+    shared = {
+        "corpus._codes", "corpus._text", "corpus._records",
+        "contexts._gram", "contexts._ranges", "evaluation._evaluate",
+    }
+    imported = set()
+    for path in sorted(Path(taxorel.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= {f"{node.module}.{a.name}" for a in node.names if a.name[0] == "_"}
+    assert imported <= shared, imported - shared
+
+
 def test_no_nested_function_refers_to_itself():
     """A nested function that names itself holds its own closure cell, so each
     call of the function around it leaves a cycle for the garbage collector."""

@@ -542,7 +542,7 @@ class TestMatrixOracles:
             pairs = [(y, x) if flip else (x, y) for (x, y), flip in zip(path, flips)]
             sets.append(RelationSet(f"m{len(sets)}", pairs + data.draw(pairs_of(run))))
         sets.append(RelationSet("m2", data.draw(pairs_of("aAbcdDef"))))
-        assert [rs.table for rs in sets[:2]] == [tuple(sorted("aAbcdDef"[a:b])) for a, b in tables]
+        assert [rs.terms for rs in sets[:2]] == [tuple(sorted("aAbcdDef"[a:b])) for a, b in tables]
         return sets
 
     @pytest.mark.parametrize("tables", TABLES.values(), ids=TABLES)
@@ -566,8 +566,8 @@ class TestMatrixOracles:
                 expected = oracle_restricted(a, b)
                 assert terms == expected[0]
                 assert np.array_equal(ma, expected[1]) and np.array_equal(mb, expected[2])
-                if a.table == b.table:
-                    assert ma is a.adj and mb is b.adj
+                # A set that holds just the shared terms passes its mask through.
+                assert (ma is a.adj) == (a.terms == terms) and (mb is b.adj) == (b.terms == terms)
                 ratios = outcome(lambda: complementarity(a, b))
                 assert ratios == outcome(lambda: oracle_complementarity(a, b))
                 rel = outcome(lambda: relative_precision(a, b, gold))

@@ -15,7 +15,10 @@ all 44,850 pairs of them oriented, must hold under 4 bytes per pair
 unscored and under 12 scored.  Its boolean adjacency and term table hold
 2.4, and its float64 scores 8 more (10.4).  Int32 index arrays with a tuple
 of a Python float or None per pair held 16.4 and 40.4, and the extractor's
-whole score matrix alone would take 16.
+whole score matrix alone would take 16.  The same 300 terms placed in a
+mask over 3,000 table terms must hold the same bounds: a set that keeps
+only the terms its pairs use holds 2.4 and 10.4 again, where keeping the
+whole table held 204.8 and 212.8.
 
 The complementarity matrix of seven tournament-like sets over 300 terms
 (299,670 pairs, 91-100% of the 44,850 term pairs each, as the paper's sets
@@ -56,7 +59,13 @@ from taxorel.corpus import load_corpus
 from taxorel.evaluation import complementarity, complementarity_matrix
 from taxorel.gold import GoldTaxonomy, Synset
 from taxorel.relations import RelationSet
-from taxorel.taxonomy import Taxonomy, break_cycles, compute_metrics, transitive_reduction
+from taxorel.taxonomy import (
+    Taxonomy,
+    break_cycles,
+    build_taxonomy,
+    compute_metrics,
+    transitive_reduction,
+)
 
 from helpers import inverted
 
@@ -137,23 +146,30 @@ def traced_held(call, *args):
         tracemalloc.stop()
 
 
-def extracted_set(scored: bool) -> RelationSet:
-    """A set made as an extractor makes one, from an n x n mask over 300
-    terms that orients each of their pairs, and from an n x n score matrix
-    when ``scored``; only the set is returned."""
-    terms = [f"t{i:03d}" for i in range(300)]
-    rank = np.array(random.Random(3).sample(range(len(terms)), len(terms)), dtype=float)
+def extracted_set(scored: bool, width: int) -> RelationSet:
+    """A set made as an extractor makes one, from an n x n mask over
+    ``width`` terms that orients each pair of 300 of them (every
+    ``width // 300``-th), and from an n x n score matrix when ``scored``;
+    only the set is returned."""
+    terms = [f"t{i:04d}" for i in range(width)]
+    rank = np.full(width, np.nan)  # the other terms compare False: no pairs
+    rank[:: width // 300] = random.Random(3).sample(range(300), 300)
     scores = rank[:, None] - rank if scored else None
     return RelationSet.from_mask("m", terms, rank[:, None] > rank, scores)
 
 
 def test_relation_sets_hold_their_bytes_per_pair():
     per_pair = {}
-    for scored in (False, True):
-        relset, held = traced_held(extracted_set, scored)
-        assert len(relset) == 44_850
-        per_pair[scored] = held / len(relset)
-    assert per_pair[False] < UNSCORED_BOUND and per_pair[True] < SCORED_BOUND, per_pair
+    for width in (300, 3000):
+        for scored in (False, True):
+            relset, held = traced_held(extracted_set, scored, width)
+            assert len(relset) == 44_850 and len(relset.terms) == 300
+            assert build_taxonomy(relset).adj is relset.adj
+            per_pair[width, scored] = held / len(relset)
+    assert all(
+        per_pair[width, False] < UNSCORED_BOUND and per_pair[width, True] < SCORED_BOUND
+        for width in (300, 3000)
+    ), per_pair
 
 
 def tournament_sets(terms: list[str], count: int) -> list[RelationSet]:
@@ -196,12 +212,12 @@ def test_complementarity_takes_only_the_shared_terms():
     b = RelationSet("b", [(terms[n], terms[(n - 1) // 2]) for n in range(1, 1000)])
     ratios, peak = traced_peak(complementarity, a, b)
     assert ratios == (999 / 3999, 0.0)
-    assert peak / len(b.table) ** 2 < SHARED_BOUND, peak / len(b.table) ** 2
+    assert peak / len(b.terms) ** 2 < SHARED_BOUND, peak / len(b.terms) ** 2
 
 
 def test_complementarity_of_disjoint_pairs_stays_within_its_bytes_per_pair():
     a = RelationSet("a", [(f"x{i:04d}", f"y{i:04d}") for i in range(3000)])
-    assert len(a.table) == 6000
+    assert len(a.terms) == 6000
     peaks = {}
     for b, ratios in ((a, (1.0, 0.0)), (inverted(a), (0.0, 1.0))):
         got, peak = traced_peak(complementarity, a, b)

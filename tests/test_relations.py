@@ -15,6 +15,7 @@ from helpers import (
     oracle_complementarity_cells,
     oracle_from_mask,
     oracle_from_pairs,
+    oracle_mask_taxonomy,
     oracle_relations_text,
     outcome,
 )
@@ -101,17 +102,24 @@ def relation_specs(draw):
     return "pairs", (), pairs, scores
 
 
-def build(method: str, spec):
-    """The set of ``spec`` in the mask form and in the index-array form."""
-    kind, table, pairs, scores = spec
-    if kind == "pairs":
-        return RelationSet(method, pairs, scores), oracle_from_pairs(method, pairs, scores)
+def mask_of(spec):
+    """The adjacency of a mask ``spec``'s pairs over its table, and the grid
+    of their scores (None when unscored)."""
+    _, table, pairs, scores = spec
     at = {term: i for i, term in enumerate(table)}
     adj, grid = np.zeros((len(table),) * 2, dtype=bool), np.zeros((len(table),) * 2)
     for k, (hypo, hyper) in enumerate(pairs):
         adj[at[hyper], at[hypo]] = True
         grid[at[hyper], at[hypo]] = 0.0 if scores is None else scores[k]
-    grid = None if scores is None else grid
+    return adj, None if scores is None else grid
+
+
+def build(method: str, spec):
+    """The set of ``spec`` in the mask form and in the index-array form."""
+    kind, table, pairs, scores = spec
+    if kind == "pairs":
+        return RelationSet(method, pairs, scores), oracle_from_pairs(method, pairs, scores)
+    adj, grid = mask_of(spec)
     relset = RelationSet.from_mask(method, table, adj, grid)
     return relset, oracle_from_mask(method, table, adj, grid)
 
@@ -148,13 +156,31 @@ class TestMaskFormMatchesIndexArrays:
     )
     # One set mixes scored and unscored pairs; a repeat keeps its first score.
     @example([("pairs", (), [("b", "a"), ("c", "b"), ("b", "a"), ("d", "c")], [None, 2.0, 3, NAN])])
+    # Empty masks over the shared table, scored and unscored.
+    @example([("mask", SHARED, [], []), ("mask", SHARED, [], None)])
     def test_text_taxonomy_and_cells_equal_the_index_array_path(self, specs):
         built = [build(f"m{k}", spec) for k, spec in enumerate(specs)]
-        for relset, indexed in built:
+        for spec, (relset, indexed) in zip(specs, built):
             assert relations_text(relset) == oracle_relations_text(indexed)
             assert relset.terms == indexed.terms
             tax, expected = build_taxonomy(relset), oracle_build_taxonomy(indexed)
             assert tax.terms == expected.terms and np.array_equal(tax.adj, expected.adj)
+            # The taxonomy shares the set's mask, which is C-ordered (counts
+            # of B at A's pairs read an F-ordered one at half the speed) and
+            # holds only the terms its pairs use: as the pair constructor's
+            # set of the same pairs, and as the taxonomy cut from the table.
+            assert tax.adj is relset.adj and relset.adj.flags.c_contiguous
+            kind, table, pairs, scores = spec
+            if kind == "mask":
+                alike = RelationSet(relset.method, pairs, scores)
+                assert relset.terms == alike.terms and np.array_equal(relset.adj, alike.adj)
+                assert list(map(repr, relset.scores)) == list(map(repr, alike.scores))
+                assert relset == alike and relset.pair_set() == alike.pair_set()
+                assert relations_text(relset) == relations_text(alike)
+                names = SHARED + ("z",)
+                assert all(((u, v) in relset) == ((u, v) in alike) for u in names for v in names)
+                expected = oracle_mask_taxonomy(table, mask_of(spec)[0])
+                assert tax.terms == expected.terms and np.array_equal(tax.adj, expected.adj)
         gold = self.gold()
         matrix = complementarity_matrix([relset for relset, _ in built], gold)
         cells = oracle_complementarity_cells([indexed for _, indexed in built], gold)
@@ -180,6 +206,13 @@ class TestRelationSet:
         with pytest.raises(ValueError, match="^self-relation not allowed: 'dog'$"):
             RelationSet("tf", [("dog", "cat"), ("dog", "dog"), ("ant", "ant")])
 
+    def test_none_term_rejected(self):
+        # Coded as -1, a None term would take the last term's place: (a, b)
+        # and (None, b) would hold the self-relation (b, b).
+        for pairs in ([("a", "b"), (None, "b")], [("a", None)], [(None, None)]):
+            with pytest.raises(TypeError):
+                RelationSet("m", pairs)
+
     def test_scores_of_another_length_rejected(self):
         for scores in ([0.5], [0.5, 0.25, None]):
             with pytest.raises(ValueError):
@@ -198,7 +231,7 @@ class TestRelationSet:
         mask[2, 0] = mask[0, 3] = True
         scores = np.arange(16.0).reshape(4, 4).T
         rs = RelationSet.from_mask("tf", ["a", "b", "c", "d"], mask, scores)
-        assert rs.table == ("a", "b", "c", "d") and rs.terms == ("a", "c", "d")
+        assert rs.terms == ("a", "c", "d")
         assert rs == RelationSet("tf", [("d", "a"), ("a", "c")])
         assert relations_text(rs) == "a\tc\ttf\t2.0\nd\ta\ttf\t12.0\n"
 

@@ -95,6 +95,13 @@ class TestBuildTaxonomy:
         t = Taxonomy([("a", "a"), ("a", "b")])
         assert t.edges() == [("a", "b")]
 
+    def test_none_term_rejected(self):
+        # Coded as -1, a None term would take the last term's place: a
+        # self-loop (a, a), or a node silently dropped.
+        for edges, nodes in (([("a", None)], ()), ([(None, "b")], ()), ([("a", "b")], [None])):
+            with pytest.raises(TypeError):
+                Taxonomy(edges, nodes)
+
 
 class TestBreakCycles:
     def test_acyclic_input_unchanged(self):

@@ -281,7 +281,7 @@ def _stats_text(stats: CorpusStats) -> str:
 
 def _reduced_metrics(tax: Taxonomy) -> dict:
     """Hierarchy metrics of the cycle-free transitive reduction of ``tax``."""
-    if not tax.nodes:
+    if not tax.terms:
         return {"empty_relation_set": True}
     return compute_metrics(transitive_reduction(break_cycles(tax))).to_dict()
 
@@ -310,7 +310,7 @@ def _matrix_files(matrix: ComplementarityMatrix) -> list[tuple[str, str]]:
 
 def _eval_json(report: EvalReport, tax: Taxonomy) -> str:
     """The ``eval_<method>.json`` text of the evaluation of ``tax``."""
-    return _json_text({**report.to_dict(), "empty_relation_set": not tax.nodes})
+    return _json_text({**report.to_dict(), "empty_relation_set": not tax.terms})
 
 
 def _write(path: str | Path, text: str) -> str:
@@ -388,7 +388,7 @@ def run(config: RunConfig) -> Path:
 
             stage = f"taxonomy:{method}"
             tax = build_taxonomy(relset)
-            if config.best_parent and tax.nodes:
+            if config.best_parent and tax.terms:
                 tax = best_parent_filter(tax, inputs["document"])
                 emit(
                     f"filtered_{method}.tsv",
@@ -402,7 +402,6 @@ def run(config: RunConfig) -> Path:
             metrics = _reduced_metrics(tax)
             emit(f"metrics_{method}.json", _json_text(metrics))
             emit(f"metrics_{method}.txt", _metrics_text(metrics))
-            del tax  # its closure need not outlive the next extraction
 
         stage = "complementarity"
         if len(relsets) > 1:

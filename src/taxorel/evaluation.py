@@ -17,7 +17,7 @@ import numpy as np
 
 from .gold import GoldTaxonomy
 from .relations import Pair, RelationSet
-from .taxonomy import Taxonomy, build_taxonomy
+from .taxonomy import Taxonomy
 
 Ordered = Taxonomy | GoldTaxonomy  # anything with term_set/contains_term/reaches
 
@@ -136,9 +136,9 @@ def _restricted(a: RelationSet, b: RelationSet) -> tuple[tuple[str, ...], np.nda
     return tuple(terms.tolist()), ma, mb
 
 
-def _precision(terms, adj: np.ndarray, gold: GoldTaxonomy) -> float:
-    """Precision of the taxonomy of the set of ``adj``'s pairs over ``terms``; 0 for none."""
-    return _evaluate(build_taxonomy(RelationSet.from_mask("", terms, adj)), gold).precision
+def _precision(relset: RelationSet, gold: GoldTaxonomy) -> float:
+    """Precision of the set's own taxonomy, closed at most once; 0 for an empty set."""
+    return _evaluate(relset.taxonomy, gold).precision
 
 
 def complementarity(a: RelationSet, b: RelationSet) -> tuple[float, float]:
@@ -160,11 +160,11 @@ def relative_precision(a: RelationSet, b: RelationSet, gold: GoldTaxonomy) -> fl
     empty intersection yields 0; an empty or zero-precision A makes the
     ratio undefined and raises ValueError.
     """
-    p_a = _precision(a.terms, a.adj, gold)
+    p_a = _precision(a, gold)
     if p_a == 0:
         raise ValueError("relative precision undefined: base model is empty or has zero precision")
     terms, ma, mb = _restricted(a, b)
-    return _precision(terms, ma & mb, gold) / p_a
+    return _precision(RelationSet.from_mask("", terms, ma & mb), gold) / p_a
 
 
 @dataclass(frozen=True)
@@ -186,19 +186,21 @@ def complementarity_matrix(relsets: list[RelationSet], gold: GoldTaxonomy) -> Co
     methods = tuple(rs.method for rs in relsets)
     if len(set(methods)) != len(methods):
         raise ValueError("relation sets must have distinct method tags")
-    base, sizes = [_precision(rs.terms, rs.adj, gold) for rs in relsets], list(map(len, relsets))
+    base, sizes = [_precision(rs, gold) for rs in relsets], list(map(len, relsets))
     direct, inverse, relative = {}, {}, {}
-    # Each unordered pair {A, B} is taken once: |A n B| and |A n B^T| are
-    # symmetric counts, and A n B is one taxonomy whichever row it serves.
-    # All three involve only the terms both sets hold, so each pair is taken
-    # over those alone.  A n B is a subset of A, so its common relations are
-    # a subset of A's: a zero base leaves the intersection's precision at 0.
+    # Each unordered pair {A, B} is taken once, over the terms both sets hold:
+    # |A n B| and |A n B^T| are symmetric counts, and A n B is one taxonomy
+    # whichever row it serves.  A n B is a subset of A, so its common relations
+    # are a subset of A's: a zero base leaves the intersection's precision at 0,
+    # and one as large as A is A.  A base is the set's own taxonomy.
     for x, (a, p_a, n_a) in enumerate(zip(relsets, base, sizes)):
         for b, p_b, n_b in zip(relsets[x:], base[x:], sizes[x:]):
             terms, ma, mb = _restricted(a, b)
             both = ma & mb
             held, crossed = int(np.count_nonzero(both)), int(np.count_nonzero(ma & mb.T))
-            p_ab = (p_a if b is a else _precision(terms, both, gold)) if p_a and p_b else 0.0
+            p_ab = (p_a if held == n_a else p_b) if p_a and p_b else 0.0
+            if p_ab and n_a > held < n_b:  # neither side: evaluated
+                p_ab = _precision(RelationSet.from_mask("", terms, both), gold)
             for row, col, p_row, n_row in ((a, b, p_a, n_a), (b, a, p_b, n_b)):
                 key = (row.method, col.method)
                 direct[key] = held / n_row if n_row else None

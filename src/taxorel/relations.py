@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import _codes, _records
+from .taxonomy import Taxonomy
 
 Pair = tuple[str, str]  # (hyponym, hypernym)
 
@@ -25,11 +26,11 @@ _NO_SCORE = np.array(_NO_SCORE_BITS, np.uint64).view(np.float64).item()
 class RelationSet:
     """Immutable set of (hyponym, hypernym) pairs from one method.
 
-    ``terms`` is the sorted tuple of the terms its pairs use, no other, and
-    ``adj`` a read-only boolean matrix over them, oriented (hypernym,
-    hyponym) like :attr:`Taxonomy.adj`.  A scored set holds one float64 per
-    pair in sorted pair order, the row-major order of ``adj.T``.
-    ``scores``, ``len``, ``in`` and ``==`` are read from these.
+    ``taxonomy`` is the set's one graph, one edge hypernym->hyponym per pair,
+    kept with any closure taken.  Its sorted ``terms``, those the pairs use
+    and no other, and read-only ``adj`` are the set's.  A scored set holds
+    one float64 per pair in sorted pair order, the row-major order of
+    ``adj.T``.  ``scores``, ``len``, ``in`` and ``==`` are read from these.
     """
 
     def __init__(self, method: str, pairs=(), scores=None) -> None:
@@ -69,8 +70,8 @@ class RelationSet:
         return out
 
     def _set(self, method: str, terms, adj: np.ndarray, scores) -> None:
-        self.method, self.terms, self.adj, self._scores = method, tuple(terms), adj, scores
-        adj.flags.writeable = False
+        self.method, self.taxonomy, self._scores = method, Taxonomy._of(terms, adj), scores
+        self.terms, self.adj = self.taxonomy.terms, self.taxonomy.adj
 
     @property
     def scores(self) -> tuple[float | None, ...]:
@@ -80,7 +81,7 @@ class RelationSet:
         return tuple(np.where(none, None, self._scores.astype(object)))
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.adj))
+        return self.taxonomy.num_edges
 
     def __contains__(self, pair: Pair) -> bool:
         i, j = (bisect_left(self.terms, term) for term in pair)
@@ -95,8 +96,7 @@ class RelationSet:
         return f"RelationSet({self.method!r}, {len(self)} relations)"
 
     def pair_set(self) -> set[Pair]:
-        hyper, hypo = np.nonzero(self.adj)
-        return {(self.terms[i], self.terms[j]) for i, j in zip(hypo.tolist(), hyper.tolist())}
+        return {(hypo, hyper) for hyper, hypo in self.taxonomy.edges()}
 
 
 def relations_text(relset: RelationSet) -> str:

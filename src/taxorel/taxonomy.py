@@ -22,7 +22,6 @@ import numpy as np
 
 from .contexts import ContextMatrix, _gram
 from .corpus import _codes
-from .relations import RelationSet
 
 Edge = tuple[str, str]  # (hypernym, hyponym)
 
@@ -129,9 +128,9 @@ class Taxonomy:
         return not self.closure.diagonal().any()
 
 
-def build_taxonomy(relset: RelationSet) -> Taxonomy:
-    """One edge hypernym->hyponym per relation: the set's terms and read-only ``adj``, shared."""
-    return Taxonomy._of(relset.terms, relset.adj)
+def build_taxonomy(relset) -> Taxonomy:
+    """The taxonomy ``relset`` holds, one edge hypernym->hyponym per relation."""
+    return relset.taxonomy
 
 
 def _reaches(adj: np.ndarray, source: int, target: int) -> bool:

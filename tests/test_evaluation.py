@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import taxorel
+from taxorel import taxonomy as taxonomy_module
 from taxorel.evaluation import (
     ComplementarityMatrix,
     _restricted,
@@ -474,23 +475,26 @@ class TestMatrixOracles:
     # The first example's third set has zero precision and its fourth is
     # empty; the second example's empty set sits between two others.  In the
     # third every set is empty, and in the fourth a one-pair set shares no
-    # term with the two others.
+    # term with the two others.  In the fifth the second set is the first's
+    # intersection with it, and every base is positive.
     @example(({("b", "a"), ("c", "b"), ("A", "c")}, {("b", "A"), ("c", "b")}, {("a", "c")}, set()))
     @example(({("b", "a")}, set(), {("d", "a"), ("D", "a"), ("a", "c")}))
     @example((set(), set(), set()))
     @example(({("b", "a")}, {("d", "c"), ("c", "A")}, {("D", "c"), ("d", "D")}))
+    @example(({("c", "b"), ("b", "A")}, {("c", "b")}, {("d", "a")}))
     def test_matches_pair_arithmetic_and_evaluate(self, pair_sets):
         gold = self.gold()
         sets = [RelationSet(f"m{i}", pairs) for i, pairs in enumerate(pair_sets)]
         base = [evaluate(build_taxonomy(a), gold).precision if pa else 0.0
                 for a, pa in zip(sets, pair_sets)]
         # One call for the base of every non-empty set, and one for each
-        # unordered pair whose intersection is non-empty and whose two bases
-        # are positive.
+        # unordered pair whose two bases are positive and whose intersection
+        # is non-empty and neither set: one equal to a set has its precision.
         calls = sum(map(bool, pair_sets)) + sum(
-            bool(pair_sets[x] & pair_sets[y] and base[x] and base[y])
+            bool(shared and base[x] and base[y] and shared not in (pair_sets[x], pair_sets[y]))
             for x in range(len(sets))
             for y in range(x + 1, len(sets))
+            for shared in [pair_sets[x] & pair_sets[y]]
         )
         expected = {}
         for a, pa, p_a in zip(sets, pair_sets, base):
@@ -553,6 +557,41 @@ class TestMatrixOracles:
         matrix = complementarity_matrix(sets, gold)
         direct, inverse, relative = oracle_complementarity_cells(sets, gold, union_encode)
         assert (matrix.direct, matrix.inverse, matrix.relative) == (direct, inverse, relative)
+
+    # Two sets whose intersection is one of them, each with a positive base:
+    # the second holds the first and a wrong pair over "D", a case variant of
+    # "d", so the tables differ; then the same two swapped, and one set under
+    # two tags.
+    RIGHT, WRONG = {("b", "a"), ("c", "b")}, {("a", "D")}
+    NESTS = {
+        "a_in_b": (RIGHT, RIGHT | WRONG),
+        "b_in_a": (RIGHT | WRONG, RIGHT),
+        "equal": (RIGHT, RIGHT),
+    }
+    # A third set shares one pair with each, so A n C and B n C are neither side.
+    THIRD = {("c", "b"), ("d", "a"), ("a", "c")}
+
+    @pytest.mark.parametrize("pairs", NESTS.values(), ids=NESTS)
+    def test_an_intersection_equal_to_a_side_equals_the_union_table_oracle(self, pairs):
+        sets = [RelationSet(f"m{i}", p) for i, p in enumerate((*pairs, self.THIRD))]
+        gold = self.gold()
+        assert all(evaluate(build_taxonomy(rs), gold).precision for rs in sets)
+        matrix = complementarity_matrix(sets, gold)
+        cells = oracle_complementarity_cells(sets, gold, union_encode)
+        assert (matrix.direct, matrix.inverse, matrix.relative) == cells
+
+    def test_closes_only_the_intersections_that_are_neither_side(self, monkeypatch):
+        gold = self.gold()
+        pair_sets = (self.RIGHT, self.RIGHT | self.WRONG, self.RIGHT, self.THIRD, {("b", "a")})
+        sets = [RelationSet(f"m{i}", p) for i, p in enumerate(pair_sets)]
+        assert all(evaluate(build_taxonomy(rs), gold).precision for rs in sets)
+        closures, real = [], taxonomy_module._closure
+        monkeypatch.setattr(taxonomy_module, "_closure", lambda adj: closures.append(adj) or real(adj))
+        complementarity_matrix(sets, gold)
+        # Every base was closed when its set was evaluated above.  Of the ten
+        # intersections, six equal a side and m3 n m4 is empty; only m3's
+        # with each of m0, m1 and m2, {("c", "b")}, is evaluated.
+        assert len(closures) == 3
 
     @pytest.mark.parametrize("tables", TABLES.values(), ids=TABLES)
     @settings(max_examples=60, deadline=None, derandomize=True)

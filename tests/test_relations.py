@@ -240,6 +240,21 @@ class TestRelationSet:
         rs = RelationSet("patt", [("a", "b"), ("b", "a")])
         assert len(rs) == 2
 
+    def test_every_constructor_builds_the_one_taxonomy_of_its_set(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("d\ta\ttf\t\na\tc\ttf\t0.5\n")
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[2, 0] = mask[0, 3] = True
+        for rs in (
+            RelationSet("tf", [("d", "a"), ("a", "c")]),
+            RelationSet.from_mask("tf", ["a", "b", "c", "d"], mask),
+            load_relations(path),
+        ):
+            # The same object on every call, so a closure taken once stays.
+            assert build_taxonomy(rs) is rs.taxonomy is build_taxonomy(rs)
+            assert (rs.terms, rs.adj) == (rs.taxonomy.terms, rs.taxonomy.adj)
+            assert rs.taxonomy.edge_set() == {("a", "d"), ("c", "a")}
+
 
 class TestPersistence:
     def test_round_trip_with_scores(self, tmp_path):

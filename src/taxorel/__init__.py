@@ -9,6 +9,7 @@ complementarity analysis.
 
 from .contexts import (
     ContextMatrix,
+    TermContextMatrix,
     TermSet,
     extract_document_contexts,
     extract_window_contexts,
@@ -68,7 +69,6 @@ from .taxonomy import (
 )
 from .weighting import (
     EntropyTable,
-    WeightedMatrix,
     context_entropies,
     weight_lmi,
     weight_ppmi,

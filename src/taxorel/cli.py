@@ -374,10 +374,9 @@ def run(config: RunConfig) -> Path:
         stage = "vocabulary"
         emit("vocabulary.txt", "".join(f"{t}\n" for t in inputs["vocab"].terms))
 
-        relsets: dict[str, RelationSet] = {}
         for method in config.methods:
             stage = f"extract:{method}"
-            relset = relsets[method] = inputs[method]
+            relset = inputs[method]
             if method == "docsub":
                 _, summary, reports = inputs["sweep"]
                 for lam, report in zip(config.docsub_lambdas, reports):
@@ -404,8 +403,8 @@ def run(config: RunConfig) -> Path:
             emit(f"metrics_{method}.txt", _metrics_text(metrics))
 
         stage = "complementarity"
-        if len(relsets) > 1:
-            matrix = complementarity_matrix(list(relsets.values()), gold)
+        if len(config.methods) > 1:
+            matrix = complementarity_matrix([inputs[m] for m in config.methods], gold)
             for name, text in _matrix_files(matrix):
                 emit(name, text)
 

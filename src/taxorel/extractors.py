@@ -13,9 +13,9 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .contexts import ContextMatrix, TermSet, _gram
+from .contexts import ContextMatrix, TermContextMatrix, TermSet, _gram
 from .relations import RelationSet
-from .weighting import DEFAULT_TOP_CONTEXTS, EntropyTable, WeightedMatrix, word_generalities
+from .weighting import DEFAULT_TOP_CONTEXTS, EntropyTable, word_generalities
 
 # Measure -> (what a shared context adds to u's inclusion in v, given their
 # weights there; whether swapping u and v keeps it).
@@ -42,7 +42,7 @@ def measure_clarke_de(u: Mapping, v: Mapping) -> float:
     return shared / total
 
 
-def extract_dsim(ppmi: WeightedMatrix, vocab: TermSet, measure: str = "clarkede") -> RelationSet:
+def extract_dsim(ppmi: TermContextMatrix, vocab: TermSet, measure: str = "clarkede") -> RelationSet:
     """Directional-similarity extractor over PPMI-weighted window contexts.
 
     For each pair with overlapping supports the inclusion is computed both
@@ -64,7 +64,7 @@ def extract_dsim(ppmi: WeightedMatrix, vocab: TermSet, measure: str = "clarkede"
 
 
 def extract_slqs(
-    lmi: WeightedMatrix,
+    lmi: TermContextMatrix,
     entropies: EntropyTable,
     vocab: TermSet,
     top_n: int = DEFAULT_TOP_CONTEXTS,
@@ -126,7 +126,7 @@ def docsub_sweep(
     ]
 
 
-def cluster_terms(ppmi: WeightedMatrix, vocab: TermSet, k: int) -> list[list[str]]:
+def cluster_terms(ppmi: TermContextMatrix, vocab: TermSet, k: int) -> list[list[str]]:
     """Agglomerative average-linkage clustering over cosine distances,
     stopped when k clusters remain.
 
@@ -177,7 +177,7 @@ def _average_linkage(dist: np.ndarray, merges: int) -> np.ndarray:
 
 
 def extract_hclust(
-    ppmi: WeightedMatrix, docm: ContextMatrix, vocab: TermSet, k: int
+    ppmi: TermContextMatrix, docm: ContextMatrix, vocab: TermSet, k: int
 ) -> RelationSet:
     """Document-frequency relations restricted to pairs that cluster together.
 

@@ -82,9 +82,7 @@ class GoldTaxonomy:
         """
         return hyper.casefold() in self.ancestor_lemmas(hypo)
 
-    def reaches(self, ancestor: str, descendant: str) -> bool:
-        """Alias of :meth:`is_hypernym`; shared interface with Taxonomy."""
-        return self.is_hypernym(ancestor, descendant)
+    reaches = is_hypernym  # the interface shared with Taxonomy
 
     def ancestor_lemmas(self, lemma: str) -> frozenset[str]:
         """Case-folded lemmas of every transitive hypernym synset of ``lemma``.

@@ -9,7 +9,7 @@ general words score higher.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +17,6 @@ import numpy as np
 from .contexts import CSR, ContextMatrix, TermContextMatrix
 
 DEFAULT_TOP_CONTEXTS = 50
-
-
-class WeightedMatrix(TermContextMatrix):
-    """Term-by-context matrix of real weights; only positive entries stored."""
-
-    def __init__(self, scheme: str, rows: Mapping[str, Mapping[str, float]]) -> None:
-        if scheme not in ("ppmi", "lmi"):
-            raise ValueError(f"scheme must be 'ppmi' or 'lmi', got {scheme!r}")
-        self.scheme = scheme
-        super().__init__(rows, np.float64)
 
 
 def _pmi(m: ContextMatrix) -> np.ndarray:
@@ -41,29 +31,27 @@ def _pmi(m: ContextMatrix) -> np.ndarray:
     return np.log(x.data * grand / (row_totals * col_totals))
 
 
-def _positive(
-    scheme: str, m: ContextMatrix, pmi: np.ndarray, weights: np.ndarray
-) -> WeightedMatrix:
+def _positive(m: ContextMatrix, pmi: np.ndarray, weights: np.ndarray) -> TermContextMatrix:
     """The ``weights`` of the cells of ``m`` whose PMI is positive."""
     x = m.csr
-    kept = (pmi > 0) & (weights != 0)
+    kept = pmi > 0
     rows, row = np.unique(x.rows()[kept], return_inverse=True)
     indptr = np.searchsorted(row, np.arange(len(rows) + 1))
     csr = CSR(weights[kept], x.indices[kept], indptr, (len(rows), x.shape[1]))
     terms = [m.term_labels[i] for i in rows.tolist()]
-    return WeightedMatrix._from_csr(csr, terms, m.context_labels, scheme=scheme)
+    return TermContextMatrix._from_csr(csr, terms, m.context_labels)
 
 
-def weight_ppmi(m: ContextMatrix) -> WeightedMatrix:
+def weight_ppmi(m: ContextMatrix) -> TermContextMatrix:
     """Positive PMI weights: log p(t,c)/(p(t)p(c)), negatives clamped to zero."""
     pmi = _pmi(m)
-    return _positive("ppmi", m, pmi, pmi)
+    return _positive(m, pmi, pmi)
 
 
-def weight_lmi(m: ContextMatrix) -> WeightedMatrix:
+def weight_lmi(m: ContextMatrix) -> TermContextMatrix:
     """Local mutual information: count(t,c) * PMI(t,c), clamped at zero."""
     pmi = _pmi(m)
-    return _positive("lmi", m, pmi, m.csr.data * pmi)
+    return _positive(m, pmi, m.csr.data * pmi)
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,7 @@ def context_entropies(m: ContextMatrix) -> EntropyTable:
 
 
 def word_generalities(
-    lmi: WeightedMatrix,
+    lmi: TermContextMatrix,
     entropies: EntropyTable,
     terms: Iterable[str],
     top_n: int = DEFAULT_TOP_CONTEXTS,

@@ -2,10 +2,16 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from taxorel import extractors
-from taxorel.contexts import TermSet, extract_document_contexts, extract_window_contexts
+from taxorel.contexts import (
+    TermContextMatrix,
+    TermSet,
+    extract_document_contexts,
+    extract_window_contexts,
+)
 from taxorel.corpus import sentence_documents
 from taxorel.extractors import (
     cluster_terms,
@@ -20,7 +26,6 @@ from taxorel.extractors import (
     measure_weeds_prec,
 )
 from taxorel.weighting import (
-    WeightedMatrix,
     context_entropies,
     weight_lmi,
     weight_ppmi,
@@ -77,24 +82,22 @@ class TestDirectionalMeasures:
 
 class TestDSim:
     def test_included_support_becomes_hyponym(self):
-        ppmi = WeightedMatrix(
-            "ppmi", {"u": {"a": 1.0, "b": 1.0}, "v": {"a": 1.0, "b": 1.0, "c": 1.0}}
-        )
+        rows = {"u": {"a": 1.0, "b": 1.0}, "v": {"a": 1.0, "b": 1.0, "c": 1.0}}
+        ppmi = TermContextMatrix(rows, np.float64)
         relset = extract_dsim(ppmi, TermSet(["u", "v"]))
         assert relset.pair_set() == {("u", "v")}
 
     def test_symmetric_vectors_tie_to_nothing(self):
-        ppmi = WeightedMatrix("ppmi", {"u": {"a": 1.0}, "v": {"a": 1.0}})
+        ppmi = TermContextMatrix({"u": {"a": 1.0}, "v": {"a": 1.0}}, np.float64)
         assert len(extract_dsim(ppmi, TermSet(["u", "v"]))) == 0
 
     def test_disjoint_supports_skipped(self):
-        ppmi = WeightedMatrix("ppmi", {"u": {"a": 1.0}, "v": {"b": 9.0}})
+        ppmi = TermContextMatrix({"u": {"a": 1.0}, "v": {"b": 9.0}}, np.float64)
         assert len(extract_dsim(ppmi, TermSet(["u", "v"]))) == 0
 
     def test_weedsprec_measure_selectable(self):
-        ppmi = WeightedMatrix(
-            "ppmi", {"u": {"a": 1.0, "b": 1.0}, "v": {"a": 2.0, "b": 2.0, "c": 1.0}}
-        )
+        rows = {"u": {"a": 1.0, "b": 1.0}, "v": {"a": 2.0, "b": 2.0, "c": 1.0}}
+        ppmi = TermContextMatrix(rows, np.float64)
         relset = extract_dsim(ppmi, TermSet(["u", "v"]), measure="weedsprec")
         assert relset.pair_set() == {("u", "v")}
         with pytest.raises(ValueError):
@@ -109,13 +112,13 @@ class TestDSim:
             t: {"shared": rng.uniform(0.1, 3.0), f"own{i}": 1.0}
             for i, t in enumerate(terms)
         }
-        relset = extract_dsim(WeightedMatrix("ppmi", rows), TermSet(terms))
+        relset = extract_dsim(TermContextMatrix(rows, np.float64), TermSet(terms))
         assert len(relset) == len(terms) * (len(terms) - 1) // 2
 
 
 class TestSLQS:
     def test_direction_follows_generality(self):
-        lmi = WeightedMatrix("lmi", {"dog": {"a": 2.0}, "animal": {"b": 2.0}})
+        lmi = TermContextMatrix({"dog": {"a": 2.0}, "animal": {"b": 2.0}}, np.float64)
         from taxorel.weighting import EntropyTable
 
         table = EntropyTable(raw={"a": 0.4, "b": 0.9}, normalized={"a": 0.4, "b": 0.9})
@@ -123,7 +126,7 @@ class TestSLQS:
         assert relset.pair_set() == {("dog", "animal")}
 
     def test_equal_generality_emits_nothing(self):
-        lmi = WeightedMatrix("lmi", {"u": {"a": 1.0}, "v": {"a": 1.0}})
+        lmi = TermContextMatrix({"u": {"a": 1.0}, "v": {"a": 1.0}}, np.float64)
         from taxorel.weighting import EntropyTable
 
         table = EntropyTable(raw={"a": 0.5}, normalized={"a": 0.5})
@@ -268,11 +271,11 @@ class TestDocSub:
 
 class TestClustering:
     def test_singletons_when_k_equals_vocab(self):
-        ppmi = WeightedMatrix("ppmi", {"a": {"f": 1.0}, "b": {"f": 1.0}})
+        ppmi = TermContextMatrix({"a": {"f": 1.0}, "b": {"f": 1.0}}, np.float64)
         assert cluster_terms(ppmi, TermSet(["a", "b"]), 2) == [["a"], ["b"]]
 
     def test_single_cluster_when_k_is_one(self):
-        ppmi = WeightedMatrix("ppmi", {"a": {"f": 1.0}, "b": {"g": 1.0}})
+        ppmi = TermContextMatrix({"a": {"f": 1.0}, "b": {"g": 1.0}}, np.float64)
         assert cluster_terms(ppmi, TermSet(["b", "a"]), 1) == [["a", "b"]]
 
     def test_two_blocks_recovered(self):
@@ -280,7 +283,7 @@ class TestClustering:
         for i in range(4):
             rows[f"a{i}"] = {"fa1": 1.0 + 0.1 * i, "fa2": 2.0}
             rows[f"b{i}"] = {"fb1": 1.0 + 0.1 * i, "fb2": 2.0}
-        ppmi = WeightedMatrix("ppmi", rows)
+        ppmi = TermContextMatrix(rows, np.float64)
         clusters = cluster_terms(ppmi, TermSet(sorted(rows)), 2)
         assert {frozenset(c) for c in clusters} == {
             frozenset({"a0", "a1", "a2", "a3"}),
@@ -295,12 +298,12 @@ class TestClustering:
                 f"t{i}": random_vector(rng, features, min_size=2) for i in range(8)
             }
             k = rng.randint(2, 7)
-            got = cluster_terms(WeightedMatrix("ppmi", rows), TermSet(sorted(rows)), k)
+            got = cluster_terms(TermContextMatrix(rows, np.float64), TermSet(sorted(rows)), k)
             expected = oracle_average_linkage(rows, k)
             assert {frozenset(c) for c in got} == expected
 
     def test_k_validation(self):
-        ppmi = WeightedMatrix("ppmi", {"a": {"f": 1.0}})
+        ppmi = TermContextMatrix({"a": {"f": 1.0}}, np.float64)
         with pytest.raises(ValueError):
             cluster_terms(ppmi, TermSet(["a"]), 0)
         with pytest.raises(ValueError):
@@ -310,7 +313,7 @@ class TestClustering:
         # Zero vectors put every pair at distance 1; the merge-count cut
         # must still return exactly k clusters.
         vocab = TermSet(["a", "b", "c", "d"])
-        empty = WeightedMatrix("ppmi", {})
+        empty = TermContextMatrix({}, np.float64)
         for k in (1, 2, 3, 4):
             assert len(cluster_terms(empty, vocab, k)) == k
 
@@ -325,13 +328,13 @@ class TestHClust:
         window = extract_window_contexts(c, 5)
         docm = extract_document_contexts(c)
         vocab = TermSet(["dog", "cat", "fish"])
-        ppmi = weight_ppmi(window) if len(window) else WeightedMatrix("ppmi", {})
+        ppmi = weight_ppmi(window) if len(window) else TermContextMatrix({}, np.float64)
         assert extract_hclust(ppmi, docm, vocab, 1).pair_set() == extract_df(
             docm, vocab
         ).pair_set()
 
     def test_singleton_clusters_emit_nothing(self):
-        ppmi = WeightedMatrix("ppmi", {"a": {"f": 1.0}, "b": {"f": 1.0}})
+        ppmi = TermContextMatrix({"a": {"f": 1.0}, "b": {"f": 1.0}}, np.float64)
         m = doc_matrix({"a": ["d1", "d2"], "b": ["d1"]})
         assert len(extract_hclust(ppmi, m, TermSet(["a", "b"]), 2)) == 0
 
@@ -344,9 +347,8 @@ class TestHClust:
                 "employee": [f"d{i}" for i in range(149)],
             }
         )
-        ppmi = WeightedMatrix(
-            "ppmi", {"consumer": {"work": 1.0}, "employee": {"work": 1.1}}
-        )
+        rows = {"consumer": {"work": 1.0}, "employee": {"work": 1.1}}
+        ppmi = TermContextMatrix(rows, np.float64)
         relset = extract_hclust(ppmi, m, TermSet(["consumer", "employee"]), 1)
         assert relset.pair_set() == {("employee", "consumer")}
 

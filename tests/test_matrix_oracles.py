@@ -1,12 +1,13 @@
 """Property tests: the sparse-matrix weights and extractors against the
 per-cell and per-pair oracles of ``helpers``."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taxorel.cli import DEFAULT_LAMBDAS
-from taxorel.contexts import ContextMatrix, TermSet
+from taxorel.contexts import ContextMatrix, TermContextMatrix, TermSet
 from taxorel.extractors import (
     cluster_terms,
     docsub_sweep,
@@ -21,7 +22,6 @@ from taxorel.extractors import (
 )
 from taxorel.weighting import (
     EntropyTable,
-    WeightedMatrix,
     context_entropies,
     weight_lmi,
     weight_ppmi,
@@ -109,7 +109,7 @@ def test_extractor_pairs_match_the_oracles(rows):
     vocab = TermSet(TERMS)
     ppmi, lmi = oracle_weights(rows, False), oracle_weights(rows, True)
     raw, normalized = oracle_entropies(rows)
-    ppmi_matrix = WeightedMatrix("ppmi", ppmi)
+    ppmi_matrix = TermContextMatrix(ppmi, np.float64)
     for measure, definition in (("clarkede", measure_clarke_de), ("weedsprec", measure_weeds_prec)):
         relset = extract_dsim(ppmi_matrix, vocab, measure)
         assert relset.pair_set() == oracle_dsim_pairs(ppmi, vocab, measure)
@@ -118,7 +118,7 @@ def test_extractor_pairs_match_the_oracles(rows):
             assert score == pytest.approx(expected, rel=1e-12)
     table = EntropyTable(raw=raw, normalized=normalized)
     for top_n in (1, 2, 50):
-        got = extract_slqs(WeightedMatrix("lmi", lmi), table, vocab, top_n).pair_set()
+        got = extract_slqs(TermContextMatrix(lmi, np.float64), table, vocab, top_n).pair_set()
         assert got == oracle_slqs_pairs(lmi, normalized, vocab, top_n)
 
     docm = ContextMatrix(rows)

@@ -16,10 +16,9 @@ from scipy.sparse import csr_matrix
 from scipy.spatial.distance import squareform
 
 from taxorel import contexts
-from taxorel.contexts import ContextMatrix, TermSet, _gram
+from taxorel.contexts import ContextMatrix, TermContextMatrix, TermSet, _gram
 from taxorel.extractors import _SHARED, cluster_terms, docsub_sweep
 from taxorel.relations import RelationSet
-from taxorel.weighting import WeightedMatrix
 
 TERMS = [f"t{i}" for i in range(7)]
 CONTEXTS = [f"c{i}" for i in range(9)]
@@ -75,7 +74,7 @@ def min_gram(x: csr_matrix) -> np.ndarray:
 @example(rows=DUPLICATE_ROWS)
 @example(rows=ZERO_ROWS)
 def test_weight_products_equal_scipys_bit_for_bit(rows):
-    w = WeightedMatrix("ppmi", rows).rows_of(TERMS)
+    w = TermContextMatrix(rows, np.float64).rows_of(TERMS)
     x = reference(rows, TERMS)
     # Chunks of one pair and of a few pairs cut columns apart.
     for chunk in (1, 5, contexts._GRAM_CHUNK):
@@ -152,6 +151,6 @@ tied_rows = st.integers(2, 7).flatmap(
 @example(rows={"t0": {"c0": 1.0}, "t1": {"c1": 1.0}})
 def test_clusters_equal_scipys_average_linkage_for_every_k(rows):
     terms = sorted(rows)
-    ppmi = WeightedMatrix("ppmi", rows)
+    ppmi = TermContextMatrix(rows, np.float64)
     for k in range(1, len(terms) + 1):
         assert cluster_terms(ppmi, TermSet(terms), k) == scipy_clusters(rows, terms, k)

@@ -1,21 +1,23 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taxorel.contexts import ContextMatrix
+from taxorel.contexts import ContextMatrix, TermContextMatrix, extract_window_contexts
+from taxorel.corpus import load_corpus
 from taxorel.weighting import (
     EntropyTable,
-    WeightedMatrix,
     context_entropies,
     weight_lmi,
     weight_ppmi,
     word_generalities,
 )
 
-from helpers import oracle_generalities, outcome
+from helpers import oracle_generalities, oracle_weights, outcome
+from test_cli import write_fixture
 
 
 def matrix(rows):
@@ -47,6 +49,34 @@ class TestPPMI:
         scaled = m.scaled(3)
         w1, w2 = weight_ppmi(m), weight_ppmi(scaled)
         assert {t: w1.row(t) for t in w1.terms()} == {t: w2.row(t) for t in w2.terms()}
+
+
+def fixture_window_matrix(tmp_path):
+    corpus_dir, _ = write_fixture(tmp_path)
+    return extract_window_contexts(load_corpus(corpus_dir, "EN"))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        fixture_window_matrix,
+        # t1 and t2 each lose a cell of negative PMI, t3 its whole row of PMI 0.
+        lambda _: matrix(
+            {"t1": {"c1": 8, "c2": 2}, "t2": {"c1": 2, "c2": 8}, "t3": {"c1": 1, "c2": 1}}
+        ),
+    ],
+    ids=["fixture-window", "dropped-cells"],
+)
+def test_both_weightings_are_plain_matrices_of_the_positive_pmi_cells(tmp_path, counts):
+    m = counts(tmp_path)
+    ppmi, lmi = weight_ppmi(m), weight_lmi(m)
+    assert type(ppmi) is TermContextMatrix and type(lmi) is TermContextMatrix
+    assert ppmi.term_labels == lmi.term_labels
+    assert np.array_equal(ppmi.csr.indices, lmi.csr.indices)
+    assert np.array_equal(ppmi.csr.indptr, lmi.csr.indptr)
+    positive = oracle_weights({t: m.row(t) for t in m.terms()}, local=False)
+    cells = {t: sorted(r) for t, r in positive.items()}
+    assert {t: sorted(ppmi.row(t)) for t in ppmi.terms()} == cells
 
 
 class TestLMI:
@@ -104,32 +134,32 @@ class TestWordGenerality:
         return EntropyTable(raw=dict(normalized), normalized=dict(normalized))
 
     def test_median_of_singleton(self):
-        lmi = WeightedMatrix("lmi", {"w": {"a": 1.0}})
+        lmi = TermContextMatrix({"w": {"a": 1.0}}, np.float64)
         assert word_generalities(lmi, self.entropy_table({"a": 0.7}), ["w"])["w"] == 0.7
 
     def test_median_of_odd_list(self):
-        lmi = WeightedMatrix("lmi", {"w": {"a": 3.0, "b": 2.0, "c": 1.0}})
+        lmi = TermContextMatrix({"w": {"a": 3.0, "b": 2.0, "c": 1.0}}, np.float64)
         table = self.entropy_table({"a": 0.2, "b": 0.4, "c": 0.9})
         assert word_generalities(lmi, table, ["w"])["w"] == 0.4
 
     def test_median_of_even_list_averages_middle_pair(self):
-        lmi = WeightedMatrix("lmi", {"w": {"a": 3.0, "b": 2.0}})
+        lmi = TermContextMatrix({"w": {"a": 3.0, "b": 2.0}}, np.float64)
         table = self.entropy_table({"a": 0.2, "b": 0.4})
         assert word_generalities(lmi, table, ["w"])["w"] == pytest.approx(0.3)
 
     def test_top_n_limits_contexts(self):
-        lmi = WeightedMatrix("lmi", {"w": {"a": 3.0, "b": 2.0, "c": 1.0}})
+        lmi = TermContextMatrix({"w": {"a": 3.0, "b": 2.0, "c": 1.0}}, np.float64)
         table = self.entropy_table({"a": 0.9, "b": 0.1, "c": 0.0})
         assert word_generalities(lmi, table, ["w"], top_n=2)["w"] == pytest.approx(0.5)
 
     def test_lmi_ties_break_on_context_label(self):
-        lmi = WeightedMatrix("lmi", {"w": {"b": 1.0, "a": 1.0, "c": 1.0}})
+        lmi = TermContextMatrix({"w": {"b": 1.0, "a": 1.0, "c": 1.0}}, np.float64)
         table = self.entropy_table({"a": 0.0, "b": 1.0, "c": 0.5})
         # Top-2 by (weight, label) is {a, b}; median = 0.5.
         assert word_generalities(lmi, table, ["w"], top_n=2)["w"] == pytest.approx(0.5)
 
     def test_no_contexts_is_an_error(self):
-        lmi = WeightedMatrix("lmi", {})
+        lmi = TermContextMatrix({}, np.float64)
         with pytest.raises(KeyError):
             word_generalities(lmi, self.entropy_table({}), ["w"])["w"]
         with pytest.raises(ValueError):
@@ -140,7 +170,7 @@ class TestWordGenerality:
         for _ in range(50):
             ents = [rng.random() for _ in range(5)]
             weights = {f"c{i}": 5.0 - i for i in range(5)}
-            lmi = WeightedMatrix("lmi", {"w": weights})
+            lmi = TermContextMatrix({"w": weights}, np.float64)
             base = word_generalities(
                 lmi, self.entropy_table({f"c{i}": e for i, e in enumerate(ents)}), ["w"]
             )["w"]
@@ -153,7 +183,7 @@ class TestWordGenerality:
             assert higher >= base - 1e-12
 
     def test_bulk_generalities_skip_undefined(self):
-        lmi = WeightedMatrix("lmi", {"w": {"a": 1.0}})
+        lmi = TermContextMatrix({"w": {"a": 1.0}}, np.float64)
         table = self.entropy_table({"a": 0.5})
         out = word_generalities(lmi, table, ["w", "unknown"])
         assert out == {"w": 0.5}
@@ -180,7 +210,7 @@ class TestWordGenerality:
         normalized = dict(zip("abcdef", entropies))
         table = self.entropy_table(normalized)
         terms = ["t0", "t1", "t2", "t3", "t4"]
-        got = word_generalities(WeightedMatrix("lmi", rows), table, terms, top_n)
+        got = word_generalities(TermContextMatrix(rows, np.float64), table, terms, top_n)
         assert got == oracle_generalities(rows, normalized, terms, top_n)
 
 
@@ -210,11 +240,6 @@ class TestPipelineInvariants:
 @pytest.mark.parametrize(
     "call, expected",
     [
-        pytest.param(
-            lambda: WeightedMatrix("tfidf", {}),
-            (ValueError, "scheme must be 'ppmi' or 'lmi', got 'tfidf'"),
-            id="unknown-scheme",
-        ),
         pytest.param(
             lambda: context_entropies(ContextMatrix({})),
             (ValueError, "matrix has no contexts"),

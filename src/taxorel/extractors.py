@@ -9,6 +9,7 @@ every extractor deterministic regardless of input ordering.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -54,9 +55,11 @@ def extract_dsim(ppmi: TermContextMatrix, vocab: TermSet, measure: str = "clarke
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     terms = sorted(vocab)
     w = ppmi.rows_of(terms)
-    # Summed in label order; the diagonal (u with itself) holds the row totals.
+    # Exactly rounded row totals, so that rows holding the same weights tie; a
+    # row wholly shared (its label-order sum, the Gram diagonal) is its total.
     shared = _gram(w, *_SHARED[measure])
-    totals = np.diag(shared)
+    totals = np.array([math.fsum(w.data[a:b]) for a, b in zip(w.indptr, w.indptr[1:])])
+    shared = np.where(shared == np.diag(shared)[:, None], totals[:, None], shared)
     with np.errstate(divide="ignore", invalid="ignore"):
         inclusion = shared / totals[:, None]
     # A pair without shared contexts scores 0 both ways, a tie.

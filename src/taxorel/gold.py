@@ -46,17 +46,13 @@ class GoldTaxonomy:
             if syn.id in syn.hypernym_ids:
                 syn = Synset(syn.id, syn.lemmas, syn.hypernym_ids - {syn.id})
             self._synsets[syn.id] = syn
+        self._lemma_index: dict[str, set[int]] = {}
         for syn in self._synsets.values():
             for hid in syn.hypernym_ids:
                 if hid not in self._synsets:
-                    raise ValueError(
-                        f"synset {syn.id} references unknown hypernym id {hid}"
-                    )
-        self._lemma_index: dict[str, set[int]] = {}
-        for syn in self._synsets.values():
+                    raise ValueError(f"synset {syn.id} references unknown hypernym id {hid}")
             for lemma in syn.lemmas:
                 self._lemma_index.setdefault(lemma.casefold(), set()).add(syn.id)
-        self._ancestor_lemma_cache: dict[str, frozenset[str]] = {}
         self._order_code: dict[str, int] = {}  # each lemma's row and column in _order
         self._order_asked: set[str] = set()
         self._order = np.zeros((0, 0), dtype=bool)
@@ -91,21 +87,17 @@ class GoldTaxonomy:
         Its visited set makes cycles among distinct synsets (present in
         noisy gold data) terminate.  A synset of the lemma itself counts only
         when reached through >= 1 edge: by a cycle, or from another of the
-        lemma's synsets.
+        lemma's synsets.  Each call walks anew; evaluation keeps the answers
+        in its order table (:meth:`_ancestor_order`).
         """
-        key = lemma.casefold()
-        if key not in self._ancestor_lemma_cache:
-            synsets, seen = self._synsets, set()
-            stack = [h for s in self._lemma_index.get(key, ()) for h in synsets[s].hypernym_ids]
-            while stack:
-                sid = stack.pop()
-                if sid not in seen:
-                    seen.add(sid)
-                    stack.extend(synsets[sid].hypernym_ids)
-            self._ancestor_lemma_cache[key] = frozenset(
-                l.casefold() for sid in seen for l in synsets[sid].lemmas
-            )
-        return self._ancestor_lemma_cache[key]
+        synsets, seen = self._synsets, set()
+        stack = [h for s in self._lemma_index.get(lemma.casefold(), ()) for h in synsets[s].hypernym_ids]
+        while stack:
+            sid = stack.pop()
+            if sid not in seen:
+                seen.add(sid)
+                stack.extend(synsets[sid].hypernym_ids)
+        return frozenset(l.casefold() for sid in seen for l in synsets[sid].lemmas)
 
     def _ancestor_order(self, terms: list[str]) -> np.ndarray:
         """Boolean matrix over gold ``terms`` whose [a, d] is set iff the

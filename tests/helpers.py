@@ -600,13 +600,18 @@ def _ranked_pairs(ranks: dict[str, float], together=lambda u, v: True) -> set:
 
 
 def oracle_dsim_pairs(weights: dict[str, dict[str, float]], vocab, measure: str) -> set:
-    """Per-pair directional inclusion; the more included term is the hyponym."""
+    """Per-pair directional inclusion; the more included term is the hyponym.
+
+    Totals are exactly rounded; shared weights are summed in label order,
+    and a row shared whole counts as its total."""
 
     def inclusion(u, v):
+        own = [u[f] for f in sorted(u)]
         shared = [
             min(u[f], v[f]) if measure == "clarkede" else u[f] for f in sorted(u) if f in v
         ]
-        return _ordered_sum(shared) / _ordered_sum(u[f] for f in sorted(u))
+        total = math.fsum(own)
+        return (total if shared == own else _ordered_sum(shared)) / total
 
     pairs = set()
     for a, b in combinations(sorted(vocab), 2):

@@ -16,6 +16,7 @@ import taxorel
 from taxorel import cli as cli_module
 from taxorel import contexts as contexts_module
 from taxorel import corpus as corpus_module
+from taxorel import evaluation as evaluation_module
 from taxorel import extractors as extractors_module
 from taxorel import taxonomy as taxonomy_module
 from taxorel.cli import METHODS, RunConfig, StageError, load_config, main, run, validate
@@ -630,6 +631,23 @@ class TestRun:
         # closures (CHANGES.md FOUND 14), and an intersection equal to one
         # of its sides is not evaluated; both runs took 37 before.
         assert len(closures) == (25 if best_parent else 21)
+
+    def test_one_run_makes_its_pinned_number_of_evaluations(self, tmp_path, monkeypatch):
+        evaluated = []
+        real = evaluation_module.evaluate
+
+        def counting(tax, gold):
+            evaluated.append(tax)
+            return real(tax, gold)
+
+        monkeypatch.setattr(evaluation_module, "evaluate", counting)
+        run(load_config(write_config(tmp_path, methods=",".join(METHODS))))
+        # 3 for the docsub sweep, 7 for eval_<method>.json, 7 for the
+        # complementarity bases and 12 for the intersections that equal
+        # neither side.  Eight of them evaluate a taxonomy this run has
+        # already evaluated: docsub's set at its best lambda, which the sweep
+        # scored, and the seven bases, which eval_<method>.json scored.
+        assert len(evaluated) == 29
 
     @pytest.mark.parametrize("best_parent", [False, True], ids=["plain", "best-parent"])
     def test_one_run_stays_within_its_gram_budget(self, tmp_path, monkeypatch, best_parent):

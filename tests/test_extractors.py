@@ -91,6 +91,13 @@ class TestDSim:
         ppmi = TermContextMatrix({"u": {"a": 1.0}, "v": {"a": 1.0}}, np.float64)
         assert len(extract_dsim(ppmi, TermSet(["u", "v"]))) == 0
 
+    def test_rows_of_the_same_weights_tie_on_exactly_rounded_totals(self):
+        # Summed in label order, u's total is 0.6000000000000001 and v's 0.6.
+        rows = {"u": {"a": 0.1, "b": 0.2, "c": 0.3}, "v": {"a": 0.3, "b": 0.2, "c": 0.1}}
+        ppmi = TermContextMatrix(rows, np.float64)
+        for measure in ("clarkede", "weedsprec"):
+            assert len(extract_dsim(ppmi, TermSet(["u", "v"]), measure)) == 0
+
     def test_disjoint_supports_skipped(self):
         ppmi = TermContextMatrix({"u": {"a": 1.0}, "v": {"b": 9.0}}, np.float64)
         assert len(extract_dsim(ppmi, TermSet(["u", "v"]))) == 0

@@ -55,9 +55,9 @@ ALL_EQUAL_ENTROPIES = {"t0": {"c0": 1}, "t1": {"c1": 2}, "t2": {"c2": 3}}
 # Columns a and b hold the counts 1, 2, 3 in two term orders; summed in term
 # order their entropies differ in the last bit.
 PERMUTED_COUNTS = {"t0": {"a": 1, "b": 1}, "t1": {"a": 2, "b": 3}, "t2": {"a": 3, "b": 2}}
-# t1 and t2 carry the same PPMI weights under different labels: their totals
-# are equal, but summed in label order they differ in the last bit, so the
-# pair's direction depends on the summation order.
+# t1 and t2 carry the same PPMI weights under different labels: summed in
+# label order their totals differ in the last bit, and only exactly rounded
+# totals make the pair the tie it is.
 PERMUTED_WEIGHTS = {
     "t0": {"c0": 1},
     "t1": {"c0": 1, "c1": 1, "c3": 3, "c4": 3},

@@ -1,5 +1,5 @@
 """Memory guards for the corpus-sized stages, relation sets, the
-complementarity matrix and the graph stages.
+complementarity matrix, the graph stages and the gold's ancestor order.
 
 Ingest and the two context models are the only stages whose memory grows
 with the corpus.  On a generated corpus of over 100,000 tokens, the
@@ -45,6 +45,11 @@ over every node peaked at 6.0, 6.0 and 13.0, and over the middle nodes
 alone at 2.0, 1.5 and 6.0.  A tighter guard holds them under 1.5, 1.0 and
 3.0: taking ``adj`` itself as the closure of a graph without a middle node,
 and returning such a graph as its own reduction, peaks at 1.0, 0.5 and 0.0.
+
+A gold chain of 1,500 synsets, asked for the ancestor order of all its
+lemmas, must hold under 16 MB afterwards.  Its one boolean order table and
+the slice returned hold 4.8 MB; a frozenset of ancestor lemmas kept per
+lemma besides held 133.7 MB, since lemma i has i ancestors.
 """
 
 import random
@@ -88,6 +93,8 @@ DISJOINT_BOUND = 64.0
 # middle node.
 FOREST_BOUNDS = {"break_cycles": 4.0, "compute_metrics": 4.0, "transitive_reduction": 9.0}
 UNCOPIED_BOUNDS = {"break_cycles": 1.5, "compute_metrics": 1.0, "transitive_reduction": 3.0}
+# Bytes a chain gold may hold once asked for the order of all its lemmas.
+GOLD_CHAIN_BOUND = 16e6
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +242,15 @@ def test_graph_stages_on_a_forest_stay_within_their_bytes_per_cell():
         peaks[stage.__name__] = traced_peak(stage, tax)[1] / len(terms) ** 2
     assert all(peaks[name] < bound for name, bound in FOREST_BOUNDS.items()), peaks
     assert all(peaks[name] < bound for name, bound in UNCOPIED_BOUNDS.items()), peaks
+
+
+def test_gold_keeps_each_lemmas_ancestry_once():
+    lemmas = [f"l{n:04d}" for n in range(1500)]
+    # A chain: synset n is-a synset n - 1, so lemma n has n ancestors.
+    gold = GoldTaxonomy(
+        Synset(n, frozenset({lemma}), frozenset({n - 1} if n else ()))
+        for n, lemma in enumerate(lemmas)
+    )
+    order, held = traced_held(gold._ancestor_order, lemmas)
+    assert np.count_nonzero(order) == 1500 * 1499 // 2
+    assert held < GOLD_CHAIN_BOUND, held
